@@ -3,7 +3,9 @@
 
 Samples deduplicated integer systems, runs the algebraic decision test and
 the exhaustive schedule search on each (system, sparsity) pair, and reports
-any disagreement.  Exits non-zero when a mismatch is found.
+any disagreement.  The search runs twice, in float (``exact_min_k``) and in
+rational arithmetic (``min_k_exact``), and the two K* must agree too.  Exits
+non-zero when a mismatch is found.
 
 Usage:
     python scripts/equivalence_sweep.py --count 500 --seed 0
@@ -15,7 +17,13 @@ import time
 
 import numpy as np
 
-from sparse_ctrb import SystemModel, exact_min_k, sparse_pbh_test
+from sparse_ctrb import (
+    SystemModel,
+    decision_horizon,
+    exact_min_k,
+    min_k_exact,
+    sparse_pbh_test,
+)
 
 
 def sample_systems(count, seed, max_n, max_l, magnitude):
@@ -62,7 +70,10 @@ def main(argv=None):
             verdict = sparse_pbh_test(sys_, s).verdict
             k, _ = exact_min_k(sys_, s)
             if verdict != (k is not None):
-                mismatches.append((idx, s, verdict, k))
+                mismatches.append((idx, s, f"decision={verdict}, oracle_k={k}"))
+            k_exact, _ = min_k_exact(sys_, s, max_k=decision_horizon(sys_, s))
+            if k_exact != k:
+                mismatches.append((idx, s, f"oracle_k={k}, exact oracle_k={k_exact}"))
             if verdict:
                 controllable += 1
     elapsed = time.perf_counter() - start
@@ -71,15 +82,15 @@ def main(argv=None):
         f"{len(systems)} systems, {pairs} (system, s) pairs, "
         f"{controllable} sparse-controllable, {elapsed:.1f}s"
     )
-    for idx, s, verdict, k in mismatches:
+    for idx, s, what in mismatches:
         sys_ = systems[idx]
-        print(f"MISMATCH at system {idx}, s={s}: decision={verdict}, oracle_k={k}")
+        print(f"MISMATCH at system {idx}, s={s}: {what}")
         print("  D =", sys_.D.tolist())
         print("  H =", sys_.H.tolist())
     if mismatches:
         print(f"{len(mismatches)} mismatches")
         return 1
-    print("decision test and oracle agree on every pair")
+    print("decision test, float oracle and exact oracle agree on every pair")
     return 0
 
 

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import sys
 import time
@@ -36,7 +35,7 @@ from .decomp import standard_form, verify_standard_form
 from .errors import BudgetExceededError, InputError, UncontrollableSystemError
 from .io import build_report, load_system, render_report
 from .linalg import DEFAULT_TOLERANCE, Tolerance, max_geometric_multiplicity, rank
-from .oracle import OracleBudget, exact_min_k, decision_horizon, output_kalman_type_rank_test
+from .oracle import OracleBudget, _FloatSpan, _min_k
 from .steer import greedy_support_schedule, solve_inputs, solve_output_inputs
 
 _ARGUMENT_KEYS = (
@@ -237,49 +236,15 @@ def _exact_bounds(system, variant, s):
     return bounds_mod._bounds_from_quantities("common_support", n, min(r_h, s), q, s=s)
 
 
-def _exact_budget(args) -> dict:
-    if args.max_enumerations is None:
-        return {}
-    return {"max_enumerations": args.max_enumerations}
-
-
 def _run_oracle(system, args, tol):
-    s = args.s
-    budget_kwargs = {}
-    if args.max_enumerations is not None:
-        budget_kwargs["max_enumerations"] = args.max_enumerations
-    if args.deadline is not None:
-        budget_kwargs["deadline_s"] = args.deadline
-    if args.mode == "output":
-        max_k = args.max_k
-        if max_k is None:
-            max_k = system.n_states * math.ceil(system.n_inputs / s)
-        if args.rational:
-            k_star, witness = exact.min_k_exact(
-                system, s, max_k, output=True, **_exact_budget(args)
-            )
-        else:
-            budget = OracleBudget(max_k=max_k, **budget_kwargs)
-            k_star = None
-            witness = None
-            for k in range(1, max_k + 1):
-                ok, sched = output_kalman_type_rank_test(system, s, k, budget, tol)
-                if ok:
-                    k_star, witness = k, sched.supports
-                    break
-    else:
-        if args.rational:
-            max_k = args.max_k
-            if max_k is None:
-                max_k = system.n_states * math.ceil(system.n_inputs / s)
-            k_star, witness = exact.min_k_exact(system, s, max_k, **_exact_budget(args))
-        else:
-            budget = OracleBudget(max_k=args.max_k, **budget_kwargs)
-            max_k = budget.max_k if budget.max_k is not None else decision_horizon(
-                system, s, tol
-            )
-            k_star, sched = exact_min_k(system, s, budget, tol)
-            witness = None if sched is None else sched.supports
+    limits = {"max_enumerations": args.max_enumerations, "deadline_s": args.deadline}
+    budget = OracleBudget(
+        max_k=args.max_k, **{key: v for key, v in limits.items() if v is not None}
+    )
+    span = exact._ExactSpan() if args.rational else _FloatSpan(tol)
+    k_star, witness, max_k = _min_k(
+        system, args.s, budget, span, output=args.mode == "output"
+    )
     result = {"k_star": k_star, "max_k_searched": max_k, "inconclusive": False}
     witnesses = {"schedule": witness} if witness is not None else None
     if k_star is None:
@@ -480,6 +445,7 @@ def main(argv=None) -> int:
     if variant == "common-support":
         args.variant = "common_support"
     started = time.monotonic()
+    code = 0
     try:
         tol = _tolerance_from(args)
         with _warnings.catch_warnings(record=True) as caught:
@@ -490,24 +456,14 @@ def main(argv=None) -> int:
             )
         warning_strings = [str(w.message) for w in caught] + list(extra_warnings)
     except BudgetExceededError as exc:
-        report = build_report(
-            command=command,
-            system_name=None,
-            arguments=_arguments_for(args),
-            result={
-                "inconclusive": True,
-                "reason": str(exc),
-                "enumerations": exc.enumerations,
-                "k_reached": exc.k_reached,
-            },
-            tolerance=DEFAULT_TOLERANCE,
-            witnesses=None,
-            warnings=[],
-            exact=bool(args.rational),
-        )
-        sys.stdout.write(render_report(report))
-        print(f"sparse-ctrb {command}: inconclusive ({exc})", file=sys.stderr)
-        return 3
+        code, witnesses, warning_strings = 3, None, []
+        result = {
+            "inconclusive": True,
+            "reason": str(exc),
+            "enumerations": exc.enumerations,
+            "k_reached": exc.k_reached,
+        }
+        summary = f"inconclusive ({exc})"
     except (InputError, UncontrollableSystemError, ValueError) as exc:
         print(f"sparse-ctrb {command}: error: {exc}", file=sys.stderr)
         return 2
@@ -526,7 +482,7 @@ def main(argv=None) -> int:
     sys.stdout.write(render_report(report))
     label = name if name is not None else args.system
     print(f"sparse-ctrb {command} [{label}]: {summary}", file=sys.stderr)
-    return 0
+    return code
 
 
 if __name__ == "__main__":

@@ -3,9 +3,11 @@
 Entries are mapped to ``fractions.Fraction`` exactly (binary floats are
 rationals), and every decision below reduces to exact matrix ranks: in exact
 arithmetic the eigenvalue rank condition is equivalent to the Kalman rank
-test, so no algebraic eigenvalues are needed.  Intended for desk-scale
-fixture pinning and the CLI ``--rational`` mode; cost grows quickly with
-dimension.
+test, so no algebraic eigenvalues are needed.  The minimal schedule length
+(:func:`min_k_exact`) is not searched here: ``_ExactSpan`` supplies rational
+arithmetic to the one schedule search in ``oracle``.  Intended for
+desk-scale fixture pinning and the CLI ``--rational`` mode; cost grows
+quickly with dimension.
 """
 
 from __future__ import annotations
@@ -14,7 +16,8 @@ import itertools
 from fractions import Fraction
 
 from .ctrb import SystemModel, _check_sparsity, _require_output_map
-from .errors import BudgetExceededError, UncontrollableSystemError
+from .errors import UncontrollableSystemError
+from .oracle import OracleBudget, _min_k, _partition_horizon
 
 __all__ = [
     "to_fractions",
@@ -163,31 +166,45 @@ def s_star_exact(sys: SystemModel) -> int:
 
 
 class _ExactSpan:
-    """Incremental exact column span with pivot-reduced vectors."""
+    """Exact arithmetic for the schedule search in ``oracle``.
 
-    __slots__ = ("pivots",)
+    The running span is a list of pivot-reduced rational vectors, so its
+    dimension is exact and a leaf needs no re-check.
+    """
 
-    def __init__(self, pivots=()):
-        self.pivots = list(pivots)
+    what = "exact schedule search"
+    matrix = staticmethod(to_fractions)
+    matmul = staticmethod(_matmul)
 
-    def copy(self):
-        return _ExactSpan(self.pivots)
+    @staticmethod
+    def rank(blocks):
+        return rank_exact(_hstack(blocks))
 
-    @property
-    def dim(self):
-        return len(self.pivots)
+    @staticmethod
+    def empty(block):
+        return ()
 
-    def add(self, col) -> bool:
-        v = list(col)
-        for idx, p in self.pivots:
-            if v[idx] != 0:
-                f = v[idx] / p[idx]
-                v = [a - f * b for a, b in zip(v, p)]
-        pivot_idx = next((i for i, x in enumerate(v) if x != 0), None)
-        if pivot_idx is None:
-            return False
-        self.pivots.append((pivot_idx, v))
-        return True
+    @staticmethod
+    def extend(pivots, block, support):
+        pivots = list(pivots)
+        for j in support:
+            v = [row[j] for row in block]
+            for idx, p in pivots:
+                if v[idx] != 0:
+                    f = v[idx] / p[idx]
+                    v = [a - f * b for a, b in zip(v, p)]
+            pivot_idx = next((i for i, x in enumerate(v) if x != 0), None)
+            if pivot_idx is not None:
+                pivots.append((pivot_idx, v))
+        return pivots, len(pivots)
+
+    @staticmethod
+    def leaf_rank(dim, blocks, chosen):
+        return dim
+
+    @staticmethod
+    def horizon(sys, s, output):
+        return _partition_horizon(sys, s)
 
 
 def min_k_exact(
@@ -199,62 +216,16 @@ def min_k_exact(
 ):
     """Exact minimal schedule length, or (None, None) if none within max_k.
 
-    Enumerates size-s supports per block in lexicographic order; the witness
-    is the lexicographically smallest full-rank schedule at the minimal K.
-    With ``output=True`` the blocks are mapped through A and the target rank
-    is the output dimension.
+    Runs the schedule search of ``oracle`` in rational arithmetic; the
+    witness is the lexicographically smallest full-rank schedule at the
+    minimal K.  With ``output=True`` the blocks are mapped through A and the
+    target rank is the output dimension.
     """
-    _check_sparsity(sys, s)
     if not (isinstance(max_k, int) and max_k >= 1):
         raise ValueError(f"max_k must be a positive integer, got {max_k!r}")
-    d, h = to_fractions(sys.D), to_fractions(sys.H)
-    n, l = sys.n_states, sys.n_inputs
-    a = to_fractions(_require_output_map(sys)) if output else None
-    if output:
-        n = len(a)
-    supports = list(itertools.combinations(range(l), s))
-    budget = {"left": max_enumerations}
-
-    def search(k):
-        blocks = _power_blocks(d, h, k)[::-1]  # descending powers
-        if a is not None:
-            blocks = [_matmul(a, b) for b in blocks]
-        if rank_exact(_hstack(blocks)) < n:
-            return None
-
-        def dfs(depth, span, chosen):
-            for sup in supports:
-                budget["left"] -= 1
-                if budget["left"] < 0:
-                    raise BudgetExceededError(
-                        "exact schedule search exceeded enumeration budget",
-                        enumerations=max_enumerations,
-                        k_reached=k,
-                    )
-                nxt = span.copy()
-                block_cols = list(zip(*_columns(blocks[depth], sup)))
-                for col in block_cols:
-                    nxt.add(col)
-                if nxt.dim + (k - depth - 1) * s < n:
-                    continue
-                chosen.append(sup)
-                if depth + 1 == k:
-                    if nxt.dim == n:
-                        return list(chosen)
-                else:
-                    found = dfs(depth + 1, nxt, chosen)
-                    if found is not None:
-                        return found
-                chosen.pop()
-            return None
-
-        return dfs(0, _ExactSpan(), [])
-
-    for k in range(1, max_k + 1):
-        witness = search(k)
-        if witness is not None:
-            return k, tuple(witness)
-    return None, None
+    budget = OracleBudget(max_k=max_k, max_enumerations=max_enumerations)
+    k, witness, _ = _min_k(sys, s, budget, _ExactSpan(), output)
+    return k, witness
 
 
 def bound_quantities_exact(sys: SystemModel):

@@ -2,10 +2,16 @@
 
 A support schedule fixes which ``s`` input channels are active at each of K
 steps; the scheduled reachability matrix is ``[D^(K-1) H_{S_1}, ...,
-H_{S_K}]``.  The system is s-sparse controllable iff some schedule of some
-length reaches rank N, and the search below decides that by enumeration.
-Worst-case cost is exponential in K; budgets make overruns an explicit
-inconclusive outcome instead of a wrong answer.
+H_{S_K}]``, mapped through A for output questions.  The system is s-sparse
+controllable iff some schedule of some length reaches rank N.
+
+There is one search.  ``_best_schedule`` is the depth-first kernel: for one
+K it returns the best rank reached and the lexicographically first schedule
+reaching it.  ``_min_k`` runs the kernel for K = 1, 2, ... under one
+budget.  State and output targets, float and exact arithmetic all
+go through these two; the arithmetic is a *span* object, ``_FloatSpan`` here
+or ``exact._ExactSpan``.  Worst-case cost is exponential in K; budgets make
+overruns an explicit inconclusive outcome instead of a wrong answer.
 """
 
 from __future__ import annotations
@@ -13,7 +19,7 @@ from __future__ import annotations
 import itertools
 import math
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
@@ -126,8 +132,9 @@ def schedule_submatrix(sys: SystemModel, schedule: SupportSchedule) -> np.ndarra
 
 
 class _Counter:
-    def __init__(self, budget: OracleBudget):
+    def __init__(self, budget: OracleBudget, what: str):
         self.budget = budget
+        self.what = what
         self.used = 0
         self.deadline = (
             None if budget.deadline_s is None else time.monotonic() + budget.deadline_s
@@ -137,62 +144,150 @@ class _Counter:
         self.used += 1
         if self.used > self.budget.max_enumerations:
             raise BudgetExceededError(
-                "schedule search exceeded enumeration budget",
+                f"{self.what} exceeded enumeration budget",
                 enumerations=self.used,
                 k_reached=k,
             )
         if self.deadline is not None and (self.used & 0xFF) == 0:
             if time.monotonic() > self.deadline:
                 raise BudgetExceededError(
-                    "schedule search exceeded deadline",
+                    f"{self.what} exceeded deadline",
                     enumerations=self.used,
                     k_reached=k,
                 )
 
 
-def _search_full_rank(blocks, target_rank, s, supports, counter, k, tol, projector=None):
-    """Depth-first search for a schedule whose scheduled matrix reaches
-    ``target_rank``.  ``blocks`` are in descending power order and already
-    mapped through the output matrix when ``projector`` is set.
+class _FloatSpan:
+    """Floating-point arithmetic for the schedule search.
 
-    Pruning uses an independence-biased Gram-Schmidt rank estimate plus a
-    per-power capacity bound; an accepting leaf is re-verified with a full
-    SVD rank so pruning cannot flip the verdict.
+    The running span is an orthonormal basis whose dependence threshold is
+    biased toward independence, so pruning never drops a viable branch; a
+    leaf counts only with the full SVD rank of its scheduled matrix.
     """
-    if rank(np.hstack(blocks), tol) < target_rank:
-        return None
-    caps = [min(s, rank(b, tol)) for b in blocks]  # caps[d] for depth-d block
-    # suffix_cap[d] = capacity of blocks at depths >= d
-    suffix_cap = [0] * (k + 1)
+
+    what = "schedule search"
+    matrix = staticmethod(np.asarray)
+
+    def __init__(self, tol: Tolerance):
+        self.tol = tol
+
+    @staticmethod
+    def matmul(a, b):
+        return a @ b
+
+    def rank(self, blocks):
+        return rank(np.hstack(blocks), self.tol)
+
+    @staticmethod
+    def empty(block):
+        return _empty_basis(block.shape[0])
+
+    @staticmethod
+    def extend(basis, block, support):
+        basis, _ = _independent_columns(basis, block[:, list(support)])
+        return basis, basis.shape[1]
+
+    def leaf_rank(self, dim, blocks, chosen):
+        pieces = [blocks[d][:, list(c)] for d, c in enumerate(chosen) if c]
+        return rank(np.hstack(pieces), self.tol)
+
+    def horizon(self, sys, s, output):
+        if output:
+            return _partition_horizon(sys, s)
+        return decision_horizon(sys, s, self.tol)
+
+
+def _descending_blocks(sys, s, span, output, k_max):
+    """For K = 1..k_max, the blocks ``[M D^(K-1) H, ..., M H]`` (M = A for
+    output questions, else I) and their capacities ``min(s, rank)``, each
+    power built and ranked once."""
+    d, power = span.matrix(sys.D), span.matrix(sys.H)
+    a = span.matrix(_require_output_map(sys)) if output else None
+    blocks, caps = [], []
+    for k in range(k_max):
+        if k:
+            power = span.matmul(d, power)
+        block = power if a is None else span.matmul(a, power)
+        blocks.insert(0, block)
+        caps.insert(0, min(s, span.rank([block])))
+        yield blocks, caps
+
+
+def _best_schedule(blocks, caps, supports, target, floor, span, counter):
+    """Depth-first search over schedules of the descending-power ``blocks``.
+
+    Supports are tried in lexicographic order, schedule positions left to
+    right.  Returns the best rank above ``floor`` (or ``floor`` itself) and
+    the first schedule that reached it (None if none rose above ``floor``).
+    Branches whose rank plus the capacity of the blocks still to come cannot
+    beat the best so far are cut, and the search stops at the ceiling
+    ``min(target, rank of all blocks, sum of capacities)``.
+    """
+    k = len(blocks)
+    suffix_cap = [0] * (k + 1)  # capacity of the blocks at depths >= d
     for d in range(k - 1, -1, -1):
         suffix_cap[d] = suffix_cap[d + 1] + caps[d]
-
-    rows = blocks[0].shape[0]
+    ceiling = min(target, suffix_cap[0])
+    if ceiling > floor:
+        ceiling = min(ceiling, span.rank(blocks))
+    best, witness = floor, None
     chosen = []
 
     def dfs(depth, basis):
+        nonlocal best, witness
         for sup in supports:
             counter.tick(k)
-            block = blocks[depth][:, list(sup)]
-            nxt, _ = _independent_columns(basis, block)
-            if nxt.shape[1] + suffix_cap[depth + 1] < target_rank:
+            nxt, dim = span.extend(basis, blocks[depth], sup)
+            if dim + suffix_cap[depth + 1] <= best:
                 continue
             chosen.append(sup)
-            if depth + 1 == k:
-                if nxt.shape[1] >= target_rank:
-                    leaf = np.hstack(
-                        [blocks[d][:, list(c)] for d, c in enumerate(chosen) if c]
-                    )
-                    if rank(leaf, tol) == target_rank:
-                        return list(chosen)
-            else:
-                found = dfs(depth + 1, nxt)
-                if found is not None:
-                    return found
+            if depth + 1 < k:
+                dfs(depth + 1, nxt)
+            elif dim > best:
+                reached = span.leaf_rank(dim, blocks, chosen)
+                if reached > best:
+                    best, witness = reached, tuple(chosen)
             chosen.pop()
-        return None
+            if best == ceiling:
+                return
 
-    return dfs(0, _empty_basis(rows))
+    if best < ceiling:
+        dfs(0, span.empty(blocks[0]))
+    return best, witness
+
+
+def _min_k(sys, s, budget, span, output=False, first_k=1):
+    """Smallest K in ``first_k..max_k`` at which a schedule reaches full state
+    (or output) rank, as ``(K, supports, max_k)``; ``(None, None, max_k)``
+    when none does.  One budget covers every K, and ``max_k`` defaults to the
+    span's decisive horizon."""
+    if output:
+        _require_output_map(sys)
+    _check_sparsity(sys, s)
+    max_k = budget.max_k if budget.max_k is not None else span.horizon(sys, s, output)
+    counter = _Counter(budget, span.what)
+    target = sys.n_outputs if output else sys.n_states
+    supports = list(itertools.combinations(range(sys.n_inputs), s))
+    problems = _descending_blocks(sys, s, span, output, max_k)
+    for k, (blocks, caps) in enumerate(problems, start=1):
+        if k < first_k:
+            continue
+        _, witness = _best_schedule(
+            blocks, caps, supports, target, target - 1, span, counter
+        )
+        if witness is not None:
+            return k, witness, max_k
+    return None, None, max_k
+
+
+def _rank_test(sys, s, k, budget, tol, output):
+    if not (isinstance(k, (int, np.integer)) and k >= 1):
+        raise ValueError(f"K must be a positive integer, got {k!r}")
+    budget = replace(budget or OracleBudget(), max_k=int(k))
+    _, witness, _ = _min_k(sys, s, budget, _FloatSpan(tol), output, first_k=int(k))
+    if witness is None:
+        return False, None
+    return True, SupportSchedule(supports=witness, s=s)
 
 
 def kalman_type_rank_test(
@@ -207,29 +302,11 @@ def kalman_type_rank_test(
     The witness is the lexicographically smallest rank-N schedule (supports
     enumerated in lexicographic order, schedule positions left to right).
     """
-    _check_sparsity(sys, s)
-    if not (isinstance(k, (int, np.integer)) and k >= 1):
-        raise ValueError(f"K must be a positive integer, got {k!r}")
-    counter = _Counter(budget or OracleBudget())
-    witness = _schedule_witness(sys, s, int(k), counter, tol)
-    if witness is None:
-        return False, None
-    return True, witness
+    return _rank_test(sys, s, k, budget, tol, output=False)
 
 
-def _schedule_witness(sys, s, k, counter, tol, output=False):
-    blocks = _ascending_power_blocks(sys.D, sys.H, k)[::-1]
-    if output:
-        a = _require_output_map(sys)
-        blocks = [a @ b for b in blocks]
-        target = sys.n_outputs
-    else:
-        target = sys.n_states
-    supports = list(itertools.combinations(range(sys.n_inputs), s))
-    found = _search_full_rank(blocks, target, s, supports, counter, k, tol)
-    if found is None:
-        return None
-    return SupportSchedule(supports=tuple(found), s=s)
+def _partition_horizon(sys, s):
+    return sys.n_states * math.ceil(sys.n_inputs / s)
 
 
 def decision_horizon(sys: SystemModel, s: int, tol: Tolerance = DEFAULT_TOLERANCE) -> int:
@@ -245,7 +322,7 @@ def decision_horizon(sys: SystemModel, s: int, tol: Tolerance = DEFAULT_TOLERANC
         from .bounds import kstar_bounds_sparse
 
         return kstar_bounds_sparse(sys, s, tol).upper
-    return sys.n_states * math.ceil(sys.n_inputs / s)
+    return _partition_horizon(sys, s)
 
 
 def exact_min_k(
@@ -260,15 +337,10 @@ def exact_min_k(
     ``(None, None)`` when no schedule exists within that range, which is
     definitive when max_k is at least the decision horizon.
     """
-    _check_sparsity(sys, s)
-    budget = budget or OracleBudget()
-    max_k = budget.max_k if budget.max_k is not None else decision_horizon(sys, s, tol)
-    counter = _Counter(budget)
-    for k in range(1, max_k + 1):
-        witness = _schedule_witness(sys, s, k, counter, tol)
-        if witness is not None:
-            return k, witness
-    return None, None
+    k, witness, _ = _min_k(sys, s, budget or OracleBudget(), _FloatSpan(tol))
+    if witness is None:
+        return None, None
+    return k, SupportSchedule(supports=witness, s=s)
 
 
 def rstar_sequence(
@@ -286,47 +358,14 @@ def rstar_sequence(
     _check_sparsity(sys, s)
     if not (isinstance(k_max, (int, np.integer)) and k_max >= 1):
         raise ValueError(f"k_max must be a positive integer, got {k_max!r}")
-    counter = _Counter(budget or OracleBudget())
+    span = _FloatSpan(tol)
+    counter = _Counter(budget or OracleBudget(), span.what)
     supports = list(itertools.combinations(range(sys.n_inputs), s))
-    n = sys.n_states
-    out = []
-    for k in range(1, int(k_max) + 1):
-        blocks = _ascending_power_blocks(sys.D, sys.H, k)[::-1]
-        ceiling = min(n, rank(np.hstack(blocks), tol))
-        caps = [min(s, rank(b, tol)) for b in blocks]
-        suffix_cap = [0] * (k + 1)
-        for d in range(k - 1, -1, -1):
-            suffix_cap[d] = suffix_cap[d + 1] + caps[d]
-        ceiling = min(ceiling, suffix_cap[0])
-        best = 0
-        chosen = []
-
-        def dfs(depth, basis):
-            nonlocal best
-            if best == ceiling:
-                return
-            for sup in supports:
-                counter.tick(k)
-                block = blocks[depth][:, list(sup)]
-                nxt, _ = _independent_columns(basis, block)
-                if nxt.shape[1] + suffix_cap[depth + 1] <= best:
-                    continue
-                chosen.append(sup)
-                if depth + 1 == k:
-                    if nxt.shape[1] > best:
-                        leaf = np.hstack(
-                            [blocks[d][:, list(c)] for d, c in enumerate(chosen) if c]
-                        )
-                        best = max(best, rank(leaf, tol))
-                else:
-                    dfs(depth + 1, nxt)
-                chosen.pop()
-                if best == ceiling:
-                    return
-
-        dfs(0, _empty_basis(n))
-        out.append(best)
-    return out
+    problems = _descending_blocks(sys, s, span, False, int(k_max))
+    return [
+        _best_schedule(blocks, caps, supports, sys.n_states, 0, span, counter)[0]
+        for blocks, caps in problems
+    ]
 
 
 def output_kalman_type_rank_test(
@@ -337,12 +376,4 @@ def output_kalman_type_rank_test(
     tol: Tolerance = DEFAULT_TOLERANCE,
 ):
     """(verdict, witness) for: does some K-step schedule reach output rank m?"""
-    _require_output_map(sys)
-    _check_sparsity(sys, s)
-    if not (isinstance(k, (int, np.integer)) and k >= 1):
-        raise ValueError(f"K must be a positive integer, got {k!r}")
-    counter = _Counter(budget or OracleBudget())
-    witness = _schedule_witness(sys, s, int(k), counter, tol, output=True)
-    if witness is None:
-        return False, None
-    return True, witness
+    return _rank_test(sys, s, k, budget, tol, output=True)

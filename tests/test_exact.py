@@ -15,6 +15,7 @@ from sparse_ctrb import (
     min_poly_degree,
     output_kalman_exact,
     output_kalman_test,
+    output_kalman_type_rank_test,
     rank,
     rank_exact,
     s_star,
@@ -108,6 +109,21 @@ class TestMinKExact:
         horizon = decision_horizon(sys, s)
         k_exact, _ = min_k_exact(sys, s, max_k=horizon)
         k_float, _ = exact_min_k(sys, s)
+        assert k_exact == k_float
+
+    @given(small_systems(with_output=True), st.data())
+    def test_output_matches_float_oracle(self, sys, data):
+        s = data.draw(st.integers(1, sys.n_inputs))
+        max_k = sys.n_states * sys.n_inputs
+        k_exact, _ = min_k_exact(sys, s, max_k=max_k, output=True)
+        k_float = next(
+            (
+                k
+                for k in range(1, max_k + 1)
+                if output_kalman_type_rank_test(sys, s, k)[0]
+            ),
+            None,
+        )
         assert k_exact == k_float
 
     def test_output_mode_fixture(self, output_reachable):

@@ -1,11 +1,19 @@
 import json
+import time
 from fractions import Fraction
 
 import jsonschema
 import numpy as np
 import pytest
 
-from sparse_ctrb import InputError, SystemModel, load_system, save_system
+from sparse_ctrb import (
+    InputError,
+    OracleBudget,
+    SystemModel,
+    load_system,
+    output_kalman_type_rank_test,
+    save_system,
+)
 from sparse_ctrb.cli import main
 from sparse_ctrb.io import (
     REPORT_SCHEMA,
@@ -144,6 +152,74 @@ class TestCliExitCodes:
         jsonschema.validate(report, REPORT_SCHEMA)
         assert report["result"]["inconclusive"] is True
         assert report["result"]["enumerations"] >= 3
+        # The inconclusive report names the system and carries the tolerance
+        # in force, and --timing adds elapsed_ms as on success.
+        assert report["system"] == "no-common-support"
+        assert "elapsed_ms" not in report
+        code, out, _ = run_cli(
+            capsys,
+            "oracle",
+            str(FIXTURES / "no-common-support.json"),
+            "-s",
+            "1",
+            "--budget",
+            "3",
+            "--tol",
+            "1e-9",
+            "--timing",
+        )
+        assert code == 3
+        report = json.loads(out)
+        jsonschema.validate(report, REPORT_SCHEMA)
+        assert report["system"] == "no-common-support"
+        assert report["tolerance"]["rank_rel"] == 1e-9
+        assert report["elapsed_ms"] >= 0
+
+    def test_output_budget_covers_every_k(self, capsys, tmp_path):
+        # Output rank 3 is out of reach; each K needs at most 252 support
+        # extensions, all K = 1..8 together need 480.
+        system = SystemModel(
+            D=np.array(
+                [[0, 0, 1, 0], [0, -1, 0, 0], [0, 0, -1, 0], [0, 0, 0, 0]], float
+            ),
+            H=np.array([[-1, 1], [-1, 0], [1, 0], [1, 1]], float),
+            A=np.array([[-1, -1, 1, 1], [1, -1, 1, 0], [-1, 0, -1, 0]], float),
+        )
+        budget = OracleBudget(max_enumerations=300)
+        for k in range(1, 9):
+            assert output_kalman_type_rank_test(system, 1, k, budget) == (False, None)
+        path = tmp_path / "output-budget.json"
+        save_system(path, system, name="output-budget")
+        argv = ["oracle", str(path), "-s", "1", "--mode", "output"]
+        assert run_cli(capsys, *argv, "--budget", "480")[0] == 0
+        code, out, _ = run_cli(capsys, *argv, "--budget", "300")
+        assert code == 3
+        report = json.loads(out)
+        assert report["result"]["inconclusive"] is True
+        assert report["result"]["k_reached"] == 8
+
+    def test_rational_deadline_stops_search(self, capsys, tmp_path):
+        # Not 1-sparse controllable (N=3 > s + rank D = 2), yet from K = 3 on
+        # the blocks reach rank 3, so the search is exhaustive up to K = 12.
+        path = tmp_path / "f3.json"
+        save_system(
+            path,
+            SystemModel(
+                D=np.diag([2.0, 0.0, 0.0]),
+                H=np.array([[1, 1, 1, 1], [1, 0, 1, 0], [0, 1, 0, 1]], float),
+            ),
+            name="f3",
+        )
+        started = time.monotonic()
+        code, out, _ = run_cli(
+            capsys, "oracle", str(path), "-s", "1", "--rational",
+            "--deadline", "0.5", "--budget", "20000000",
+        )
+        assert time.monotonic() - started < 10
+        assert code == 3
+        report = json.loads(out)
+        assert report["exact"] is True
+        assert "deadline" in report["result"]["reason"]
 
     def test_missing_required_flag_exits_two(self, capsys):
         with pytest.raises(SystemExit) as exc:
