@@ -4,8 +4,11 @@
 Samples deduplicated integer systems, runs the algebraic decision test and
 the exhaustive schedule search on each (system, sparsity) pair, and reports
 any disagreement.  The search runs twice, in float (``exact_min_k``) and in
-rational arithmetic (``min_k_exact``), and the two K* must agree too.  Exits
-non-zero when a mismatch is found.
+rational arithmetic (``min_k_exact``), and the two K* must agree too; so must
+the float and exact decision tests (``sparse_pbh_test`` against
+``sparse_controllable_exact``: verdict, rank condition and slack) and, once
+per system, the float and exact minimal-polynomial degrees of D.  Exits non-zero when a
+mismatch is found.
 
 Usage:
     python scripts/equivalence_sweep.py --count 500 --seed 0
@@ -22,8 +25,11 @@ from sparse_ctrb import (
     decision_horizon,
     exact_min_k,
     min_k_exact,
+    min_poly_degree,
+    sparse_controllable_exact,
     sparse_pbh_test,
 )
+from sparse_ctrb.exact import min_poly_degree_exact
 
 
 def sample_systems(count, seed, max_n, max_l, magnitude):
@@ -65,9 +71,19 @@ def main(argv=None):
     controllable = 0
     mismatches = []
     for idx, sys_ in enumerate(systems):
+        q, q_exact = min_poly_degree(sys_.D), min_poly_degree_exact(sys_.D)
+        if q != q_exact:
+            mismatches.append((idx, "any", f"q={q}, exact q={q_exact}"))
         for s in range(1, min(args.max_s, sys_.n_inputs) + 1):
             pairs += 1
-            verdict = sparse_pbh_test(sys_, s).verdict
+            rep = sparse_pbh_test(sys_, s)
+            float_test = (rep.verdict, rep.rank_condition_holds, rep.slack)
+            exact_test = sparse_controllable_exact(sys_, s)
+            if float_test != exact_test:
+                mismatches.append(
+                    (idx, s, f"decision={float_test}, exact decision={exact_test}")
+                )
+            verdict = rep.verdict
             k, _ = exact_min_k(sys_, s)
             if verdict != (k is not None):
                 mismatches.append((idx, s, f"decision={verdict}, oracle_k={k}"))
@@ -90,7 +106,10 @@ def main(argv=None):
     if mismatches:
         print(f"{len(mismatches)} mismatches")
         return 1
-    print("decision test, float oracle and exact oracle agree on every pair")
+    print(
+        "float and exact decision tests, q, float oracle and exact oracle "
+        "agree on every pair"
+    )
     return 0
 
 

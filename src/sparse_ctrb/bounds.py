@@ -1,16 +1,17 @@
 """Bounds on the minimal number of steps K* needed to steer between any two
 states (or outputs) under a per-step sparsity budget.
 
-All variants share one assembly helper over integer quantities (state
-dimension, rank of H, rank of D, minimal-polynomial degree q, minimal
-controllable support size S*), so the floating-point and exact-rational
-routes cannot diverge in the formulas.
+All variants, their guards included, are written once in ``_kstar_bounds``
+against a span (``ctrb._FloatSpan`` or ``exact._ExactSpan``) over integer
+quantities (state or output dimension, rank of H, rank of A H, rank of D,
+minimal-polynomial degree q, minimal controllable support size S*), so the
+floating-point and exact-rational routes cannot diverge in the formulas or
+in when a bound is undefined.  The public functions run it in floating
+point; the CLI passes the span that ``--rational`` selects.
 """
 
 from __future__ import annotations
 
-import itertools
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
@@ -18,14 +19,14 @@ from typing import Optional
 from .ctrb import (
     SystemModel,
     _check_sparsity,
+    _common_support,
+    _first_controllable_support,
+    _FloatSpan,
     _require_output_map,
-    common_support_test,
-    input_restriction,
-    pbh_test,
-    sparse_pbh_test,
+    _sparse_test,
 )
 from .errors import BudgetExceededError, UncontrollableSystemError
-from .linalg import DEFAULT_TOLERANCE, Tolerance, min_poly_degree, rank
+from .linalg import DEFAULT_TOLERANCE, Tolerance
 
 __all__ = [
     "KStarBounds",
@@ -64,42 +65,77 @@ def _ceil_frac(num: int, den: int) -> int:
     return -(-num // den)
 
 
-def _bounds_from_quantities(
-    variant: str,
-    target_dim: int,
-    r_eff: int,
-    q: int,
-    *,
-    s: Optional[int] = None,
-    s_star_value: Optional[int] = None,
-    r_h: Optional[int] = None,
-    r_d: Optional[int] = None,
-    n: Optional[int] = None,
-) -> KStarBounds:
-    """Pure-integer bound assembly shared by the float and exact backends."""
+def _s_star(sys, span, max_size=None, max_subsets=None):
+    """S* in the span's arithmetic; see :func:`s_star`."""
+    if not span.rank_condition(sys)[0]:
+        raise UncontrollableSystemError("S* undefined: system is not controllable")
+    l = sys.n_inputs
+    cap = l if max_size is None else min(int(max_size), l)
+    support, tried = _first_controllable_support(
+        sys, range(1, cap + 1), span, max_subsets
+    )
+    if support is None:
+        raise BudgetExceededError(
+            f"no controllable support within size cap {cap}", enumerations=tried
+        )
+    return len(support)
+
+
+def _kstar_bounds(sys, variant, s, span) -> KStarBounds:
+    """The bounds of one variant in the span's arithmetic, guards included.
+
+    The guard of each variant is the decision it requires: controllability,
+    s-sparse controllability, a controllable common support, or (output) a
+    valid output map and sparsity; its failure raises.
+    """
+    target = sys.n_states
+    if variant == "unconstrained":
+        if not span.rank_condition(sys)[0]:
+            raise UncontrollableSystemError("K* undefined: system is not controllable")
+    elif variant in ("sparse", "relaxed"):
+        holds, _, _, slack = _sparse_test(sys, s, span)
+        if not (holds and slack >= 0):
+            raise UncontrollableSystemError(
+                "K* undefined: system is not s-sparse controllable"
+            )
+    elif variant == "common_support":
+        if not _common_support(sys, s, span)[0]:
+            raise UncontrollableSystemError(
+                "K* undefined: no single size-s support is controllable"
+            )
+    elif variant == "output":
+        a = span.matrix(_require_output_map(sys))
+        _check_sparsity(sys, s)
+        target = len(a)
+        r_ah = span.rank([span.matmul(a, span.matrix(sys.H))])
+    else:
+        raise ValueError(f"unknown variant {variant!r}")
+    r_h = span.rank([span.matrix(sys.H)])
+    if variant == "unconstrained":
+        r_eff = r_h
+    else:
+        r_eff = min(r_ah if variant == "output" else r_h, s)
+    q = span.min_poly_degree(sys.D)
     if r_eff < 1:
         raise UncontrollableSystemError(
             f"{variant} bounds undefined: effective per-step rank is zero"
         )
-    lower_exact = Fraction(target_dim, r_eff)
-    lower = _ceil_frac(target_dim, r_eff)
-    if variant == "unconstrained":
-        upper = min(q, target_dim - r_eff + 1)
-    elif variant == "sparse":
-        upper = min(q * _ceil_frac(s_star_value, s), target_dim - r_eff + 1)
+    s_star_value = None
+    if variant == "sparse":
+        s_star_value = _s_star(sys, span)
+        upper = min(q * _ceil_frac(s_star_value, s), target - r_eff + 1)
     elif variant == "relaxed":
-        upper = min(q * _ceil_frac(r_h, s), r_d + 1, target_dim)
+        r_d = span.rank([span.matrix(sys.D)])
+        upper = min(q * _ceil_frac(r_h, s), r_d + 1, target)
     elif variant == "output":
-        upper = min(q * _ceil_frac(r_h, s), target_dim - r_eff + 1)
-    elif variant == "common_support":
-        upper = min(q, target_dim - r_eff + 1)
+        upper = min(q * _ceil_frac(r_h, s), target - r_eff + 1)
     else:
-        raise ValueError(f"unknown variant {variant!r}")
+        upper = min(q, target - r_eff + 1)
     return KStarBounds(
         variant=variant,
-        lower=lower,
+        lower=_ceil_frac(target, r_eff),
         upper=upper,
-        lower_exact=lower_exact,
+        lower_exact=Fraction(target, r_eff),
         q=q,
         r_hs_star=r_eff,
         s_star=s_star_value,
@@ -115,37 +151,14 @@ def s_star(
     """Smallest support size T such that some (D, H_S) with |S| = T is
     controllable.  Undefined (raises) for uncontrollable systems; optional
     caps turn combinatorial blowup into an inconclusive error."""
-    if not pbh_test(sys, tol).verdict:
-        raise UncontrollableSystemError(
-            "S* undefined: system is not controllable"
-        )
-    l = sys.n_inputs
-    cap = l if max_size is None else min(int(max_size), l)
-    tried = 0
-    for size in range(1, cap + 1):
-        for support in itertools.combinations(range(l), size):
-            tried += 1
-            if max_subsets is not None and tried > max_subsets:
-                raise BudgetExceededError(
-                    "support search exceeded subset budget", enumerations=tried
-                )
-            if pbh_test(input_restriction(sys, support), tol).verdict:
-                return size
-    raise BudgetExceededError(
-        f"no controllable support within size cap {cap}", enumerations=tried
-    )
+    return _s_star(sys, _FloatSpan(tol), max_size, max_subsets)
 
 
 def kstar_bounds_unconstrained(
     sys: SystemModel, tol: Tolerance = DEFAULT_TOLERANCE
 ) -> KStarBounds:
     """ceil(N / rank(H)) <= K* <= min(q, N - rank(H) + 1) for controllable systems."""
-    if not pbh_test(sys, tol).verdict:
-        raise UncontrollableSystemError("K* undefined: system is not controllable")
-    n = sys.n_states
-    r_h = rank(sys.H, tol)
-    q = min_poly_degree(sys.D, tol)
-    return _bounds_from_quantities("unconstrained", n, r_h, q)
+    return _kstar_bounds(sys, "unconstrained", None, _FloatSpan(tol))
 
 
 def kstar_bounds_sparse(
@@ -155,17 +168,7 @@ def kstar_bounds_sparse(
 
     Requires s-sparse controllability.  For s = 1 the two sides coincide at N.
     """
-    if not sparse_pbh_test(sys, s, tol).verdict:
-        raise UncontrollableSystemError(
-            "K* undefined: system is not s-sparse controllable"
-        )
-    n = sys.n_states
-    r_h = rank(sys.H, tol)
-    q = min_poly_degree(sys.D, tol)
-    sstar = s_star(sys, tol)
-    return _bounds_from_quantities(
-        "sparse", n, min(r_h, s), q, s=int(s), s_star_value=sstar
-    )
+    return _kstar_bounds(sys, "sparse", s, _FloatSpan(tol))
 
 
 def kstar_bounds_relaxed(
@@ -175,17 +178,7 @@ def kstar_bounds_relaxed(
 
     Never tighter than the sparse variant but avoids the S* subset search.
     """
-    if not sparse_pbh_test(sys, s, tol).verdict:
-        raise UncontrollableSystemError(
-            "K* undefined: system is not s-sparse controllable"
-        )
-    n = sys.n_states
-    r_h = rank(sys.H, tol)
-    r_d = rank(sys.D, tol)
-    q = min_poly_degree(sys.D, tol)
-    return _bounds_from_quantities(
-        "relaxed", n, min(r_h, s), q, s=int(s), r_h=r_h, r_d=r_d
-    )
+    return _kstar_bounds(sys, "relaxed", s, _FloatSpan(tol))
 
 
 def output_kstar_bounds(
@@ -196,15 +189,7 @@ def output_kstar_bounds(
     The caller asserts s-sparse output controllability; this routine only
     screens the necessary rank quantity (rank(A H) >= 1).
     """
-    a = _require_output_map(sys)
-    _check_sparsity(sys, s)
-    m = a.shape[0]
-    r_ah = rank(a @ sys.H, tol)
-    r_h = rank(sys.H, tol)
-    q = min_poly_degree(sys.D, tol)
-    return _bounds_from_quantities(
-        "output", m, min(r_ah, s), q, s=int(s), r_h=r_h
-    )
+    return _kstar_bounds(sys, "output", s, _FloatSpan(tol))
 
 
 def common_support_kstar_bounds(
@@ -212,12 +197,4 @@ def common_support_kstar_bounds(
 ) -> KStarBounds:
     """ceil(N / min(rank(H), s)) <= K* <= min(q, N - min(rank(H), s) + 1) when a
     single common support works."""
-    verdict, _ = common_support_test(sys, s, tol)
-    if not verdict:
-        raise UncontrollableSystemError(
-            "K* undefined: no single size-s support is controllable"
-        )
-    n = sys.n_states
-    r_h = rank(sys.H, tol)
-    q = min_poly_degree(sys.D, tol)
-    return _bounds_from_quantities("common_support", n, min(r_h, s), q, s=int(s))
+    return _kstar_bounds(sys, "common_support", s, _FloatSpan(tol))

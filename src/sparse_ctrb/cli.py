@@ -26,16 +26,18 @@ import numpy as np
 from . import bounds as bounds_mod
 from . import exact
 from .ctrb import (
-    common_support_test,
-    output_kalman_test,
+    _common_support,
+    _FloatSpan,
+    _output_kalman,
+    _output_rank_inequality,
+    _sparse_test,
     output_pbh_necessary,
-    sparse_pbh_test,
 )
 from .decomp import standard_form, verify_standard_form
 from .errors import BudgetExceededError, InputError, UncontrollableSystemError
 from .io import build_report, load_system, render_report
-from .linalg import DEFAULT_TOLERANCE, Tolerance, max_geometric_multiplicity, rank
-from .oracle import OracleBudget, _FloatSpan, _min_k
+from .linalg import DEFAULT_TOLERANCE, Tolerance
+from .oracle import OracleBudget, _min_k
 from .steer import greedy_support_schedule, solve_inputs, solve_output_inputs
 
 _ARGUMENT_KEYS = (
@@ -102,61 +104,34 @@ def _reject_rational(args, command):
         raise InputError(f"{command} does not support --rational")
 
 
-def _run_check(system, args, tol):
+def _run_check(system, args, tol, span):
     s = args.s
     warn = []
     if args.mode == "state":
-        if args.rational:
-            verdict, rank_ok, slack = exact.sparse_controllable_exact(system, s)
-            result = {
-                "verdict": verdict,
-                "rank_condition_holds": rank_ok,
-                "inequality_holds": slack >= 0,
-                "slack": slack,
-            }
-            witnesses = None
-        else:
-            rep = sparse_pbh_test(system, s, tol)
-            result = {
-                "verdict": rep.verdict,
-                "rank_condition_holds": rep.rank_condition_holds,
-                "inequality_holds": rep.inequality_holds,
-                "slack": rep.slack,
-            }
-            witnesses = None
-            if rep.witness_lambda is not None:
-                witnesses = {"lambda": rep.witness_lambda, "z": rep.witness_z}
+        holds, lam, z, slack = _sparse_test(system, s, span)
+        result = {
+            "verdict": holds and slack >= 0,
+            "rank_condition_holds": holds,
+            "inequality_holds": slack >= 0,
+            "slack": slack,
+        }
+        witnesses = None if lam is None else {"lambda": lam, "z": z}
         word = "is" if result["verdict"] else "is NOT"
         summary = f"{word} {s}-sparse controllable"
     elif args.mode == "common-support":
-        if args.rational:
-            verdict, support = exact.common_support_exact(system, s)
-            result = {"verdict": verdict, "screen": None}
-        else:
-            verdict, support = common_support_test(system, s, tol)
-            result = {
-                "verdict": verdict,
-                "screen": {
-                    "g_d": max_geometric_multiplicity(system.D, tol),
-                    "r_h": rank(system.H, tol),
-                    "r_d": rank(system.D, tol),
-                },
-            }
+        verdict, support, screen = _common_support(system, s, span)
+        result = {"verdict": verdict, "screen": screen}
         witnesses = {"support": support} if support is not None else None
         word = "admits" if verdict else "admits NO"
         summary = f"{word} controllable common support of size {s}"
     else:  # output
+        inequality = _output_rank_inequality(system, s, span)
+        kalman = _output_kalman(system, span)
+        sweep = output_pbh_necessary(system, tol)
         if args.rational:
-            kalman = exact.output_kalman_exact(system)
-            inequality = exact.output_sparse_rank_holds_exact(system, s)
-            sweep = output_pbh_necessary(system, tol)
             warn.append(
                 "rational mode: output eigenvalue sweep evaluated in floating point"
             )
-        else:
-            kalman = output_kalman_test(system, tol)
-            sweep = output_pbh_necessary(system, tol)
-            inequality = s >= system.n_outputs - rank(system.A @ system.D, tol)
         result = {
             "output_kalman": kalman,
             "eigen_sweep_necessary": sweep,
@@ -170,24 +145,12 @@ def _run_check(system, args, tol):
     return result, witnesses, warn, summary
 
 
-def _run_bounds(system, args, tol):
+def _run_bounds(system, args, tol, span):
     variant = args.variant
     s = args.s
     if variant != "unconstrained" and s is None:
         raise InputError(f"--variant {variant} requires -s")
-    if args.rational:
-        b = _exact_bounds(system, variant, s)
-    else:
-        if variant == "unconstrained":
-            b = bounds_mod.kstar_bounds_unconstrained(system, tol)
-        elif variant == "sparse":
-            b = bounds_mod.kstar_bounds_sparse(system, s, tol)
-        elif variant == "relaxed":
-            b = bounds_mod.kstar_bounds_relaxed(system, s, tol)
-        elif variant == "output":
-            b = bounds_mod.output_kstar_bounds(system, s, tol)
-        else:
-            b = bounds_mod.common_support_kstar_bounds(system, s, tol)
+    b = bounds_mod._kstar_bounds(system, variant, s, span)
     result = {
         "variant": b.variant,
         "lower": b.lower,
@@ -201,47 +164,11 @@ def _run_bounds(system, args, tol):
     return result, None, [], summary
 
 
-def _exact_bounds(system, variant, s):
-    quantities = exact.bound_quantities_exact(system)
-    n, q, r_h, r_d = quantities["n"], quantities["q"], quantities["r_h"], quantities["r_d"]
-    if variant == "unconstrained":
-        if not exact.controllable_exact(system):
-            raise UncontrollableSystemError("K* undefined: system is not controllable")
-        return bounds_mod._bounds_from_quantities("unconstrained", n, r_h, q)
-    if variant in ("sparse", "relaxed"):
-        verdict, _, _ = exact.sparse_controllable_exact(system, s)
-        if not verdict:
-            raise UncontrollableSystemError(
-                "K* undefined: system is not s-sparse controllable"
-            )
-        if variant == "sparse":
-            sstar = exact.s_star_exact(system)
-            return bounds_mod._bounds_from_quantities(
-                "sparse", n, min(r_h, s), q, s=s, s_star_value=sstar
-            )
-        return bounds_mod._bounds_from_quantities(
-            "relaxed", n, min(r_h, s), q, s=s, r_h=r_h, r_d=r_d
-        )
-    if variant == "output":
-        if quantities["m"] is None:
-            raise InputError("output bounds require an output map A")
-        return bounds_mod._bounds_from_quantities(
-            "output", quantities["m"], min(quantities["r_ah"], s), q, s=s, r_h=r_h
-        )
-    verdict, _ = exact.common_support_exact(system, s)
-    if not verdict:
-        raise UncontrollableSystemError(
-            "K* undefined: no single size-s support is controllable"
-        )
-    return bounds_mod._bounds_from_quantities("common_support", n, min(r_h, s), q, s=s)
-
-
-def _run_oracle(system, args, tol):
+def _run_oracle(system, args, tol, span):
     limits = {"max_enumerations": args.max_enumerations, "deadline_s": args.deadline}
     budget = OracleBudget(
         max_k=args.max_k, **{key: v for key, v in limits.items() if v is not None}
     )
-    span = exact._ExactSpan() if args.rational else _FloatSpan(tol)
     k_star, witness, max_k = _min_k(
         system, args.s, budget, span, output=args.mode == "output"
     )
@@ -254,7 +181,7 @@ def _run_oracle(system, args, tol):
     return result, witnesses, [], summary
 
 
-def _run_decompose(system, args, tol):
+def _run_decompose(system, args, tol, span):
     _reject_rational(args, "decompose")
     dec = standard_form(system, args.s, tol)
     check = verify_standard_form(system, dec, tol)
@@ -294,7 +221,7 @@ def _run_decompose(system, args, tol):
     return result, None, warn, summary
 
 
-def _run_steer(system, args, tol):
+def _run_steer(system, args, tol, span):
     _reject_rational(args, "steer")
     s = args.s
     k = args.k
@@ -448,11 +375,12 @@ def main(argv=None) -> int:
     code = 0
     try:
         tol = _tolerance_from(args)
+        span = exact._ExactSpan() if args.rational else _FloatSpan(tol)
         with _warnings.catch_warnings(record=True) as caught:
             _warnings.simplefilter("always")
             system, name = load_system(args.system)
             result, witnesses, extra_warnings, summary = _RUNNERS[command](
-                system, args, tol
+                system, args, tol, span
             )
         warning_strings = [str(w.message) for w in caught] + list(extra_warnings)
     except BudgetExceededError as exc:

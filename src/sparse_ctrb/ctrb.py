@@ -8,6 +8,10 @@ The decisive characterization implemented here: the system is s-sparse
 controllable iff the eigenvalue rank condition ``rank([lambda*I - D, H]) = N``
 holds for every eigenvalue lambda of D and additionally ``N <= s + rank(D)``.
 Only eigenvalues of D can violate the rank condition, so the sweep is finite.
+
+Each decision is written once, privately, against a span object that holds
+the arithmetic (``_FloatSpan`` here, ``exact._ExactSpan`` in rationals); the
+public functions run it with ``_FloatSpan(tol)``.
 """
 
 from __future__ import annotations
@@ -19,14 +23,18 @@ from typing import Optional
 
 import numpy as np
 
+from .errors import BudgetExceededError
 from .linalg import (
     DEFAULT_TOLERANCE,
     Tolerance,
     _as_matrix,
+    _empty_basis,
+    _independent_columns,
     _square,
     controllability_matrix,
     eigenvalue_probes,
     max_geometric_multiplicity,
+    min_poly_degree,
     rank,
 )
 
@@ -130,23 +138,83 @@ def input_restriction(sys: SystemModel, support) -> SystemModel:
     return SystemModel(D=sys.D, H=sys.H[:, list(cols)], A=sys.A)
 
 
-def _rank_condition(d, h, tol):
-    """Sweep the eigenvalue probes; return (holds, witness_lambda, witness_z)."""
-    n = d.shape[0]
-    eye = np.eye(n)
-    for lam in eigenvalue_probes(d, tol):
-        pencil = np.hstack([lam * eye - d, h.astype(complex)])
-        if rank(pencil, tol) < n:
-            # left null vector from the smallest singular triplet
-            u = np.linalg.svd(pencil)[0]
-            z = np.conj(u[:, -1])
-            return False, lam, z
-    return True, None, None
+class _FloatSpan:
+    """Floating-point arithmetic for every rank question of the package.
+
+    Decisions and bounds are written once against a span: ``rank`` (of a
+    list of blocks), ``matmul``, ``matrix``, ``rank_condition``,
+    ``min_poly_degree`` and ``support_screen`` (the necessary screen of the
+    common-support test, None where the span has none); the schedule search
+    in ``oracle`` also uses the incremental span (``empty``, ``extend``,
+    ``leaf_rank``) and ``horizon``.  This span decides ranks at ``tol``;
+    ``exact._ExactSpan`` answers the same questions in rationals.
+    The running span of the search is an orthonormal basis whose dependence
+    threshold is biased toward independence, so pruning never drops a viable
+    branch; a leaf counts only with the full SVD rank of its scheduled matrix.
+    """
+
+    what = "schedule search"
+    matrix = staticmethod(np.asarray)
+
+    def __init__(self, tol: Tolerance):
+        self.tol = tol
+
+    @staticmethod
+    def matmul(a, b):
+        return a @ b
+
+    def rank(self, blocks):
+        return rank(np.hstack(blocks), self.tol)
+
+    def rank_condition(self, sys):
+        """Sweep the eigenvalue probes; return (holds, witness_lambda, witness_z)."""
+        d, h = sys.D, sys.H
+        n = d.shape[0]
+        eye = np.eye(n)
+        for lam in eigenvalue_probes(d, self.tol):
+            pencil = np.hstack([lam * eye - d, h.astype(complex)])
+            if rank(pencil, self.tol) < n:
+                # left null vector from the smallest singular triplet
+                u = np.linalg.svd(pencil)[0]
+                z = np.conj(u[:, -1])
+                return False, lam, z
+        return True, None, None
+
+    def min_poly_degree(self, d):
+        return min_poly_degree(d, self.tol)
+
+    def support_screen(self, sys):
+        """g_D, rank(H) and rank(D) for the common-support screen."""
+        return {
+            "g_d": max_geometric_multiplicity(sys.D, self.tol),
+            "r_h": rank(sys.H, self.tol),
+            "r_d": rank(sys.D, self.tol),
+        }
+
+    @staticmethod
+    def empty(block):
+        return _empty_basis(block.shape[0])
+
+    @staticmethod
+    def extend(basis, block, support):
+        basis, _ = _independent_columns(basis, block[:, list(support)])
+        return basis, basis.shape[1]
+
+    def leaf_rank(self, dim, blocks, chosen):
+        pieces = [blocks[d][:, list(c)] for d, c in enumerate(chosen) if c]
+        return rank(np.hstack(pieces), self.tol)
+
+    def horizon(self, sys, s, output):
+        from .oracle import _partition_horizon, decision_horizon
+
+        if output:
+            return _partition_horizon(sys, s)
+        return decision_horizon(sys, s, self.tol)
 
 
 def pbh_test(sys: SystemModel, tol: Tolerance = DEFAULT_TOLERANCE) -> ControllabilityReport:
     """Eigenvalue rank test for plain controllability."""
-    holds, lam, z = _rank_condition(sys.D, sys.H, tol)
+    holds, lam, z = _FloatSpan(tol).rank_condition(sys)
     return ControllabilityReport(
         verdict=holds,
         rank_condition_holds=holds,
@@ -164,6 +232,14 @@ def kalman_test(sys: SystemModel, tol: Tolerance = DEFAULT_TOLERANCE) -> bool:
     return rank(controllability_matrix(sys.D, sys.H, n), tol) == n
 
 
+def _sparse_test(sys, s, span):
+    """The rank condition ``(holds, witness_lambda, witness_z)`` and the
+    slack ``s + rank(D) - N`` of the sparse test, in the span's arithmetic."""
+    _check_sparsity(sys, s)
+    holds, lam, z = span.rank_condition(sys)
+    return holds, lam, z, s + span.rank([span.matrix(sys.D)]) - sys.n_states
+
+
 def sparse_pbh_test(
     sys: SystemModel, s: int, tol: Tolerance = DEFAULT_TOLERANCE
 ) -> ControllabilityReport:
@@ -171,9 +247,7 @@ def sparse_pbh_test(
 
     Combines the eigenvalue rank condition with ``N <= s + rank(D)``.
     """
-    _check_sparsity(sys, s)
-    holds, lam, z = _rank_condition(sys.D, sys.H, tol)
-    slack = s + rank(sys.D, tol) - sys.n_states
+    holds, lam, z, slack = _sparse_test(sys, s, _FloatSpan(tol))
     inequality = slack >= 0
     return ControllabilityReport(
         verdict=holds and inequality,
@@ -184,6 +258,40 @@ def sparse_pbh_test(
         slack=slack,
         tolerance=tol,
     )
+
+
+def _first_controllable_support(sys, sizes, span, max_subsets=None):
+    """The first support, by size in ``sizes`` and then lexicographically,
+    whose restriction passes the span's rank condition, or None; returned
+    with the number of supports tried.  More than ``max_subsets`` tries
+    raise an inconclusive error."""
+    tried = 0
+    for size in sizes:
+        for support in itertools.combinations(range(sys.n_inputs), size):
+            tried += 1
+            if max_subsets is not None and tried > max_subsets:
+                raise BudgetExceededError(
+                    "support search exceeded subset budget", enumerations=tried
+                )
+            if span.rank_condition(input_restriction(sys, support))[0]:
+                return support, tried
+    return None, tried
+
+
+def _common_support(sys, s, span):
+    """``(verdict, support, screen)`` of the common-support test.
+
+    ``screen`` is the span's necessary screen (None in exact arithmetic);
+    when it fails no support is enumerated.
+    """
+    _check_sparsity(sys, s)
+    screen = span.support_screen(sys)
+    if screen is not None and not (
+        min(screen["r_h"], s) >= screen["g_d"] >= sys.n_states - screen["r_d"]
+    ):
+        return False, None, screen
+    support, _ = _first_controllable_support(sys, (s,), span)
+    return support is not None, support, screen
 
 
 def common_support_test(
@@ -197,17 +305,26 @@ def common_support_test(
     largest geometric multiplicity of D) short-circuits to False before any
     enumeration.
     """
+    verdict, support, _ = _common_support(sys, s, _FloatSpan(tol))
+    return verdict, support
+
+
+def _output_kalman(sys, span):
+    """rank(A [D^(N-1) H, ..., H]) = m in the span's arithmetic."""
+    a = span.matrix(_require_output_map(sys))
+    d, power = span.matrix(sys.D), span.matrix(sys.H)
+    blocks = [span.matmul(a, power)]
+    for _ in range(sys.n_states - 1):
+        power = span.matmul(d, power)
+        blocks.append(span.matmul(a, power))
+    return span.rank(blocks[::-1]) == len(a)
+
+
+def _output_rank_inequality(sys, s, span):
+    """The necessary inequality ``s >= m - rank(A D)``, after the sparsity guard."""
+    a = span.matrix(_require_output_map(sys))
     _check_sparsity(sys, s)
-    g = max_geometric_multiplicity(sys.D, tol)
-    r_h = rank(sys.H, tol)
-    r_d = rank(sys.D, tol)
-    n = sys.n_states
-    if not (min(r_h, s) >= g >= n - r_d):
-        return False, None
-    for support in itertools.combinations(range(sys.n_inputs), s):
-        if pbh_test(input_restriction(sys, support), tol).verdict:
-            return True, support
-    return False, None
+    return s >= len(a) - span.rank([span.matmul(a, span.matrix(sys.D))])
 
 
 def output_kalman_test(sys: SystemModel, tol: Tolerance = DEFAULT_TOLERANCE) -> bool:
@@ -215,8 +332,7 @@ def output_kalman_test(sys: SystemModel, tol: Tolerance = DEFAULT_TOLERANCE) -> 
 
     The rank stabilizes by K = N blocks, so this horizon is exact.
     """
-    a = _require_output_map(sys)
-    return rank(a @ controllability_matrix(sys.D, sys.H, sys.n_states), tol) == a.shape[0]
+    return _output_kalman(sys, _FloatSpan(tol))
 
 
 def output_pbh_necessary(sys: SystemModel, tol: Tolerance = DEFAULT_TOLERANCE) -> bool:
@@ -246,9 +362,7 @@ def output_sparse_necessary(
 ) -> bool:
     """Necessary condition for s-sparse output controllability:
     ``s >= m - rank(A D)`` together with the eigenvalue-sweep condition."""
-    a = _require_output_map(sys)
-    _check_sparsity(sys, s)
-    if s < a.shape[0] - rank(a @ sys.D, tol):
+    if not _output_rank_inequality(sys, s, _FloatSpan(tol)):
         return False
     return output_pbh_necessary(sys, tol)
 

@@ -1,22 +1,29 @@
-"""Exact-rational backend for rank-based controllability decisions.
+"""Exact-rational arithmetic for every rank question of the package.
 
 Entries are mapped to ``fractions.Fraction`` exactly (binary floats are
-rationals), and every decision below reduces to exact matrix ranks: in exact
-arithmetic the eigenvalue rank condition is equivalent to the Kalman rank
-test, so no algebraic eigenvalues are needed.  The minimal schedule length
-(:func:`min_k_exact`) is not searched here: ``_ExactSpan`` supplies rational
-arithmetic to the one schedule search in ``oracle``.  Intended for
-desk-scale fixture pinning and the CLI ``--rational`` mode; cost grows
-quickly with dimension.
+rationals, so a decimal such as 0.35 is decided at its binary value).
+``_ExactSpan`` is the rational counterpart of ``ctrb._FloatSpan``: the
+decisions and bounds are written once, in ``ctrb``, ``bounds`` and
+``oracle``, against either span.  Its one elimination is ``extend``, a span
+of pivot-reduced rational vectors grown column by column; ranks, the rank
+condition (in exact arithmetic the eigenvalue rank condition is equivalent to
+Kalman rank N, so no algebraic eigenvalues are needed) and the
+minimal-polynomial degree all grow such a span.  The ``*_exact`` functions
+run the shared code with this span.  Intended for desk-scale fixture pinning
+and the CLI ``--rational`` mode; cost grows quickly with dimension.
 """
 
 from __future__ import annotations
 
-import itertools
 from fractions import Fraction
 
-from .ctrb import SystemModel, _check_sparsity, _require_output_map
-from .errors import UncontrollableSystemError
+from .bounds import _s_star
+from .ctrb import (
+    SystemModel,
+    _common_support,
+    _output_kalman,
+    _sparse_test,
+)
 from .oracle import OracleBudget, _min_k, _partition_horizon
 
 __all__ = [
@@ -26,7 +33,6 @@ __all__ = [
     "sparse_controllable_exact",
     "common_support_exact",
     "output_kalman_exact",
-    "output_sparse_rank_holds_exact",
     "min_poly_degree_exact",
     "s_star_exact",
     "min_k_exact",
@@ -46,130 +52,37 @@ def _matmul(a, b):
     )
 
 
-def _hstack(mats):
-    mats = [m for m in mats if m and len(m[0])]
-    if not mats:
-        return ()
-    return tuple(tuple(itertools.chain(*rows)) for rows in zip(*mats))
+def _powers(d, block):
+    """block, d block, d^2 block, ... without end."""
+    while True:
+        yield block
+        block = _matmul(d, block)
 
 
-def _identity(n):
-    return tuple(
-        tuple(Fraction(1) if i == j else Fraction(0) for j in range(n))
-        for i in range(n)
-    )
+def _dims(blocks):
+    """Dimension of the span after each block has been added to it."""
+    pivots = ()
+    for block in blocks:
+        columns = range(len(block[0]) if block else 0)
+        pivots, dim = _ExactSpan.extend(pivots, block, columns)
+        yield dim
 
 
-def _columns(m, support):
-    return tuple(tuple(row[j] for j in support) for row in m)
-
-
-def rank_exact(m) -> int:
-    """Exact rank by fraction-pivoted Gaussian elimination."""
-    rows = [list(row) for row in m]
-    nrows = len(rows)
-    ncols = len(rows[0]) if nrows else 0
-    r = 0
-    for c in range(ncols):
-        pivot_row = next((i for i in range(r, nrows) if rows[i][c] != 0), None)
-        if pivot_row is None:
-            continue
-        rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
-        pivot = rows[r]
-        for i in range(r + 1, nrows):
-            if rows[i][c] != 0:
-                f = rows[i][c] / pivot[c]
-                rows[i] = [a - f * b for a, b in zip(rows[i], pivot)]
-        r += 1
-        if r == nrows:
-            break
-    return r
-
-
-def _power_blocks(d, h, k):
-    """[H, D H, ..., D^(k-1) H] in ascending power order."""
-    blocks = [h]
-    for _ in range(k - 1):
-        blocks.append(_matmul(d, blocks[-1]))
-    return blocks
-
-
-def _ctrb(d, h, k):
-    return _hstack(_power_blocks(d, h, k)[::-1])
-
-
-def controllable_exact(sys: SystemModel) -> bool:
-    d, h = to_fractions(sys.D), to_fractions(sys.H)
-    n = sys.n_states
-    return rank_exact(_ctrb(d, h, n)) == n
-
-
-def sparse_controllable_exact(sys: SystemModel, s: int):
-    """Returns (verdict, rank_condition_holds, slack) with exact arithmetic."""
-    _check_sparsity(sys, s)
-    d, h = to_fractions(sys.D), to_fractions(sys.H)
-    n = sys.n_states
-    rank_ok = rank_exact(_ctrb(d, h, n)) == n
-    slack = s + rank_exact(d) - n
-    return rank_ok and slack >= 0, rank_ok, slack
-
-
-def common_support_exact(sys: SystemModel, s: int):
-    """Exact common-support verdict; enumeration replaces the float screen."""
-    _check_sparsity(sys, s)
-    d, h = to_fractions(sys.D), to_fractions(sys.H)
-    n = sys.n_states
-    for support in itertools.combinations(range(sys.n_inputs), s):
-        if rank_exact(_ctrb(d, _columns(h, support), n)) == n:
-            return True, support
-    return False, None
-
-
-def output_kalman_exact(sys: SystemModel) -> bool:
-    a = to_fractions(_require_output_map(sys))
-    d, h = to_fractions(sys.D), to_fractions(sys.H)
-    return rank_exact(_matmul(a, _ctrb(d, h, sys.n_states))) == len(a)
-
-
-def output_sparse_rank_holds_exact(sys: SystemModel, s: int) -> bool:
-    """Exact evaluation of the rank inequality ``s >= m - rank(A D)``."""
-    a = to_fractions(_require_output_map(sys))
-    _check_sparsity(sys, s)
-    return s >= len(a) - rank_exact(_matmul(a, to_fractions(sys.D)))
-
-
-def min_poly_degree_exact(d_float) -> int:
-    d = to_fractions(d_float)
-    n = len(d)
-    vecs = [tuple(itertools.chain(*_identity(n)))]
-    power = _identity(n)
-    for q in range(1, n + 1):
-        power = _matmul(power, d)
-        stacked_prev = tuple(zip(*vecs))
-        stacked_next = tuple(zip(*(vecs + [tuple(itertools.chain(*power))])))
-        if rank_exact(stacked_next) == rank_exact(stacked_prev):
-            return q
-        vecs.append(tuple(itertools.chain(*power)))
-    return n
-
-
-def s_star_exact(sys: SystemModel) -> int:
-    d, h = to_fractions(sys.D), to_fractions(sys.H)
-    n, l = sys.n_states, sys.n_inputs
-    if rank_exact(_ctrb(d, h, n)) != n:
-        raise UncontrollableSystemError("S* undefined: system is not controllable")
-    for size in range(1, l + 1):
-        for support in itertools.combinations(range(l), size):
-            if rank_exact(_ctrb(d, _columns(h, support), n)) == n:
-                return size
-    raise AssertionError("unreachable: full support is controllable")
+def _stalled_dim(blocks):
+    """Dimension of the span at the first of ``blocks`` that adds nothing."""
+    dim = None
+    for grown in _dims(blocks):
+        if grown == dim:
+            return dim
+        dim = grown
 
 
 class _ExactSpan:
-    """Exact arithmetic for the schedule search in ``oracle``.
+    """Exact arithmetic for the rank questions in ``ctrb``, ``bounds`` and
+    ``oracle``.
 
     The running span is a list of pivot-reduced rational vectors, so its
-    dimension is exact and a leaf needs no re-check.
+    dimension is exact and a leaf of the schedule search needs no re-check.
     """
 
     what = "exact schedule search"
@@ -178,7 +91,31 @@ class _ExactSpan:
 
     @staticmethod
     def rank(blocks):
-        return rank_exact(_hstack(blocks))
+        dim = 0
+        for dim in _dims(blocks):
+            pass
+        return dim
+
+    @staticmethod
+    def rank_condition(sys):
+        """Kalman rank N, grown block by block until a block adds nothing."""
+        dim = _stalled_dim(_powers(to_fractions(sys.D), to_fractions(sys.H)))
+        return dim == sys.n_states, None, None
+
+    @staticmethod
+    def min_poly_degree(d):
+        """Number of powers I, D, D^2, ... before the first dependent one."""
+        d = to_fractions(d)
+        identity = tuple(
+            tuple(Fraction(int(i == j)) for j in range(len(d))) for i in range(len(d))
+        )
+        return _stalled_dim(
+            tuple((x,) for row in p for x in row) for p in _powers(d, identity)
+        )
+
+    @staticmethod
+    def support_screen(sys):
+        return None
 
     @staticmethod
     def empty(block):
@@ -188,6 +125,8 @@ class _ExactSpan:
     def extend(pivots, block, support):
         pivots = list(pivots)
         for j in support:
+            if len(pivots) == len(block):  # the span is the whole space
+                break
             v = [row[j] for row in block]
             for idx, p in pivots:
                 if v[idx] != 0:
@@ -205,6 +144,39 @@ class _ExactSpan:
     @staticmethod
     def horizon(sys, s, output):
         return _partition_horizon(sys, s)
+
+
+def rank_exact(m) -> int:
+    """Exact rank of ``m``, its entries taken as the rationals they hold."""
+    return _ExactSpan.rank([to_fractions(m)])
+
+
+def controllable_exact(sys: SystemModel) -> bool:
+    return _ExactSpan.rank_condition(sys)[0]
+
+
+def sparse_controllable_exact(sys: SystemModel, s: int):
+    """Returns (verdict, rank_condition_holds, slack) with exact arithmetic."""
+    holds, _, _, slack = _sparse_test(sys, s, _ExactSpan())
+    return holds and slack >= 0, holds, slack
+
+
+def common_support_exact(sys: SystemModel, s: int):
+    """Exact common-support verdict; enumeration without the float screen."""
+    verdict, support, _ = _common_support(sys, s, _ExactSpan())
+    return verdict, support
+
+
+def output_kalman_exact(sys: SystemModel) -> bool:
+    return _output_kalman(sys, _ExactSpan())
+
+
+def min_poly_degree_exact(d_float) -> int:
+    return _ExactSpan.min_poly_degree(d_float)
+
+
+def s_star_exact(sys: SystemModel) -> int:
+    return _s_star(sys, _ExactSpan())
 
 
 def min_k_exact(
@@ -230,18 +202,13 @@ def min_k_exact(
 
 def bound_quantities_exact(sys: SystemModel):
     """Exact integer quantities feeding the steering-time bound formulas."""
-    d, h = to_fractions(sys.D), to_fractions(sys.H)
-    out = {
+    h = to_fractions(sys.H)
+    return {
         "n": sys.n_states,
         "l": sys.n_inputs,
         "q": min_poly_degree_exact(sys.D),
         "r_h": rank_exact(h),
-        "r_d": rank_exact(d),
-        "m": None,
-        "r_ah": None,
+        "r_d": rank_exact(sys.D),
+        "m": sys.n_outputs,
+        "r_ah": None if sys.A is None else rank_exact(_matmul(to_fractions(sys.A), h)),
     }
-    if sys.A is not None:
-        a = to_fractions(sys.A)
-        out["m"] = sys.n_outputs
-        out["r_ah"] = rank_exact(_matmul(a, h))
-    return out

@@ -9,7 +9,7 @@ There is one search.  ``_best_schedule`` is the depth-first kernel: for one
 K it returns the best rank reached and the lexicographically first schedule
 reaching it.  ``_min_k`` runs the kernel for K = 1, 2, ... under one
 budget.  State and output targets, float and exact arithmetic all
-go through these two; the arithmetic is a *span* object, ``_FloatSpan`` here
+go through these two; the arithmetic is a *span* object, ``ctrb._FloatSpan``
 or ``exact._ExactSpan``.  Worst-case cost is exponential in K; budgets make
 overruns an explicit inconclusive outcome instead of a wrong answer.
 """
@@ -24,9 +24,15 @@ from typing import Optional
 
 import numpy as np
 
-from .ctrb import SystemModel, _check_sparsity, _require_output_map, sparse_pbh_test
+from .ctrb import (
+    SystemModel,
+    _check_sparsity,
+    _FloatSpan,
+    _require_output_map,
+    sparse_pbh_test,
+)
 from .errors import BudgetExceededError
-from .linalg import DEFAULT_TOLERANCE, Tolerance, _empty_basis, _independent_columns, rank
+from .linalg import DEFAULT_TOLERANCE, Tolerance
 
 __all__ = [
     "OracleBudget",
@@ -155,46 +161,6 @@ class _Counter:
                     enumerations=self.used,
                     k_reached=k,
                 )
-
-
-class _FloatSpan:
-    """Floating-point arithmetic for the schedule search.
-
-    The running span is an orthonormal basis whose dependence threshold is
-    biased toward independence, so pruning never drops a viable branch; a
-    leaf counts only with the full SVD rank of its scheduled matrix.
-    """
-
-    what = "schedule search"
-    matrix = staticmethod(np.asarray)
-
-    def __init__(self, tol: Tolerance):
-        self.tol = tol
-
-    @staticmethod
-    def matmul(a, b):
-        return a @ b
-
-    def rank(self, blocks):
-        return rank(np.hstack(blocks), self.tol)
-
-    @staticmethod
-    def empty(block):
-        return _empty_basis(block.shape[0])
-
-    @staticmethod
-    def extend(basis, block, support):
-        basis, _ = _independent_columns(basis, block[:, list(support)])
-        return basis, basis.shape[1]
-
-    def leaf_rank(self, dim, blocks, chosen):
-        pieces = [blocks[d][:, list(c)] for d, c in enumerate(chosen) if c]
-        return rank(np.hstack(pieces), self.tol)
-
-    def horizon(self, sys, s, output):
-        if output:
-            return _partition_horizon(sys, s)
-        return decision_horizon(sys, s, self.tol)
 
 
 def _descending_blocks(sys, s, span, output, k_max):

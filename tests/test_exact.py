@@ -46,6 +46,13 @@ class TestRankExact:
     def test_matches_float_rank_on_integers(self, m):
         assert rank_exact(m) == rank(m)
 
+    def test_float_input_is_decided_exactly(self):
+        # 1/3 - (1/3) * 1 rounds to 0 in floating point; the binary values
+        # themselves are independent.
+        m = np.array([[3.0, 1.0], [1.0, 1 / 3]])
+        assert rank_exact(to_fractions(m)) == 2
+        assert rank_exact(m) == 2
+
     def test_to_fractions_is_exact(self):
         arr = to_fractions(np.array([[0.5, 0.25], [1.0, -2.0]]))
         assert arr[0][0] == Fraction(1, 2)

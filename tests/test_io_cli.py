@@ -118,6 +118,19 @@ class TestCliExitCodes:
         )
         assert code == 2
         assert "error" in err
+        # Output questions guard s on both routes (L = 2 and L = 1 here).
+        reachable = str(FIXTURES / "output-reachable.json")
+        blocked = str(FIXTURES / "output-blocked.json")
+        for argv in (
+            ("check", reachable, "-s", "3", "--output-mode", "output"),
+            ("check", blocked, "-s", "2", "--output-mode", "output"),
+            ("bounds", reachable, "-s", "3", "--variant", "output", "--rational"),
+            ("bounds", blocked, "-s", "2", "--variant", "output", "--rational"),
+        ):
+            code, out, err = run_cli(capsys, *argv)
+            assert code == 2, argv
+            assert out == ""
+            assert "error" in err
 
     def test_bounds_undefined_is_input_error(self, capsys):
         code, _, err = run_cli(
@@ -307,6 +320,47 @@ class TestCliReports:
             "--rational",
         )
         assert float_rep["result"]["k_star"] == exact_rep["result"]["k_star"] == 2
+
+    @pytest.mark.parametrize(
+        "fixture",
+        [
+            "inequality-blocked",
+            "nilpotent-chain",
+            "no-common-support",
+            "output-blocked",
+            "output-reachable",
+            pytest.param(
+                "standard-form-reference",
+                marks=pytest.mark.xfail(
+                    strict=True,
+                    reason="FOUND in CHANGES.md: --rational decides the binary "
+                    "doubles of the decimal entries, which are controllable",
+                ),
+            ),
+            "uncontrollable",
+        ],
+    )
+    def test_rational_matches_float(self, capsys, fixture):
+        path = str(FIXTURES / f"{fixture}.json")
+        system, _ = load_system(path)
+        modes = ["state", "common-support"]
+        if system.A is not None:
+            modes.append("output")
+        variants = ["unconstrained", "sparse", "relaxed", "output", "common-support"]
+        for s in range(1, system.n_inputs + 1):
+            runs = [("check", "--output-mode", mode) for mode in modes]
+            runs += [("bounds", "--variant", variant) for variant in variants]
+            for command, flag, value in runs:
+                argv = (command, path, "-s", str(s), flag, value)
+                float_code, float_out, _ = run_cli(capsys, *argv)
+                exact_code, exact_out, _ = run_cli(capsys, *argv, "--rational")
+                assert exact_code == float_code, argv
+                if float_code == 0:
+                    float_res = json.loads(float_out)["result"]
+                    exact_res = json.loads(exact_out)["result"]
+                    float_res.pop("screen", None)
+                    exact_res.pop("screen", None)
+                    assert exact_res == float_res, argv
 
     def test_steer_report_contents(self, capsys, tmp_path):
         xf = tmp_path / "xf.json"
