@@ -86,7 +86,9 @@ def _kstar_bounds(sys, variant, s, span) -> KStarBounds:
 
     The guard of each variant is the decision it requires: controllability,
     s-sparse controllability, a controllable common support, or (output) a
-    valid output map and sparsity; its failure raises.
+    valid output map and sparsity; its failure raises.  A passed sparse
+    guard has settled the rank condition and rank(D) (in its slack), so
+    neither is decided again.
     """
     target = sys.n_states
     if variant == "unconstrained":
@@ -98,6 +100,7 @@ def _kstar_bounds(sys, variant, s, span) -> KStarBounds:
             raise UncontrollableSystemError(
                 "K* undefined: system is not s-sparse controllable"
             )
+        r_d = slack + sys.n_states - s
     elif variant == "common_support":
         if not _common_support(sys, s, span)[0]:
             raise UncontrollableSystemError(
@@ -122,10 +125,10 @@ def _kstar_bounds(sys, variant, s, span) -> KStarBounds:
         )
     s_star_value = None
     if variant == "sparse":
-        s_star_value = _s_star(sys, span)
+        support, _ = _first_controllable_support(sys, range(1, sys.n_inputs + 1), span)
+        s_star_value = len(support)
         upper = min(q * _ceil_frac(s_star_value, s), target - r_eff + 1)
     elif variant == "relaxed":
-        r_d = span.rank([span.matrix(sys.D)])
         upper = min(q * _ceil_frac(r_h, s), r_d + 1, target)
     elif variant == "output":
         upper = min(q * _ceil_frac(r_h, s), target - r_eff + 1)

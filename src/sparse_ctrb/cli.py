@@ -52,6 +52,7 @@ _ARGUMENT_KEYS = (
     "x_final",
     "output_target",
     "rational",
+    "tol",
 )
 
 

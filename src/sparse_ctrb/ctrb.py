@@ -30,6 +30,8 @@ from .linalg import (
     _as_matrix,
     _empty_basis,
     _independent_columns,
+    _powers,
+    _scheduled,
     _square,
     controllability_matrix,
     eigenvalue_probes,
@@ -201,8 +203,7 @@ class _FloatSpan:
         return basis, basis.shape[1]
 
     def leaf_rank(self, dim, blocks, chosen):
-        pieces = [blocks[d][:, list(c)] for d, c in enumerate(chosen) if c]
-        return rank(np.hstack(pieces), self.tol)
+        return rank(_scheduled(blocks, chosen, blocks[0].shape[0]), self.tol)
 
     def horizon(self, sys, s, output):
         from .oracle import _partition_horizon, decision_horizon
@@ -312,11 +313,8 @@ def common_support_test(
 def _output_kalman(sys, span):
     """rank(A [D^(N-1) H, ..., H]) = m in the span's arithmetic."""
     a = span.matrix(_require_output_map(sys))
-    d, power = span.matrix(sys.D), span.matrix(sys.H)
-    blocks = [span.matmul(a, power)]
-    for _ in range(sys.n_states - 1):
-        power = span.matmul(d, power)
-        blocks.append(span.matmul(a, power))
+    powers = _powers(span.matrix(sys.D), span.matrix(sys.H), span.matmul)
+    blocks = [span.matmul(a, p) for p in itertools.islice(powers, sys.n_states)]
     return span.rank(blocks[::-1]) == len(a)
 
 

@@ -24,6 +24,7 @@ from .ctrb import (
     _output_kalman,
     _sparse_test,
 )
+from .linalg import _powers
 from .oracle import OracleBudget, _min_k, _partition_horizon
 
 __all__ = [
@@ -36,7 +37,6 @@ __all__ = [
     "min_poly_degree_exact",
     "s_star_exact",
     "min_k_exact",
-    "bound_quantities_exact",
 ]
 
 
@@ -50,13 +50,6 @@ def _matmul(a, b):
     return tuple(
         tuple(sum(x * y for x, y in zip(row, col)) for col in bt) for row in a
     )
-
-
-def _powers(d, block):
-    """block, d block, d^2 block, ... without end."""
-    while True:
-        yield block
-        block = _matmul(d, block)
 
 
 def _dims(blocks):
@@ -99,7 +92,7 @@ class _ExactSpan:
     @staticmethod
     def rank_condition(sys):
         """Kalman rank N, grown block by block until a block adds nothing."""
-        dim = _stalled_dim(_powers(to_fractions(sys.D), to_fractions(sys.H)))
+        dim = _stalled_dim(_powers(to_fractions(sys.D), to_fractions(sys.H), _matmul))
         return dim == sys.n_states, None, None
 
     @staticmethod
@@ -110,7 +103,7 @@ class _ExactSpan:
             tuple(Fraction(int(i == j)) for j in range(len(d))) for i in range(len(d))
         )
         return _stalled_dim(
-            tuple((x,) for row in p for x in row) for p in _powers(d, identity)
+            tuple((x,) for row in p for x in row) for p in _powers(d, identity, _matmul)
         )
 
     @staticmethod
@@ -199,16 +192,3 @@ def min_k_exact(
     k, witness, _ = _min_k(sys, s, budget, _ExactSpan(), output)
     return k, witness
 
-
-def bound_quantities_exact(sys: SystemModel):
-    """Exact integer quantities feeding the steering-time bound formulas."""
-    h = to_fractions(sys.H)
-    return {
-        "n": sys.n_states,
-        "l": sys.n_inputs,
-        "q": min_poly_degree_exact(sys.D),
-        "r_h": rank_exact(h),
-        "r_d": rank_exact(sys.D),
-        "m": sys.n_outputs,
-        "r_ah": None if sys.A is None else rank_exact(_matmul(to_fractions(sys.A), h)),
-    }

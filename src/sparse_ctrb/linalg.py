@@ -8,6 +8,7 @@ functions of their arguments and are safe to call concurrently.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -162,16 +163,13 @@ def min_poly_degree(d, tol: Tolerance = DEFAULT_TOLERANCE) -> int:
     nrm = _spectral_norm(a)
     if nrm == 0.0:
         return 1
-    b = a / nrm
-    vecs = [np.eye(n).ravel()]
-    power = np.eye(n)
-    for q in range(1, n + 1):
-        power = power @ b
-        prev = np.column_stack(vecs)
-        cand = np.column_stack(vecs + [power.ravel()])
-        if rank(cand, tol) == rank(prev, tol):
-            return q
+    vecs, known = [], None
+    for q, power in zip(range(n + 1), _powers(a / nrm, np.eye(n))):
         vecs.append(power.ravel())
+        grown = rank(np.column_stack(vecs), tol)
+        if grown == known:
+            return q
+        known = grown
     return n
 
 
@@ -186,6 +184,21 @@ def max_geometric_multiplicity(d, tol: Tolerance = DEFAULT_TOLERANCE) -> int:
     return max(n - rank(lam * eye - a, tol) for lam in reps)
 
 
+def _powers(d, block, matmul=np.matmul):
+    """block, d block, d^2 block, ... without end, in the arithmetic of
+    ``matmul`` (a span's, for the exact route)."""
+    while True:
+        yield block
+        block = matmul(d, block)
+
+
+def _scheduled(blocks, supports, n):
+    """Columns ``supports[i]`` of ``blocks[i]``, side by side; n x 0 when
+    no support selects a column."""
+    pieces = [block[:, list(sup)] for block, sup in zip(blocks, supports) if sup]
+    return np.hstack(pieces) if pieces else np.zeros((n, 0))
+
+
 def controllability_matrix(d, h, k: int) -> np.ndarray:
     """Stacked reachability matrix ``[D^(K-1) H, ..., D H, H]`` with K blocks."""
     a = _square(d, "D")
@@ -196,12 +209,7 @@ def controllability_matrix(d, h, k: int) -> np.ndarray:
         )
     if not (isinstance(k, (int, np.integer)) and k >= 1):
         raise ValueError(f"K must be a positive integer, got {k!r}")
-    blocks = []
-    current = b
-    for _ in range(k):
-        blocks.append(current)
-        current = a @ current
-    return np.hstack(blocks[::-1])
+    return np.hstack(list(itertools.islice(_powers(a, b), k))[::-1])
 
 
 def _normalize_sign(col):
@@ -291,7 +299,6 @@ def _independent_columns(q, block, dep_eps=1e-13):
     re-verify with a full SVD rank, while under-counting could prune a viable
     branch of the schedule search.
     """
-    cols = []
     accepted = []
     current = q
     for j in range(block.shape[1]):
@@ -305,7 +312,6 @@ def _independent_columns(q, block, dep_eps=1e-13):
         if nv > dep_eps * norm0:
             current = np.column_stack([current, v / nv])
             accepted.append(j)
-            cols.append(j)
     return current, accepted
 
 

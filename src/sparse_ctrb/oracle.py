@@ -24,15 +24,10 @@ from typing import Optional
 
 import numpy as np
 
-from .ctrb import (
-    SystemModel,
-    _check_sparsity,
-    _FloatSpan,
-    _require_output_map,
-    sparse_pbh_test,
-)
-from .errors import BudgetExceededError
-from .linalg import DEFAULT_TOLERANCE, Tolerance
+from .bounds import _kstar_bounds
+from .ctrb import SystemModel, _check_sparsity, _FloatSpan, _require_output_map
+from .errors import BudgetExceededError, UncontrollableSystemError
+from .linalg import DEFAULT_TOLERANCE, Tolerance, _powers, _scheduled
 
 __all__ = [
     "OracleBudget",
@@ -111,30 +106,14 @@ def partition_schedule(l: int, s: int) -> SupportSchedule:
     return SupportSchedule(supports=tuple(supports), s=s)
 
 
-def _ascending_power_blocks(d, h, k):
-    blocks = [np.asarray(h)]
-    for _ in range(k - 1):
-        blocks.append(d @ blocks[-1])
-    return blocks
-
-
 def schedule_submatrix(sys: SystemModel, schedule: SupportSchedule) -> np.ndarray:
     """Scheduled reachability matrix ``[D^(K-1) H_{S_1}, ..., H_{S_K}]``."""
-    k = schedule.k
-    n, l = sys.n_states, sys.n_inputs
+    l = sys.n_inputs
     for sup in schedule.supports:
         if any(j >= l for j in sup):
             raise ValueError(f"support {sup} out of range for L={l}")
-    if k == 0:
-        return np.zeros((n, 0))
-    powers = _ascending_power_blocks(sys.D, sys.H, k)
-    pieces = []
-    for i, sup in enumerate(schedule.supports, start=1):
-        if sup:
-            pieces.append(powers[k - i][:, list(sup)])
-    if not pieces:
-        return np.zeros((n, 0))
-    return np.hstack(pieces)
+    blocks = list(itertools.islice(_powers(sys.D, sys.H), schedule.k))[::-1]
+    return _scheduled(blocks, schedule.supports, sys.n_states)
 
 
 class _Counter:
@@ -167,12 +146,10 @@ def _descending_blocks(sys, s, span, output, k_max):
     """For K = 1..k_max, the blocks ``[M D^(K-1) H, ..., M H]`` (M = A for
     output questions, else I) and their capacities ``min(s, rank)``, each
     power built and ranked once."""
-    d, power = span.matrix(sys.D), span.matrix(sys.H)
     a = span.matrix(_require_output_map(sys)) if output else None
+    powers = _powers(span.matrix(sys.D), span.matrix(sys.H), span.matmul)
     blocks, caps = [], []
-    for k in range(k_max):
-        if k:
-            power = span.matmul(d, power)
+    for power in itertools.islice(powers, k_max):
         block = power if a is None else span.matmul(a, power)
         blocks.insert(0, block)
         caps.insert(0, min(s, span.rank([block])))
@@ -283,12 +260,10 @@ def decision_horizon(sys: SystemModel, s: int, tol: Tolerance = DEFAULT_TOLERANC
     reaches rank N, none of any length does (repeating the partition schedule
     N times realizes the unconstrained rank).
     """
-    _check_sparsity(sys, s)
-    if sparse_pbh_test(sys, s, tol).verdict:
-        from .bounds import kstar_bounds_sparse
-
-        return kstar_bounds_sparse(sys, s, tol).upper
-    return _partition_horizon(sys, s)
+    try:
+        return _kstar_bounds(sys, "sparse", s, _FloatSpan(tol)).upper
+    except UncontrollableSystemError:
+        return _partition_horizon(sys, s)
 
 
 def exact_min_k(

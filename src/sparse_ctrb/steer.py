@@ -4,6 +4,9 @@ The endpoint map is linear once the schedule is fixed:
 ``x_K - D^K x_0 = [D^(K-1) H_{S_1}, ..., H_{S_K}] h``, so steering reduces to
 a minimum-norm least-squares solve restricted to the scheduled columns.
 Infeasibility shows up as a nonzero endpoint residual, not an exception.
+The greedy schedule grows the orthonormal basis of the schedule search
+(``linalg._independent_columns``) over the power sequence of ``linalg``, and
+the scheduled columns are the oracle's ``schedule_submatrix``.
 """
 
 from __future__ import annotations
@@ -13,8 +16,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .ctrb import SystemModel, _check_sparsity, _require_output_map
-from .linalg import DEFAULT_TOLERANCE, Tolerance, _empty_basis
-from .oracle import SupportSchedule, _ascending_power_blocks
+from .linalg import (
+    DEFAULT_TOLERANCE,
+    Tolerance,
+    _empty_basis,
+    _independent_columns,
+    _powers,
+)
+from .oracle import SupportSchedule, schedule_submatrix
 
 __all__ = [
     "SteeringPlan",
@@ -23,10 +32,6 @@ __all__ = [
     "solve_output_inputs",
     "rollout",
 ]
-
-# dependence threshold for the greedy rank gain; biased toward independence,
-# consistent with the schedule-search estimate
-_DEP_EPS = 1e-13
 
 
 @dataclass(frozen=True)
@@ -53,7 +58,9 @@ def greedy_support_schedule(
     scarcer direction (e.g. D = diag(1, 0), H = I, s = 1, K = 2 stalls at rank
     1 while the schedule ((0,), (1,)) reaches 2); use the oracle's witness
     schedule when optimality matters.  Earlier steps left without useful
-    columns get empty supports.
+    columns get empty supports.  The accumulated span is the schedule
+    search's orthonormal basis, grown one column at a time, so a column
+    counts as new under the same dependence threshold.
     """
     _check_sparsity(sys, s)
     if not (isinstance(k, (int, np.integer)) and k >= 0):
@@ -61,27 +68,16 @@ def greedy_support_schedule(
     k = int(k)
     n, l = sys.n_states, sys.n_inputs
     supports = [()] * k
-    if k == 0:
-        return SupportSchedule(supports=(), s=int(s))
-    powers = _ascending_power_blocks(sys.D, sys.H, k)
     basis = _empty_basis(n)
-    for i in range(k, 0, -1):
+    for i, block in zip(range(k, 0, -1), _powers(sys.D, sys.H)):
         if basis.shape[1] == n:
             break
-        block = powers[k - i]
         picked = []
         for j in range(l):
             if len(picked) == int(s) or basis.shape[1] == n:
                 break
-            col = block[:, j]
-            norm0 = np.linalg.norm(col)
-            if norm0 == 0.0:
-                continue
-            v = col - basis @ (basis.T @ col)
-            v = v - basis @ (basis.T @ v)
-            nv = np.linalg.norm(v)
-            if nv > _DEP_EPS * norm0:
-                basis = np.column_stack([basis, v / nv])
+            basis, accepted = _independent_columns(basis, block[:, j : j + 1])
+            if accepted:
                 picked.append(j)
         supports[i - 1] = tuple(picked)
     return SupportSchedule(supports=tuple(supports), s=int(s))
@@ -89,20 +85,8 @@ def greedy_support_schedule(
 
 def _scheduled_columns(sys: SystemModel, schedule: SupportSchedule):
     """Scheduled endpoint-map columns plus their (step, channel) slots."""
-    k = schedule.k
-    if k == 0:
-        return np.zeros((sys.n_states, 0)), []
-    powers = _ascending_power_blocks(sys.D, sys.H, k)
-    cols = []
-    slots = []
-    for i, sup in enumerate(schedule.supports, start=1):
-        for j in sup:
-            if j >= sys.n_inputs:
-                raise ValueError(f"support {sup} out of range for L={sys.n_inputs}")
-            cols.append(powers[k - i][:, j])
-            slots.append((i - 1, j))
-    matrix = np.column_stack(cols) if cols else np.zeros((sys.n_states, 0))
-    return matrix, slots
+    slots = [(step, j) for step, sup in enumerate(schedule.supports) for j in sup]
+    return schedule_submatrix(sys, schedule), slots
 
 
 def _assemble_plan(sys, schedule, x_init, coeffs, slots, target, output_map=None):

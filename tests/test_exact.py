@@ -25,7 +25,7 @@ from sparse_ctrb import (
     controllable_exact,
     common_support_exact,
 )
-from sparse_ctrb.exact import bound_quantities_exact, min_poly_degree_exact, to_fractions
+from sparse_ctrb.exact import min_poly_degree_exact, to_fractions
 from tests.conftest import int_matrix, small_systems
 
 
@@ -137,16 +137,3 @@ class TestMinKExact:
         k, supports = min_k_exact(output_reachable, 1, max_k=4, output=True)
         assert k == 2
         assert all(len(sup) <= 1 for sup in supports)
-
-
-class TestBoundQuantities:
-    @given(small_systems(with_output=True))
-    def test_matches_float_ranks(self, sys):
-        q = bound_quantities_exact(sys)
-        assert q["n"] == sys.n_states
-        assert q["l"] == sys.n_inputs
-        assert q["m"] == sys.n_outputs
-        assert q["r_h"] == rank(sys.H)
-        assert q["r_d"] == rank(sys.D)
-        assert q["q"] == min_poly_degree(sys.D)
-        assert q["r_ah"] == rank(sys.A @ sys.H)

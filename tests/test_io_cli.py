@@ -186,6 +186,7 @@ class TestCliExitCodes:
         jsonschema.validate(report, REPORT_SCHEMA)
         assert report["system"] == "no-common-support"
         assert report["tolerance"]["rank_rel"] == 1e-9
+        assert report["arguments"]["tol"] == 1e-9
         assert report["elapsed_ms"] >= 0
 
     def test_output_budget_covers_every_k(self, capsys, tmp_path):
@@ -296,6 +297,7 @@ class TestCliReports:
         monkeypatch.setenv("SPARSE_CTRB_TOL", "1e-6")
         report = report_of(capsys, "check", *CHECK_1, "--tol", "1e-9")
         assert report["tolerance"]["rank_rel"] == 1e-9
+        assert report["arguments"]["tol"] == 1e-9
 
     def test_bad_env_tolerance_is_input_error(self, capsys, monkeypatch):
         monkeypatch.setenv("SPARSE_CTRB_TOL", "not-a-number")

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -7,10 +9,12 @@ from sparse_ctrb import (
     OracleBudget,
     SupportSchedule,
     SystemModel,
+    controllability_matrix,
     decision_horizon,
     exact_min_k,
     kalman_test,
     kalman_type_rank_test,
+    kstar_bounds_sparse,
     output_kalman_test,
     output_kalman_type_rank_test,
     partition_schedule,
@@ -77,6 +81,14 @@ class TestScheduleSubmatrix:
         ok, sched = kalman_type_rank_test(nilpotent_chain, 1, 3)
         assert ok
         assert rank(schedule_submatrix(nilpotent_chain, sched)) == 3
+
+    @given(small_systems(), st.integers(1, 4))
+    def test_all_channel_schedule_is_controllability_matrix(self, sys, k):
+        l = sys.n_inputs
+        sched = SupportSchedule((tuple(range(l)),) * k, l)
+        assert np.array_equal(
+            schedule_submatrix(sys, sched), controllability_matrix(sys.D, sys.H, k)
+        )
 
 
 class TestKalmanTypeRankTest:
@@ -179,6 +191,15 @@ class TestDecisionHorizon:
         k_max = decision_horizon(sys, s)
         ok, _ = kalman_type_rank_test(sys, s, k_max)
         assert ok == sparse_pbh_test(sys, s).verdict
+
+    @given(small_systems(), st.data())
+    def test_sparse_upper_bound_else_partition_horizon(self, sys, data):
+        s = data.draw(st.integers(1, sys.n_inputs))
+        if sparse_pbh_test(sys, s).verdict:
+            expected = kstar_bounds_sparse(sys, s).upper
+        else:
+            expected = sys.n_states * math.ceil(sys.n_inputs / s)
+        assert decision_horizon(sys, s) == expected
 
 
 class TestOutputOracle:
