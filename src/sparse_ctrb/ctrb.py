@@ -7,7 +7,8 @@ map ``y_k = A x_k`` enables the output-controllability variants.
 The decisive characterization implemented here: the system is s-sparse
 controllable iff the eigenvalue rank condition ``rank([lambda*I - D, H]) = N``
 holds for every eigenvalue lambda of D and additionally ``N <= s + rank(D)``.
-Only eigenvalues of D can violate the rank condition, so the sweep is finite.
+The rank condition holds everywhere iff the controllable subspace (computed
+in floating point by the staircase ``linalg._staircase``) is the whole space.
 
 Each decision is written once, privately, against a span object that holds
 the arithmetic (``_FloatSpan`` here, ``exact._ExactSpan`` in rationals); the
@@ -33,6 +34,7 @@ from .linalg import (
     _powers,
     _scheduled,
     _square,
+    _staircase,
     controllability_matrix,
     eigenvalue_probes,
     max_geometric_multiplicity,
@@ -116,8 +118,8 @@ class ControllabilityReport:
     ``verdict`` is ``rank_condition_holds and inequality_holds``.  For the
     plain (non-sparse) test the inequality is vacuous and ``slack`` is None;
     for the sparse test ``slack = s + rank(D) - N`` (negative iff the
-    inequality fails).  On a rank failure, ``witness_lambda`` is the offending
-    eigenvalue (first in the deterministic (real, imag) probe order) and
+    inequality fails).  On a rank failure, ``witness_lambda`` is the first
+    eigenvalue, in (real, imag) order, of the staircase's input-free block and
     ``witness_z`` a left null vector with ``z^T [lambda*I - D, H] ~ 0``.
     """
 
@@ -169,18 +171,14 @@ class _FloatSpan:
         return rank(np.hstack(blocks), self.tol)
 
     def rank_condition(self, sys):
-        """Sweep the eigenvalue probes; return (holds, witness_lambda, witness_z)."""
-        d, h = sys.D, sys.H
-        n = d.shape[0]
-        eye = np.eye(n)
-        for lam in eigenvalue_probes(d, self.tol):
-            pencil = np.hstack([lam * eye - d, h.astype(complex)])
-            if rank(pencil, self.tol) < n:
-                # left null vector from the smallest singular triplet
-                u = np.linalg.svd(pencil)[0]
-                z = np.conj(u[:, -1])
-                return False, lam, z
-        return True, None, None
+        """``(holds, lambda, z)``: R = N in the staircase, or the first eigenvalue
+        of its input-free block with that block's left eigenvector mapped back."""
+        q, big_r, rest = _staircase(sys.D, sys.H, self.tol)
+        if big_r == sys.n_states:
+            return True, None, None
+        w, v = np.linalg.eig(rest.T)
+        i = np.lexsort((w.imag, w.real))[0]
+        return False, complex(w[i]), (q[:, big_r:] @ v[:, i]).astype(complex)
 
     def min_poly_degree(self, d):
         return min_poly_degree(d, self.tol)

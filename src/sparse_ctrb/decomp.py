@@ -3,10 +3,10 @@ and uncontrollable coordinates.
 
 Construction, for a system (D, H) with controllable dimension R:
 
-1. U: invertible, first R columns spanning the column space of the stacked
-   reachability matrix.
-2. (D, H) -> (U^-1 D U, U^-1 H): block-triangular with controllable leading
-   R x R block D_1 and zero trailing rows of U^-1 H.
+1. U: orthogonal, from the controllability staircase (``linalg._staircase``),
+   with first R columns spanning the controllable subspace.
+2. (D, H) -> (U^T D U, U^T H): block-triangular with controllable leading
+   R x R block D_1 and zero trailing rows of U^T H.
 3. Core-nilpotent (Fitting) split of D_1 with basis V and core dimension
    r = rank(D_1^R).  (A diagonalization step would need the zero eigenvalue
    of D_1 to be semisimple; the Fitting split always exists and the
@@ -26,14 +26,7 @@ from typing import Optional
 import numpy as np
 
 from .ctrb import ControllabilityReport, SystemModel, _check_sparsity, sparse_pbh_test
-from .linalg import (
-    DEFAULT_TOLERANCE,
-    Tolerance,
-    controllability_matrix,
-    core_nilpotent,
-    extend_to_basis,
-    rank,
-)
+from .linalg import DEFAULT_TOLERANCE, Tolerance, _staircase, core_nilpotent, rank
 
 __all__ = [
     "DecompositionResult",
@@ -85,6 +78,8 @@ class StandardFormCheck:
     ``structure_residual`` covers).
     ``input_free_residual``: largest magnitude in the uncontrollable rows of
     H_bar.
+    ``ok``: every residual within ``residual_abs``; the leading R_s block is
+    s-sparse controllable after a clean core split, M singular (nilpotent) if not.
     """
 
     similarity_residual: float
@@ -101,10 +96,8 @@ def standard_form(
     """Compute the standard form of ``sys`` at sparsity ``s``."""
     _check_sparsity(sys, s)
     n = sys.n_states
-    b = controllability_matrix(sys.D, sys.H, n)
-    big_r = rank(b, tol)
-    u = extend_to_basis(b, tol)
-    d_check = np.linalg.solve(u, sys.D @ u)
+    u, big_r, _ = _staircase(sys.D, sys.H, tol)
+    d_check = u.T @ sys.D @ u
     d_1 = d_check[:big_r, :big_r]
     fitting = core_nilpotent(d_1, tol)
     w = np.eye(n)
@@ -187,6 +180,7 @@ def verify_standard_form(
         and nilpotent_residual <= tol.residual_abs
         and input_free <= tol.residual_abs
         and subsystem_ok
+        and not (dec.core_rank_mismatch and rank(middle, tol) == big_r - r)
     )
     return StandardFormCheck(
         similarity_residual=similarity,

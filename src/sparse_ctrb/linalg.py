@@ -1,14 +1,15 @@
 """Dense linear-algebra kernels shared by the controllability machinery.
 
-Every rank decision in the package goes through :func:`rank` and follows a
-single rule: a singular value counts when it exceeds
-``rank_rel * sigma_max * max(rows, cols)``.  All routines here are pure
-functions of their arguments and are safe to call concurrently.
+Rank decisions follow two rules: :func:`rank` counts a singular value above
+``rank_rel * sigma_max * max(rows, cols)``, and the controllability staircase
+(:func:`_staircase`) one above ``rank_rel * max(|D|, |H|) * N``.  All routines
+here are pure functions of their arguments and are safe to call concurrently.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -52,8 +53,8 @@ class Tolerance:
     def __post_init__(self):
         for field in ("rank_rel", "eig_cluster", "residual_abs"):
             value = getattr(self, field)
-            if not (isinstance(value, (int, float)) and value > 0):
-                raise ValueError(f"{field} must be a positive number, got {value!r}")
+            if not (isinstance(value, (int, float)) and 0 < value < math.inf):
+                raise ValueError(f"{field} must be finite and positive, got {value!r}")
 
 
 DEFAULT_TOLERANCE = Tolerance()
@@ -125,7 +126,9 @@ def _cluster_means(values, radius):
 
 
 def eigenvalue_probes(d, tol: Tolerance = DEFAULT_TOLERANCE) -> list[complex]:
-    """Candidate eigenvalue locations for rank-condition sweeps.
+    """Candidate eigenvalue locations for the output eigenvalue sweep
+    (``ctrb.output_pbh_necessary``); the state rank condition is decided by
+    the staircase instead.
 
     Cluster means are taken at ``eig_cluster`` and at coarser radii scaled by
     the spectral norm.  A defective eigenvalue of multiplicity k is computed
@@ -212,36 +215,37 @@ def controllability_matrix(d, h, k: int) -> np.ndarray:
     return np.hstack(list(itertools.islice(_powers(a, b), k))[::-1])
 
 
-def _normalize_sign(col):
-    # deterministic sign convention: largest-|entry| component (first index on
-    # ties) is made positive
-    idx = int(np.argmax(np.abs(col)))
-    if col[idx] < 0:
-        return -col
-    return col
-
-
 def extend_to_basis(b, tol: Tolerance = DEFAULT_TOLERANCE) -> np.ndarray:
-    """Invertible matrix whose first ``rank(b)`` columns span the column space
-    of ``b``; the remaining columns are canonical basis vectors accepted in
-    index order whenever they increase the rank."""
-    a = _as_matrix(b, "B")
+    """Orthogonal matrix whose first ``rank(b, tol)`` columns span the column
+    space of ``b``: its left singular vectors, as in a :func:`_staircase` step."""
+    return np.linalg.svd(_as_matrix(b, "B"))[0]
+
+
+def _staircase(d, h, tol: Tolerance = DEFAULT_TOLERANCE):
+    """Controllability staircase of (D, H) (Paige 1981; Van Dooren 1981).
+
+    Returns ``(Q, R, rest)``: Q orthogonal, its first R columns spanning the
+    controllable subspace, and ``rest = Q[:, R:]^T D Q[:, R:]`` the input-free
+    block.  Each step SVD-compresses the newest block (H, then D times the
+    newest controllable columns) in the remaining coordinates and rotates them,
+    until a step adds nothing.  The cut is ``rank_rel * max(|D|, |H|) * N`` at
+    every step: one relative to each block would count rounding noise in the
+    late, small blocks.
+    """
+    a = _square(d, "D")
     n = a.shape[0]
-    r = rank(a, tol)
-    cols = []
-    if r > 0:
-        u = np.linalg.svd(a)[0]
-        cols = [_normalize_sign(u[:, i]) for i in range(r)]
-    eye = np.eye(n)
-    for i in range(n):
-        if len(cols) == n:
+    q = np.eye(n)
+    cut = tol.rank_rel * max(_spectral_norm(a), _spectral_norm(h)) * n
+    big_r, block = 0, h
+    while big_r < n:
+        u, sigma, _ = np.linalg.svd(q[:, big_r:].T @ block)
+        step = int(np.count_nonzero(sigma > cut))
+        if step == 0:
             break
-        candidate = np.column_stack(cols + [eye[:, i]]) if cols else eye[:, i : i + 1]
-        if rank(candidate, tol) > len(cols):
-            cols.append(eye[:, i])
-    if len(cols) != n:
-        raise ArithmeticError("basis completion failed; input badly scaled")
-    return np.column_stack(cols)
+        q[:, big_r:] = q[:, big_r:] @ u
+        block = a @ q[:, big_r : big_r + step]
+        big_r += step
+    return q, big_r, q[:, big_r:].T @ a @ q[:, big_r:]
 
 
 @dataclass(frozen=True)
@@ -303,12 +307,15 @@ def _independent_columns(q, block, dep_eps=1e-13):
     current = q
     for j in range(block.shape[1]):
         col = block[:, j]
-        norm0 = np.linalg.norm(col)
+        # norm of a contiguous copy, as np.linalg.norm took; the projections
+        # keep the strided column, whose BLAS path rounds differently
+        copy = np.ascontiguousarray(col)
+        norm0 = math.sqrt(copy.dot(copy))
         if norm0 == 0.0:
             continue
         v = col - current @ (current.T @ col) if current.shape[1] else col.copy()
         v = v - current @ (current.T @ v) if current.shape[1] else v
-        nv = np.linalg.norm(v)
+        nv = math.sqrt(v.dot(v))
         if nv > dep_eps * norm0:
             current = np.column_stack([current, v / nv])
             accepted.append(j)

@@ -3,7 +3,7 @@ import pathlib
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, settings, strategies as st
+from hypothesis import HealthCheck, assume, settings, strategies as st
 
 from sparse_ctrb import SystemModel
 
@@ -90,3 +90,37 @@ def invertible_matrices(draw, n, lo=-2, hi=2, max_cond=1e6):
     assume(abs(np.linalg.det(m)) > 1e-9)
     assume(np.linalg.cond(m) < max_cond)
     return m
+
+
+def _unit_triangular(draw, n, lower):
+    t = np.eye(n, dtype=np.int64)
+    for i in range(n):
+        for j in range(i):
+            t[(i, j) if lower else (j, i)] = draw(st.integers(-1, 1))
+    return t
+
+
+@st.composite
+def jordan_systems(draw, max_n=12, max_block=6):
+    """Integer ``(P J P^-1, P H_J)`` with unimodular P (a product of unit
+    triangular factors): Jordan blocks of size up to ``max_block`` at small
+    integer eigenvalues, so repeated and defective eigenvalues are common,
+    and an integer H_J whose zero rows leave modes unreachable."""
+    n = draw(st.integers(2, max_n))
+    j_mat = np.zeros((n, n), dtype=np.int64)
+    row = 0
+    while row < n:
+        size = draw(st.integers(1, min(max_block, n - row)))
+        lam = draw(st.integers(-2, 2))
+        for i in range(row, row + size):
+            j_mat[i, i] = lam
+            if i + 1 < row + size:
+                j_mat[i, i + 1] = 1
+        row += size
+    h_j = draw(int_matrix(n, draw(st.integers(1, 3)), -1, 1)).astype(np.int64)
+    p = _unit_triangular(draw, n, True) @ _unit_triangular(draw, n, False)
+    p_inv = np.rint(np.linalg.inv(p)).astype(np.int64)
+    assume(np.array_equal(p @ p_inv, np.eye(n, dtype=np.int64)))
+    return SystemModel(
+        D=(p @ j_mat @ p_inv).astype(float), H=(p @ h_j).astype(float)
+    )

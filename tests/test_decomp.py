@@ -149,3 +149,32 @@ class TestStandardFormProperties:
             assert np.linalg.norm(z[big_r:] - free) <= 1e-7 * max(
                 1.0, np.linalg.norm(free)
             )
+
+
+def _dense_spectral(seed, n, l):
+    """Dense ``Q diag(0.5 + i/N) Q^-1`` with distinct eigenvalues and a dense
+    random H: controllable, and its N-block Krylov matrix is far too
+    ill-conditioned to rank."""
+    rng = np.random.default_rng(seed)
+    q = rng.standard_normal((n, n))
+    d = q @ np.diag(0.5 + np.arange(n) / n) @ np.linalg.inv(q)
+    return SystemModel(D=d, H=rng.standard_normal((n, l)))
+
+
+class TestStandardFormAtScale:
+    def test_dense_spectral_system_is_fully_controllable(self):
+        sys = _dense_spectral(0, 32, 4)
+        dec = standard_form(sys, 2)
+        assert dec.R == 32
+        chk = verify_standard_form(sys, dec)
+        assert chk.similarity_residual <= 1e-12
+        assert chk.structure_residual <= 1e-12
+        assert chk.input_free_residual <= 1e-12
+
+    def test_failed_core_split_is_flagged(self):
+        # D is invertible, so its core is the whole space; a split that
+        # reports less must not verify.
+        sys = _dense_spectral(0, 16, 2)
+        dec = standard_form(sys, 1)
+        chk = verify_standard_form(sys, dec)
+        assert not (chk.ok and dec.r != sys.n_states)

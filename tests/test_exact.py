@@ -16,6 +16,7 @@ from sparse_ctrb import (
     output_kalman_exact,
     output_kalman_test,
     output_kalman_type_rank_test,
+    pbh_test,
     rank,
     rank_exact,
     s_star,
@@ -26,7 +27,7 @@ from sparse_ctrb import (
     common_support_exact,
 )
 from sparse_ctrb.exact import min_poly_degree_exact, to_fractions
-from tests.conftest import int_matrix, small_systems
+from tests.conftest import int_matrix, jordan_systems, small_systems
 
 
 class TestRankExact:
@@ -64,6 +65,20 @@ class TestExactDecisions:
     @given(small_systems())
     def test_controllable_matches_float(self, sys):
         assert controllable_exact(sys) == kalman_test(sys)
+
+    @given(jordan_systems())
+    def test_rank_condition_matches_exact_on_jordan_systems(self, sys):
+        # Defective eigenvalues are computed with error ~eps^(1/k); the float
+        # rank condition must still agree with exact Kalman rank, and its
+        # witness must be a left null vector of [lambda*I - D, H].
+        rep = pbh_test(sys)
+        assert rep.verdict == controllable_exact(sys)
+        if not rep.verdict:
+            n = sys.n_states
+            pencil = np.hstack([rep.witness_lambda * np.eye(n) - sys.D, sys.H])
+            scale = max(1.0, float(np.linalg.norm(pencil, 2)))
+            assert np.linalg.norm(rep.witness_z @ pencil) <= 1e-8 * scale
+            assert np.linalg.norm(rep.witness_z) == pytest.approx(1.0)
 
     @given(small_systems(), st.data())
     def test_sparse_matches_float(self, sys, data):

@@ -1,3 +1,5 @@
+import ast
+import importlib
 import json
 import time
 from fractions import Fraction
@@ -303,6 +305,14 @@ class TestCliReports:
         monkeypatch.setenv("SPARSE_CTRB_TOL", "not-a-number")
         code, _, err = run_cli(capsys, "check", *CHECK_1)
         assert code == 2
+        # inf parses as a float but is no tolerance; the report must not
+        # die rendering it
+        monkeypatch.setenv("SPARSE_CTRB_TOL", "inf")
+        code, _, err = run_cli(capsys, "check", *CHECK_1)
+        assert code == 2
+        monkeypatch.delenv("SPARSE_CTRB_TOL")
+        code, _, err = run_cli(capsys, "check", *CHECK_1, "--tol", "inf")
+        assert code == 2
 
     def test_rational_check_reports_exact(self, capsys):
         report = report_of(capsys, "check", *CHECK_1, "--rational")
@@ -446,3 +456,21 @@ def test_console_entry_point_runs():
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["result"]["verdict"] is True
+
+
+def test_benchmark_tracer_layers_resolve():
+    # The traced benchmark run wraps each LAYERS entry by name and dies on a
+    # missing one.  The file is read with ast, so nothing under bench/ is
+    # imported or written.
+    tracer = FIXTURES.parent / "bench" / "tracer.py"
+    tree = ast.parse(tracer.read_text(encoding="utf-8"))
+    (layers,) = [
+        ast.literal_eval(node.value)
+        for node in tree.body
+        if isinstance(node, ast.Assign)
+        and any(getattr(target, "id", None) == "LAYERS" for target in node.targets)
+    ]
+    assert layers
+    for module, function, _ in layers:
+        owner = importlib.import_module(f"sparse_ctrb.{module}")
+        assert callable(getattr(owner, function, None)), f"bench/tracer.py wraps missing {module}.{function}"

@@ -56,6 +56,10 @@ class TestRank:
             Tolerance(rank_rel=-1.0)
         with pytest.raises(ValueError):
             Tolerance(eig_cluster=0.0)
+        for field in ("rank_rel", "eig_cluster", "residual_abs"):
+            for value in (float("inf"), float("nan")):
+                with pytest.raises(ValueError):
+                    Tolerance(**{field: value})
 
 
 class TestEigenvalues:
