@@ -14,6 +14,9 @@ mismatch:
 * On integer systems ``(P J P^-1, P H_J)`` with unimodular P and Jordan
   blocks of size up to 6 (``bench/inputs.jordan_system``), N = 4..24, the
   verdict of ``pbh_test`` against exact Kalman rank (``controllable_exact``).
+  Each size also reports how many systems the staircase alone would call
+  controllable (R = N) where ``pbh_test``'s eigenvalue probe sweep finds a
+  rank drop; those are not mismatches, they show why the sweep is kept.
 
 Usage:
     python scripts/staircase_crosscheck.py
@@ -43,6 +46,7 @@ from sparse_ctrb import (  # noqa: E402
     pbh_test,
     rank,
 )
+from sparse_ctrb.linalg import _staircase  # noqa: E402
 
 FAMILIES = ("ring-", "rank-blocked-", "spectral-")
 SEEDS = (0, 1, 2)
@@ -99,12 +103,13 @@ def jordan_blocks(rng, n):
 
 
 def jordan_mismatches():
-    """Per N: (N, systems, uncontrollable ones, mismatches) against exact
-    Kalman rank on integer Jordan systems."""
+    """Per N: (N, systems, uncontrollable ones, full staircases overturned by
+    the probe sweep, mismatches) against exact Kalman rank on integer Jordan
+    systems."""
     rng = np.random.default_rng(0)
     rows = []
     for n in JORDAN_SIZES:
-        uncontrollable, problems = 0, []
+        uncontrollable, overturned, problems = 0, 0, []
         for _ in range(JORDAN_PER_SIZE):
             blocks = jordan_blocks(rng, n)
             columns = [
@@ -116,12 +121,13 @@ def jordan_mismatches():
             want = controllable_exact(sys_)
             got = pbh_test(sys_).verdict
             uncontrollable += not want
+            overturned += _staircase(sys_.D, sys_.H)[1] == n and not got
             if got != want:
                 problems.append(
                     f"N={n} blocks {blocks} columns {columns}: "
                     f"float {got}, exact {want}"
                 )
-        rows.append((n, JORDAN_PER_SIZE, uncontrollable, problems))
+        rows.append((n, JORDAN_PER_SIZE, uncontrollable, overturned, problems))
     return rows
 
 
@@ -135,10 +141,11 @@ def main():
         f"float-scale families: {checked} systems, "
         f"{len(bench_problems)} mismatches against the probe sweep"
     )
-    for n, count, uncontrollable, found in rows:
+    for n, count, uncontrollable, overturned, found in rows:
         print(
             f"integer Jordan systems N={n}: {count} systems ({uncontrollable} "
-            f"uncontrollable), {len(found)} mismatches against exact Kalman rank"
+            f"uncontrollable, {overturned} full staircases overturned by the "
+            f"sweep), {len(found)} mismatches against exact Kalman rank"
         )
     return 1 if problems else 0
 

@@ -7,8 +7,9 @@ map ``y_k = A x_k`` enables the output-controllability variants.
 The decisive characterization implemented here: the system is s-sparse
 controllable iff the eigenvalue rank condition ``rank([lambda*I - D, H]) = N``
 holds for every eigenvalue lambda of D and additionally ``N <= s + rank(D)``.
-The rank condition holds everywhere iff the controllable subspace (computed
-in floating point by the staircase ``linalg._staircase``) is the whole space.
+The rank condition holds everywhere iff the controllable subspace is the
+whole space.  In floating point the staircase ``linalg._staircase`` computes
+that subspace, and a full one is confirmed at the eigenvalue probes of D.
 
 Each decision is written once, privately, against a span object that holds
 the arithmetic (``_FloatSpan`` here, ``exact._ExactSpan`` in rationals); the
@@ -119,8 +120,10 @@ class ControllabilityReport:
     plain (non-sparse) test the inequality is vacuous and ``slack`` is None;
     for the sparse test ``slack = s + rank(D) - N`` (negative iff the
     inequality fails).  On a rank failure, ``witness_lambda`` is the first
-    eigenvalue, in (real, imag) order, of the staircase's input-free block and
-    ``witness_z`` a left null vector with ``z^T [lambda*I - D, H] ~ 0``.
+    eigenvalue, in (real, imag) order, of the staircase's input-free block (or,
+    when the staircase finds no such block, the first eigenvalue probe where
+    the rank drops) and ``witness_z`` a left null vector with
+    ``z^T [lambda*I - D, H] ~ 0``.
     """
 
     verdict: bool
@@ -171,14 +174,22 @@ class _FloatSpan:
         return rank(np.hstack(blocks), self.tol)
 
     def rank_condition(self, sys):
-        """``(holds, lambda, z)``: R = N in the staircase, or the first eigenvalue
-        of its input-free block with that block's left eigenvector mapped back."""
-        q, big_r, rest = _staircase(sys.D, sys.H, self.tol)
-        if big_r == sys.n_states:
-            return True, None, None
-        w, v = np.linalg.eig(rest.T)
-        i = np.lexsort((w.imag, w.real))[0]
-        return False, complex(w[i]), (q[:, big_r:] @ v[:, i]).astype(complex)
+        """``(holds, lambda, z)``.  R < N in the staircase fails it, with the
+        first eigenvalue of the input-free block and its left eigenvector
+        mapped back.  R = N still has to pass the eigenvalue probe sweep: a
+        staircase step of a near-defective D can exceed the cut by orders of
+        magnitude where the exact system is uncontrollable."""
+        d, h, n = sys.D, sys.H, sys.n_states
+        q, big_r, rest = _staircase(d, h, self.tol)
+        if big_r < n:
+            w, v = np.linalg.eig(rest.T)
+            i = np.lexsort((w.imag, w.real))[0]
+            return False, complex(w[i]), (q[:, big_r:] @ v[:, i]).astype(complex)
+        for lam in eigenvalue_probes(d, self.tol):
+            pencil = np.hstack([lam * np.eye(n) - d, h.astype(complex)])
+            if rank(pencil, self.tol) < n:
+                return False, lam, np.conj(np.linalg.svd(pencil)[0][:, -1])
+        return True, None, None
 
     def min_poly_degree(self, d):
         return min_poly_degree(d, self.tol)

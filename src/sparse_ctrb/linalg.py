@@ -9,7 +9,6 @@ here are pure functions of their arguments and are safe to call concurrently.
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -53,7 +52,7 @@ class Tolerance:
     def __post_init__(self):
         for field in ("rank_rel", "eig_cluster", "residual_abs"):
             value = getattr(self, field)
-            if not (isinstance(value, (int, float)) and 0 < value < math.inf):
+            if not (isinstance(value, (int, float)) and 0 < value < float("inf")):
                 raise ValueError(f"{field} must be finite and positive, got {value!r}")
 
 
@@ -126,9 +125,9 @@ def _cluster_means(values, radius):
 
 
 def eigenvalue_probes(d, tol: Tolerance = DEFAULT_TOLERANCE) -> list[complex]:
-    """Candidate eigenvalue locations for the output eigenvalue sweep
-    (``ctrb.output_pbh_necessary``); the state rank condition is decided by
-    the staircase instead.
+    """Candidate eigenvalue locations for the eigenvalue sweeps: the output
+    condition (``ctrb.output_pbh_necessary``) and the confirmation of a full
+    staircase in the state rank condition.
 
     Cluster means are taken at ``eig_cluster`` and at coarser radii scaled by
     the spectral norm.  A defective eigenvalue of multiplicity k is computed
@@ -307,15 +306,12 @@ def _independent_columns(q, block, dep_eps=1e-13):
     current = q
     for j in range(block.shape[1]):
         col = block[:, j]
-        # norm of a contiguous copy, as np.linalg.norm took; the projections
-        # keep the strided column, whose BLAS path rounds differently
-        copy = np.ascontiguousarray(col)
-        norm0 = math.sqrt(copy.dot(copy))
+        norm0 = np.linalg.norm(col)
         if norm0 == 0.0:
             continue
         v = col - current @ (current.T @ col) if current.shape[1] else col.copy()
         v = v - current @ (current.T @ v) if current.shape[1] else v
-        nv = math.sqrt(v.dot(v))
+        nv = np.linalg.norm(v)
         if nv > dep_eps * norm0:
             current = np.column_stack([current, v / nv])
             accepted.append(j)

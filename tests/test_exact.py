@@ -1,3 +1,5 @@
+import json
+import pathlib
 from fractions import Fraction
 
 import numpy as np
@@ -28,6 +30,25 @@ from sparse_ctrb import (
 )
 from sparse_ctrb.exact import min_poly_degree_exact, to_fractions
 from tests.conftest import int_matrix, jordan_systems, small_systems
+
+with open(
+    pathlib.Path(__file__).parent / "data" / "near-defective-jordan.json",
+    encoding="utf-8",
+) as fh:
+    NEAR_DEFECTIVE_DATA = json.load(fh)
+NEAR_DEFECTIVE = [
+    SystemModel(D=np.array(d["D"], float), H=np.array(d["H"], float))
+    for d in NEAR_DEFECTIVE_DATA
+]
+
+
+def _assert_witness(sys, rep):
+    """``witness_z`` is a unit left null vector of ``[lambda*I - D, H]``."""
+    n = sys.n_states
+    pencil = np.hstack([rep.witness_lambda * np.eye(n) - sys.D, sys.H])
+    scale = max(1.0, float(np.linalg.norm(pencil, 2)))
+    assert np.linalg.norm(rep.witness_z @ pencil) <= 1e-8 * scale
+    assert np.linalg.norm(rep.witness_z) == pytest.approx(1.0)
 
 
 class TestRankExact:
@@ -74,11 +95,20 @@ class TestExactDecisions:
         rep = pbh_test(sys)
         assert rep.verdict == controllable_exact(sys)
         if not rep.verdict:
-            n = sys.n_states
-            pencil = np.hstack([rep.witness_lambda * np.eye(n) - sys.D, sys.H])
-            scale = max(1.0, float(np.linalg.norm(pencil, 2)))
-            assert np.linalg.norm(rep.witness_z @ pencil) <= 1e-8 * scale
-            assert np.linalg.norm(rep.witness_z) == pytest.approx(1.0)
+            _assert_witness(sys, rep)
+
+    @pytest.mark.parametrize(
+        "sys", NEAR_DEFECTIVE, ids=[d["name"] for d in NEAR_DEFECTIVE_DATA]
+    )
+    def test_rank_condition_on_near_defective_jordan_systems(self, sys):
+        # Uncontrollable integer P J P^-1 systems (N = 20 and 24, |D| in the
+        # thousands) on which the staircase alone finds R = N: a step's
+        # coupling rounds to far above its cut.  The eigenvalue probe sweep
+        # that confirms a full staircase must catch them.
+        assert not controllable_exact(sys)
+        rep = pbh_test(sys)
+        assert not rep.verdict
+        _assert_witness(sys, rep)
 
     @given(small_systems(), st.data())
     def test_sparse_matches_float(self, sys, data):
