@@ -7,20 +7,25 @@ any disagreement.  The search runs twice, in float (``exact_min_k``) and in
 rational arithmetic (``min_k_exact``), and the two K* must agree too; so must
 the float and exact decision tests (``sparse_pbh_test`` against
 ``sparse_controllable_exact``: verdict, rank condition and slack) and, once
-per system, the float and exact minimal-polynomial degrees of D.  Exits non-zero when a
-mismatch is found.
+per system, the float and exact minimal-polynomial degrees of D.  For every
+K up to N*ceil(L/s), in both arithmetics, the matroid-intersection r*(K)
+must be the best rank of the depth-first search alone: it reaches r*(K)
+and not r*(K)+1.  Exits non-zero when a mismatch is found.
 
 Usage:
     python scripts/equivalence_sweep.py --count 500 --seed 0
 """
 
 import argparse
+import itertools
+import math
 import sys
 import time
 
 import numpy as np
 
 from sparse_ctrb import (
+    OracleBudget,
     SystemModel,
     decision_horizon,
     exact_min_k,
@@ -29,7 +34,16 @@ from sparse_ctrb import (
     sparse_controllable_exact,
     sparse_pbh_test,
 )
-from sparse_ctrb.exact import min_poly_degree_exact
+from sparse_ctrb.ctrb import _FloatSpan
+from sparse_ctrb.exact import _ExactSpan, min_poly_degree_exact
+from sparse_ctrb.linalg import DEFAULT_TOLERANCE
+from sparse_ctrb.oracle import (
+    _best_schedule,
+    _common_independent,
+    _Counter,
+    _descending_blocks,
+    _supports_of,
+)
 
 
 def sample_systems(count, seed, max_n, max_l, magnitude):
@@ -47,6 +61,29 @@ def sample_systems(count, seed, max_n, max_l, magnitude):
         seen.add(key)
         systems.append(SystemModel(D=d.astype(float), H=h.astype(float)))
     return systems
+
+
+def rstar_mismatches(sys_, s):
+    """One line for each (arithmetic, K) with K up to N*ceil(L/s) where the
+    depth-first search does not reach r*(K) or reaches r*(K)+1."""
+    l = sys_.n_inputs
+    supports = list(itertools.combinations(range(l), s))
+    horizon = sys_.n_states * math.ceil(l / s)
+    found = []
+    for name, span in (("float", _FloatSpan(DEFAULT_TOLERANCE)), ("exact", _ExactSpan())):
+        problems = _descending_blocks(sys_, s, span, False, horizon)
+        for k, (blocks, caps) in enumerate(problems, start=1):
+            counter = _Counter(OracleBudget(), "equivalence sweep")
+            inside, _ = _common_independent(blocks, s, l, span, counter, k)
+            r_star = span.leaf_rank(len(inside), blocks, _supports_of(inside, k))
+            reached = [
+                _best_schedule(blocks, caps, supports, t, span, counter, None, None)
+                is not None
+                for t in (r_star, r_star + 1)
+            ]
+            if reached != [True, False]:
+                found.append(f"{name} K={k}: r*={r_star}, search reaches r*, r*+1: {reached}")
+    return found
 
 
 def main(argv=None):
@@ -90,6 +127,8 @@ def main(argv=None):
             k_exact, _ = min_k_exact(sys_, s, max_k=decision_horizon(sys_, s))
             if k_exact != k:
                 mismatches.append((idx, s, f"oracle_k={k}, exact oracle_k={k_exact}"))
+            for what in rstar_mismatches(sys_, s):
+                mismatches.append((idx, s, what))
             if verdict:
                 controllable += 1
     elapsed = time.perf_counter() - start
@@ -108,7 +147,7 @@ def main(argv=None):
         return 1
     print(
         "float and exact decision tests, q, float oracle and exact oracle "
-        "agree on every pair"
+        "agree on every pair, and r*(K) is the search's best rank at every K"
     )
     return 0
 

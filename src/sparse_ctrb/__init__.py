@@ -7,7 +7,8 @@ the questions into output controllability.  The package provides
 * decisive rank tests (floating-point with explicit tolerances, or exact
   rational arithmetic),
 * lower/upper bounds on the minimal number of steps ``K*`` needed to steer,
-* an exhaustive schedule-enumeration oracle for ``K*`` with witnesses,
+* an oracle for ``K*`` with witnesses: matroid intersection for the best
+  scheduled rank, a depth-first search for the witness schedule,
 * a similarity transform exposing the sparse-controllable subsystem, and
 * minimum-norm sparse input synthesis for reaching a target state or output.
 
@@ -49,6 +50,7 @@ from .decomp import (
 )
 from .errors import (
     BudgetExceededError,
+    InconclusiveError,
     InputError,
     SparseCtrbError,
     UncontrollableSystemError,
@@ -101,6 +103,7 @@ __all__ = [
     "ControllabilityReport",
     "DEFAULT_TOLERANCE",
     "DecompositionResult",
+    "InconclusiveError",
     "InputError",
     "KStarBounds",
     "OracleBudget",

@@ -3,8 +3,9 @@
 Subcommands: ``check``, ``bounds``, ``decompose``, ``oracle``, ``steer``.
 Each reads a JSON system file, writes a JSON report to stdout and a one-line
 human summary to stderr.  Exit codes: 0 the analysis completed (verdicts,
-including negative ones, live in the report), 2 input error, 3 the search
-budget ran out before a verdict (inconclusive).
+including negative ones, live in the report), 2 input error, 3 no verdict
+(inconclusive): the search budget ran out, or the search contradicts the
+sparse test it was bounded by.
 
 Reports are byte-identical across runs for identical inputs and flags; pass
 ``--timing`` to opt into a wall-clock ``elapsed_ms`` field (which breaks that
@@ -34,7 +35,7 @@ from .ctrb import (
     output_pbh_necessary,
 )
 from .decomp import standard_form, verify_standard_form
-from .errors import BudgetExceededError, InputError, UncontrollableSystemError
+from .errors import InconclusiveError, InputError, UncontrollableSystemError
 from .io import build_report, load_system, render_report
 from .linalg import DEFAULT_TOLERANCE, Tolerance
 from .oracle import OracleBudget, _min_k
@@ -333,7 +334,8 @@ def _build_parser():
         type=int,
         default=None,
         dest="max_enumerations",
-        help="enumeration budget before the search reports inconclusive",
+        help="budget of support extensions and matroid-intersection "
+        "augmentations, over all K, before the search reports inconclusive",
     )
     p.add_argument("--deadline", type=float, default=None, help="seconds")
 
@@ -384,7 +386,7 @@ def main(argv=None) -> int:
                 system, args, tol, span
             )
         warning_strings = [str(w.message) for w in caught] + list(extra_warnings)
-    except BudgetExceededError as exc:
+    except InconclusiveError as exc:
         code, witnesses, warning_strings = 3, None, []
         result = {
             "inconclusive": True,

@@ -153,11 +153,15 @@ class _FloatSpan:
     ``min_poly_degree`` and ``support_screen`` (the necessary screen of the
     common-support test, None where the span has none); the schedule search
     in ``oracle`` also uses the incremental span (``empty``, ``extend``,
-    ``leaf_rank``) and ``horizon``.  This span decides ranks at ``tol``;
+    ``leaf_rank``), ``horizon``, and for matroid intersection ``circuits``
+    and ``cut_rank``.  This span decides ranks at ``tol``;
     ``exact._ExactSpan`` answers the same questions in rationals.
     The running span of the search is an orthonormal basis whose dependence
     threshold is biased toward independence, so pruning never drops a viable
     branch; a leaf counts only with the full SVD rank of its scheduled matrix.
+    Matroid intersection takes its circuits from least squares on unit
+    columns, which only guides it: a float cut of a K rests on ``cut_rank``,
+    an SVD rank that no leaf check can exceed.
     """
 
     what = "schedule search"
@@ -214,12 +218,58 @@ class _FloatSpan:
     def leaf_rank(self, dim, blocks, chosen):
         return rank(_scheduled(blocks, chosen, blocks[0].shape[0]), self.tol)
 
+    def circuits(self, blocks, inside, outside):
+        """For each column ``(d, j)`` of ``outside``: None when it is
+        independent of the columns of ``inside``, else the positions in
+        ``inside`` of the columns its least-squares coordinates use.  Every
+        column is scaled to unit length first, so the residual and the
+        coordinates are measured against ``rank_rel * rows`` whatever the
+        power the column comes from."""
+        if not outside:
+            return []
+
+        def unit(columns):
+            m = np.column_stack([blocks[d][:, j] for d, j in columns])
+            lengths = np.linalg.norm(m, axis=0)
+            return m / np.where(lengths > 0, lengths, 1.0)
+
+        y = unit(outside)
+        cut = self.tol.rank_rel * y.shape[0]
+        if inside:
+            b = unit(inside)
+            coef = np.linalg.lstsq(b, y, rcond=None)[0]
+            residual = np.linalg.norm(y - b @ coef, axis=0)
+        else:
+            coef = np.zeros((0, len(outside)))
+            residual = np.linalg.norm(y, axis=0)
+        uses = np.abs(coef) > cut
+        return [
+            None if residual[i] > cut else tuple(np.flatnonzero(uses[:, i]))
+            for i in range(len(outside))
+        ]
+
+    def cut_rank(self, dim, blocks, s, chosen):
+        """SVD rank of the columns ``chosen`` picks from ``blocks``, counted
+        at a threshold no leaf check exceeds.  A leaf holds s columns of every
+        block, so its largest singular value is at least the s-th shortest
+        column of each block, and its threshold at least ``rank_rel * rows``
+        times the largest of those lengths; by interlacing, no leaf's rank
+        on these columns is then above the count."""
+        n = blocks[0].shape[0]
+        m = _scheduled(blocks, chosen, n)
+        if m.shape[1] == 0:
+            return 0
+        floor = max(np.sort(np.linalg.norm(b, axis=0))[s - 1] for b in blocks)
+        sigma = np.linalg.svd(m, compute_uv=False)
+        return int(np.count_nonzero(sigma > self.tol.rank_rel * n * floor))
+
     def horizon(self, sys, s, output):
-        from .oracle import _partition_horizon, decision_horizon
+        """``(K, proven)``; see ``oracle._sparse_horizon``."""
+        from .oracle import _partition_horizon, _sparse_horizon
 
         if output:
-            return _partition_horizon(sys, s)
-        return decision_horizon(sys, s, self.tol)
+            return _partition_horizon(sys, s), False
+        return _sparse_horizon(sys, s, self)
 
 
 def pbh_test(sys: SystemModel, tol: Tolerance = DEFAULT_TOLERANCE) -> ControllabilityReport:

@@ -14,13 +14,19 @@ class UncontrollableSystemError(SparseCtrbError):
     (e.g. the minimal controllable support size or a steering-time bound)."""
 
 
-class BudgetExceededError(SparseCtrbError):
-    """A combinatorial search ran out of budget before reaching a verdict.
+class InconclusiveError(SparseCtrbError):
+    """A search ended without a verdict it can stand behind.
 
     This is an inconclusive outcome, distinct from a negative answer.
+    ``enumerations`` is the work spent, ``k_reached`` the schedule length
+    the search had reached.
     """
 
     def __init__(self, message, enumerations=None, k_reached=None):
         super().__init__(message)
         self.enumerations = enumerations
         self.k_reached = k_reached
+
+
+class BudgetExceededError(InconclusiveError):
+    """A combinatorial search ran out of budget before reaching a verdict."""

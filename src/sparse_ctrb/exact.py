@@ -52,6 +52,16 @@ def _matmul(a, b):
     )
 
 
+def _reduce(pivots, v):
+    """``v`` less the multiples of the pivot vectors ``(idx, p)`` that clear
+    its entries at their pivot indices."""
+    for idx, p in pivots:
+        if v[idx] != 0:
+            f = v[idx] / p[idx]
+            v = [a - f * b for a, b in zip(v, p)]
+    return v
+
+
 def _dims(blocks):
     """Dimension of the span after each block has been added to it."""
     pivots = ()
@@ -120,11 +130,7 @@ class _ExactSpan:
         for j in support:
             if len(pivots) == len(block):  # the span is the whole space
                 break
-            v = [row[j] for row in block]
-            for idx, p in pivots:
-                if v[idx] != 0:
-                    f = v[idx] / p[idx]
-                    v = [a - f * b for a, b in zip(v, p)]
+            v = _reduce(pivots, [row[j] for row in block])
             pivot_idx = next((i for i, x in enumerate(v) if x != 0), None)
             if pivot_idx is not None:
                 pivots.append((pivot_idx, v))
@@ -135,8 +141,33 @@ class _ExactSpan:
         return dim
 
     @staticmethod
+    def circuits(blocks, inside, outside):
+        """For each column ``(d, j)`` of ``outside``: None when it is
+        independent of the columns of ``inside``, else the positions in
+        ``inside`` of the columns it is a combination of.  ``extend``'s
+        elimination on columns extended by their coordinates over ``inside``,
+        which the elimination carries along."""
+        n, r = len(blocks[0]), len(inside)
+        pivots = []
+        for i, (d, j) in enumerate(inside):
+            coords = [int(i == t) for t in range(r)]
+            v = _reduce(pivots, [row[j] for row in blocks[d]] + coords)
+            pivots.append((next(t for t in range(n) if v[t] != 0), v))
+        found = []
+        for d, j in outside:
+            v = _reduce(pivots, [row[j] for row in blocks[d]] + [0] * r)
+            found.append(
+                None if any(v[:n]) else tuple(t for t in range(r) if v[n + t] != 0)
+            )
+        return found
+
+    @staticmethod
+    def cut_rank(dim, blocks, s, chosen):
+        return dim
+
+    @staticmethod
     def horizon(sys, s, output):
-        return _partition_horizon(sys, s)
+        return _partition_horizon(sys, s), False
 
 
 def rank_exact(m) -> int:

@@ -1,21 +1,29 @@
-"""Brute-force schedule enumeration: the ground truth the fast tests answer to.
+"""Schedule search: the minimal steering time K* and its witness.
 
 A support schedule fixes which ``s`` input channels are active at each of K
 steps; the scheduled reachability matrix is ``[D^(K-1) H_{S_1}, ...,
 H_{S_K}]``, mapped through A for output questions.  The system is s-sparse
 controllable iff some schedule of some length reaches rank N.
 
-There is one search.  ``_best_schedule`` is the depth-first kernel: for one
-K it returns the best rank reached and the lexicographically first schedule
-reaching it.  ``_min_k`` runs the kernel for K = 1, 2, ... under one
-budget.  State and output targets, float and exact arithmetic all
-go through these two; the arithmetic is a *span* object, ``ctrb._FloatSpan``
-or ``exact._ExactSpan``.  Worst-case cost is exponential in K; budgets make
-overruns an explicit inconclusive outcome instead of a wrong answer.
+For one K the best rank r*(K) of a schedule is the size of a largest common
+independent set of two matroids on the columns ``D^p h_j``: the linear
+matroid, and the partition matroid with capacity s per power.
+``_common_independent`` finds one by shortest augmenting paths (Edmonds
+1970; Cunningham, SIAM J. Comput. 1986), in polynomial time.  The witness
+comes from ``_best_schedule``, a depth-first search that returns the
+lexicographically first schedule reaching the target rank.  ``_min_k`` runs
+the two for K = 1, 2, ... under one budget: the search first, and once it
+has spent one greedy descent's worth of extensions at a K, the kernel, whose
+weak-duality bound skips every K where no schedule can reach the target.
+State and output targets, float and exact arithmetic all go through these;
+the arithmetic is a *span* object, ``ctrb._FloatSpan`` or
+``exact._ExactSpan``.  Budgets bound the whole run and make overruns an
+explicit inconclusive outcome instead of a wrong answer.
 """
 
 from __future__ import annotations
 
+import collections
 import itertools
 import math
 import time
@@ -26,7 +34,7 @@ import numpy as np
 
 from .bounds import _kstar_bounds
 from .ctrb import SystemModel, _check_sparsity, _FloatSpan, _require_output_map
-from .errors import BudgetExceededError, UncontrollableSystemError
+from .errors import BudgetExceededError, InconclusiveError, UncontrollableSystemError
 from .linalg import DEFAULT_TOLERANCE, Tolerance, _powers, _scheduled
 
 __all__ = [
@@ -156,70 +164,165 @@ def _descending_blocks(sys, s, span, output, k_max):
         yield blocks, caps
 
 
-def _best_schedule(blocks, caps, supports, target, floor, span, counter):
+class _Settled(Exception):
+    """The search gave up on a K that matroid intersection proved blocked."""
+
+
+def _best_schedule(blocks, caps, supports, target, span, counter, patience, blocked):
     """Depth-first search over schedules of the descending-power ``blocks``.
 
     Supports are tried in lexicographic order, schedule positions left to
-    right.  Returns the best rank above ``floor`` (or ``floor`` itself) and
-    the first schedule that reached it (None if none rose above ``floor``).
-    Branches whose rank plus the capacity of the blocks still to come cannot
-    beat the best so far are cut, and the search stops at the ceiling
-    ``min(target, rank of all blocks, sum of capacities)``.
+    right.  Returns the first schedule whose rank reaches ``target``, or
+    None.  Branches whose rank plus the capacity of the blocks still to come
+    stays below ``target`` are cut, and nothing is searched when the
+    capacities or the rank of all blocks fall short.  After ``patience``
+    extensions (None: never) the search asks ``blocked()`` once and gives up
+    when it answers true.
     """
     k = len(blocks)
     suffix_cap = [0] * (k + 1)  # capacity of the blocks at depths >= d
     for d in range(k - 1, -1, -1):
         suffix_cap[d] = suffix_cap[d + 1] + caps[d]
-    ceiling = min(target, suffix_cap[0])
-    if ceiling > floor:
-        ceiling = min(ceiling, span.rank(blocks))
-    best, witness = floor, None
+    if suffix_cap[0] < target or span.rank(blocks) < target:
+        return None
     chosen = []
+    tried = 0
 
     def dfs(depth, basis):
-        nonlocal best, witness
+        nonlocal tried
         for sup in supports:
+            if tried == patience and blocked():
+                raise _Settled
+            tried += 1
             counter.tick(k)
             nxt, dim = span.extend(basis, blocks[depth], sup)
-            if dim + suffix_cap[depth + 1] <= best:
+            if dim + suffix_cap[depth + 1] < target:
                 continue
             chosen.append(sup)
             if depth + 1 < k:
-                dfs(depth + 1, nxt)
-            elif dim > best:
-                reached = span.leaf_rank(dim, blocks, chosen)
-                if reached > best:
-                    best, witness = reached, tuple(chosen)
+                found = dfs(depth + 1, nxt)
+            else:
+                found = span.leaf_rank(dim, blocks, chosen) >= target
+            if found:
+                return True
             chosen.pop()
-            if best == ceiling:
-                return
+        return False
 
-    if best < ceiling:
-        dfs(0, span.empty(blocks[0]))
-    return best, witness
+    try:
+        return tuple(chosen) if dfs(0, span.empty(blocks[0])) else None
+    except _Settled:
+        return None
+
+
+def _common_independent(blocks, s, l, span, counter, k, inside=()):
+    """A largest set of columns ``(d, j)`` of ``blocks`` (``l`` columns
+    each), at most ``s`` from each block, independent in the span: grown from
+    the common independent set ``inside`` by shortest augmenting paths.
+
+    Returns ``(inside, reach)``.  ``reach`` is the set of columns from which
+    the final exchange graph reaches a block with room left, the U of the
+    min-max theorem: rank(U) + sum over blocks of min(s, |block - U|) equals
+    ``len(inside)``, and bounds the rank of every schedule by weak duality.
+    The arcs come from one span solve per outside column per augmentation,
+    and each augmentation ticks ``counter``.
+    """
+    ground = [(d, j) for d in range(len(blocks)) for j in range(l)]
+    inside = sorted(inside)
+    while True:
+        counter.tick(k)
+        members = set(inside)
+        outside = [y for y in ground if y not in members]
+        circuits = span.circuits(blocks, inside, outside)
+        used = collections.Counter(d for d, _ in inside)
+        arcs = collections.defaultdict(list)  # exchanges that keep a matroid
+        for y, circuit in zip(outside, circuits):
+            for i in circuit or ():
+                arcs[inside[i]].append(y)  # inside - x + y stays independent
+            if used[y[0]] == s:
+                arcs[y] = [x for x in inside if x[0] == y[0]]
+        sinks = {y for y in outside if used[y[0]] < s}
+        came_from = {y: None for y, c in zip(outside, circuits) if c is None}
+        queue = collections.deque(came_from)
+        while queue:
+            v = queue.popleft()
+            if v in sinks:
+                while v is not None:
+                    members ^= {v}
+                    v = came_from[v]
+                inside = sorted(members)
+                break
+            for w in arcs[v]:
+                if w not in came_from:
+                    came_from[w] = v
+                    queue.append(w)
+        else:
+            back = collections.defaultdict(list)
+            for v, targets in list(arcs.items()):
+                for w in targets:
+                    back[w].append(v)
+            reach, queue = set(sinks), collections.deque(sinks)
+            while queue:
+                for v in back[queue.popleft()]:
+                    if v not in reach:
+                        reach.add(v)
+                        queue.append(v)
+            return inside, reach
+
+
+def _supports_of(columns, k):
+    """Per-block sorted channel tuples of a set of ``(d, j)`` columns."""
+    return [tuple(sorted(j for d, j in columns if d == depth)) for depth in range(k)]
+
+
+def _blocked(blocks, s, l, target, span, counter, k):
+    """True when matroid intersection proves that no schedule of s channels
+    per block reaches ``target`` on ``blocks``.  The weak-duality bound
+    rank(U) + sum min(s, |block - U|) must stay below ``target``, with the
+    span counting rank(U) so that no leaf check counts more on U's columns."""
+    inside, reach = _common_independent(blocks, s, l, span, counter, k)
+    spare = sum(
+        min(s, l - sum(1 for d, _ in reach if d == depth)) for depth in range(k)
+    )
+    dim = sum(1 for x in inside if x in reach)
+    return span.cut_rank(dim, blocks, s, _supports_of(reach, k)) + spare < target
 
 
 def _min_k(sys, s, budget, span, output=False, first_k=1):
     """Smallest K in ``first_k..max_k`` at which a schedule reaches full state
     (or output) rank, as ``(K, supports, max_k)``; ``(None, None, max_k)``
     when none does.  One budget covers every K, and ``max_k`` defaults to the
-    span's decisive horizon."""
+    span's decisive horizon.  When that horizon is the steering bound of a
+    passed sparse test, a search that finds nothing contradicts the test and
+    is reported inconclusive: the rank decisions disagree at this tolerance."""
     if output:
         _require_output_map(sys)
     _check_sparsity(sys, s)
-    max_k = budget.max_k if budget.max_k is not None else span.horizon(sys, s, output)
+    if budget.max_k is None:
+        max_k, proven = span.horizon(sys, s, output)
+    else:
+        max_k, proven = budget.max_k, False
     counter = _Counter(budget, span.what)
     target = sys.n_outputs if output else sys.n_states
-    supports = list(itertools.combinations(range(sys.n_inputs), s))
+    l = sys.n_inputs
+    supports = list(itertools.combinations(range(l), s))
     problems = _descending_blocks(sys, s, span, output, max_k)
     for k, (blocks, caps) in enumerate(problems, start=1):
         if k < first_k:
             continue
-        _, witness = _best_schedule(
-            blocks, caps, supports, target, target - 1, span, counter
+        witness = _best_schedule(
+            blocks, caps, supports, target, span, counter,
+            patience=k * len(supports),
+            blocked=lambda: _blocked(blocks, s, l, target, span, counter, k),
         )
         if witness is not None:
             return k, witness, max_k
+    if proven:
+        raise InconclusiveError(
+            f"{span.what} found no schedule up to K={max_k}, the sparse "
+            "steering-time upper bound, although the sparse test passed",
+            enumerations=counter.used,
+            k_reached=max_k,
+        )
     return None, None, max_k
 
 
@@ -260,10 +363,17 @@ def decision_horizon(sys: SystemModel, s: int, tol: Tolerance = DEFAULT_TOLERANC
     reaches rank N, none of any length does (repeating the partition schedule
     N times realizes the unconstrained rank).
     """
+    return _sparse_horizon(sys, s, _FloatSpan(tol))[0]
+
+
+def _sparse_horizon(sys, s, span):
+    """``(K, proven)``: the decision horizon in the span's arithmetic, and
+    whether it is the steering bound of a passed sparse test, which proves
+    that some schedule of at most K steps reaches rank N."""
     try:
-        return _kstar_bounds(sys, "sparse", s, _FloatSpan(tol)).upper
+        return _kstar_bounds(sys, "sparse", s, span).upper, True
     except UncontrollableSystemError:
-        return _partition_horizon(sys, s)
+        return _partition_horizon(sys, s), False
 
 
 def exact_min_k(
@@ -276,7 +386,10 @@ def exact_min_k(
 
     Searches K = 1..max_k (the decision horizon by default) and returns
     ``(None, None)`` when no schedule exists within that range, which is
-    definitive when max_k is at least the decision horizon.
+    definitive when max_k is at least the decision horizon.  When the
+    default horizon is the steering bound of a passed sparse test and no
+    schedule reaches rank N, the two contradict each other and
+    ``InconclusiveError`` is raised.
     """
     k, witness, _ = _min_k(sys, s, budget or OracleBudget(), _FloatSpan(tol))
     if witness is None:
@@ -291,22 +404,26 @@ def rstar_sequence(
     budget: Optional[OracleBudget] = None,
     tol: Tolerance = DEFAULT_TOLERANCE,
 ):
-    """Best achievable scheduled rank for each K = 1..k_max.
+    """Best achievable scheduled rank r*(K) for each K = 1..k_max.
 
     The sequence increases strictly until the minimal steering time and is
-    constant afterwards.
+    constant afterwards.  Each entry is the SVD rank of the columns of a
+    largest common independent set, grown from the previous K's set (moved
+    one block down behind the new top power); the budget counts
+    augmentations.
     """
     _check_sparsity(sys, s)
     if not (isinstance(k_max, (int, np.integer)) and k_max >= 1):
         raise ValueError(f"k_max must be a positive integer, got {k_max!r}")
     span = _FloatSpan(tol)
     counter = _Counter(budget or OracleBudget(), span.what)
-    supports = list(itertools.combinations(range(sys.n_inputs), s))
     problems = _descending_blocks(sys, s, span, False, int(k_max))
-    return [
-        _best_schedule(blocks, caps, supports, sys.n_states, 0, span, counter)[0]
-        for blocks, caps in problems
-    ]
+    l, inside, sequence = sys.n_inputs, [], []
+    for k, (blocks, _) in enumerate(problems, start=1):
+        inside = [(d + 1, j) for d, j in inside]
+        inside, _ = _common_independent(blocks, s, l, span, counter, k, inside)
+        sequence.append(span.leaf_rank(len(inside), blocks, _supports_of(inside, k)))
+    return sequence
 
 
 def output_kalman_type_rank_test(

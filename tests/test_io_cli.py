@@ -17,6 +17,7 @@ from sparse_ctrb import (
     save_system,
 )
 from sparse_ctrb.cli import main
+from sparse_ctrb.ctrb import _FloatSpan
 from sparse_ctrb.io import (
     REPORT_SCHEMA,
     SCHEMA_VERSION,
@@ -192,8 +193,8 @@ class TestCliExitCodes:
         assert report["elapsed_ms"] >= 0
 
     def test_output_budget_covers_every_k(self, capsys, tmp_path):
-        # Output rank 3 is out of reach; each K needs at most 252 support
-        # extensions, all K = 1..8 together need 480.
+        # Output rank 3 is out of reach; each K needs at most 19 support
+        # extensions and augmentations, K = 1..7 together 60, all K = 1..8 79.
         system = SystemModel(
             D=np.array(
                 [[0, 0, 1, 0], [0, -1, 0, 0], [0, 0, -1, 0], [0, 0, 0, 0]], float
@@ -201,14 +202,14 @@ class TestCliExitCodes:
             H=np.array([[-1, 1], [-1, 0], [1, 0], [1, 1]], float),
             A=np.array([[-1, -1, 1, 1], [1, -1, 1, 0], [-1, 0, -1, 0]], float),
         )
-        budget = OracleBudget(max_enumerations=300)
+        budget = OracleBudget(max_enumerations=60)
         for k in range(1, 9):
             assert output_kalman_type_rank_test(system, 1, k, budget) == (False, None)
         path = tmp_path / "output-budget.json"
         save_system(path, system, name="output-budget")
         argv = ["oracle", str(path), "-s", "1", "--mode", "output"]
-        assert run_cli(capsys, *argv, "--budget", "480")[0] == 0
-        code, out, _ = run_cli(capsys, *argv, "--budget", "300")
+        assert run_cli(capsys, *argv, "--budget", "79")[0] == 0
+        code, out, _ = run_cli(capsys, *argv, "--budget", "60")
         assert code == 3
         report = json.loads(out)
         assert report["result"]["inconclusive"] is True
@@ -216,15 +217,17 @@ class TestCliExitCodes:
 
     def test_rational_deadline_stops_search(self, capsys, tmp_path):
         # Not 1-sparse controllable (N=3 > s + rank D = 2), yet from K = 3 on
-        # the blocks reach rank 3, so the search is exhaustive up to K = 12.
-        path = tmp_path / "f3.json"
+        # the blocks reach rank 3.  With 16 channels the horizon is K = 48,
+        # and each K costs 16 K extensions before matroid intersection rules
+        # it out: seconds of rational arithmetic in all.
+        path = tmp_path / "f3-wide.json"
         save_system(
             path,
             SystemModel(
                 D=np.diag([2.0, 0.0, 0.0]),
-                H=np.array([[1, 1, 1, 1], [1, 0, 1, 0], [0, 1, 0, 1]], float),
+                H=np.array([[1] * 16, [1, 0] * 8, [0, 1] * 8], float),
             ),
-            name="f3",
+            name="f3-wide",
         )
         started = time.monotonic()
         code, out, _ = run_cli(
@@ -236,6 +239,45 @@ class TestCliExitCodes:
         report = json.loads(out)
         assert report["exact"] is True
         assert "deadline" in report["result"]["reason"]
+
+    @pytest.mark.parametrize("rational", [False, True], ids=["float", "rational"])
+    def test_blocked_search_settles_quickly(self, capsys, tmp_path, rational):
+        # Not 1-sparse controllable, and every K >= 3 has blocks of rank 3:
+        # the depth-first search alone spends a million extensions here.
+        path = tmp_path / "f3.json"
+        save_system(
+            path,
+            SystemModel(
+                D=np.diag([2.0, 0.0, 0.0]),
+                H=np.array([[1, 1, 1, 1], [1, 0, 1, 0], [0, 1, 0, 1]], float),
+            ),
+            name="f3",
+        )
+        argv = ["oracle", str(path), "-s", "1", "--budget", "20000"]
+        started = time.monotonic()
+        code, out, _ = run_cli(capsys, *argv, *(["--rational"] if rational else []))
+        assert time.monotonic() - started < 2
+        assert code == 0
+        report = json.loads(out)
+        assert report["result"]["k_star"] is None
+        assert report["result"]["max_k_searched"] == 12
+
+    def test_search_contradicting_sparse_test_is_inconclusive(self, capsys, monkeypatch):
+        # A q that is too small (as on ill-conditioned D) shrinks the steering
+        # bound below K* = 3; the default search must not turn that into a
+        # definite "no schedule", but an explicit --max-k still may.
+        monkeypatch.setattr(_FloatSpan, "min_poly_degree", lambda self, d: 1)
+        argv = ["oracle", str(FIXTURES / "nilpotent-chain.json"), "-s", "1"]
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 3
+        report = json.loads(out)
+        jsonschema.validate(report, REPORT_SCHEMA)
+        assert report["result"]["inconclusive"] is True
+        assert report["result"]["k_reached"] == 1
+        assert "sparse steering-time upper bound" in report["result"]["reason"]
+        code, out, _ = run_cli(capsys, *argv, "--max-k", "1")
+        assert code == 0
+        assert json.loads(out)["result"]["k_star"] is None
 
     def test_missing_required_flag_exits_two(self, capsys):
         with pytest.raises(SystemExit) as exc:

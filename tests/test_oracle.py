@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -22,6 +23,16 @@ from sparse_ctrb import (
     schedule_submatrix,
     rstar_sequence,
     sparse_pbh_test,
+)
+from sparse_ctrb.ctrb import _FloatSpan
+from sparse_ctrb.exact import _ExactSpan
+from sparse_ctrb.linalg import DEFAULT_TOLERANCE
+from sparse_ctrb.oracle import (
+    _best_schedule,
+    _common_independent,
+    _Counter,
+    _descending_blocks,
+    _supports_of,
 )
 from tests.conftest import small_systems
 
@@ -175,6 +186,52 @@ class TestRstarSequence:
         assert seq[-1] <= sys.n_states
         # First entry is the best single-block rank min(rank H, s) can give.
         assert seq[0] == min(rank(sys.H), s, sys.n_states)
+
+
+class TestCommonIndependent:
+    @pytest.mark.parametrize(
+        "span", [_FloatSpan(DEFAULT_TOLERANCE), _ExactSpan()], ids=["float", "exact"]
+    )
+    @given(small_systems(max_n=4), st.data())
+    def test_kernel_rank_is_search_best_rank(self, span, sys, data):
+        # r*(K) of matroid intersection (float: the SVD rank of its columns)
+        # is the best rank of the depth-first search: it reaches r*, not r*+1.
+        s = data.draw(st.integers(1, sys.n_inputs))
+        l = sys.n_inputs
+        supports = list(itertools.combinations(range(l), s))
+        counter = _Counter(OracleBudget(), "test")
+
+        def reaches(blocks, caps, target):
+            found = _best_schedule(
+                blocks, caps, supports, target, span, counter, None, None
+            )
+            return found is not None
+
+        horizon = sys.n_states * math.ceil(l / s)
+        problems = _descending_blocks(sys, s, span, False, horizon)
+        for k, (blocks, caps) in enumerate(problems, start=1):
+            inside, _ = _common_independent(blocks, s, l, span, counter, k)
+            assert all(sum(d == depth for d, _ in inside) <= s for depth in range(k))
+            r_star = span.leaf_rank(len(inside), blocks, _supports_of(inside, k))
+            assert reaches(blocks, caps, r_star)
+            assert not reaches(blocks, caps, r_star + 1)
+
+    @pytest.mark.parametrize(
+        "span", [_FloatSpan(DEFAULT_TOLERANCE), _ExactSpan()], ids=["float", "exact"]
+    )
+    def test_exchange_beats_greedy_order(self, span):
+        # Taking independent columns power by power reaches rank 3 at K = 2;
+        # rank 4 needs an augmenting path through an exchange.
+        sys = SystemModel(
+            D=np.array([[1, 0, -2, 0], [0, 0, 0, -1], [0, 0, 0, -2], [-1, 0, 0, 0]], float),
+            H=np.array([[0, -1, 0], [0, 0, 0], [2, 0, 0], [0, 0, -2]], float),
+        )
+        blocks, _ = list(_descending_blocks(sys, 2, span, False, 2))[-1]
+        counter = _Counter(OracleBudget(), "test")
+        inside, _ = _common_independent(blocks, 2, 3, span, counter, 2)
+        assert len(inside) == 4
+        assert span.leaf_rank(4, blocks, _supports_of(inside, 2)) == 4
+        assert exact_min_k(sys, 2)[0] == 2
 
 
 class TestDecisionHorizon:
