@@ -4,7 +4,8 @@
 Samples deduplicated integer systems, runs the algebraic decision test and
 the exhaustive schedule search on each (system, sparsity) pair, and reports
 any disagreement.  The search runs twice, in float (``exact_min_k``) and in
-rational arithmetic (``min_k_exact``), and the two K* must agree too; so must
+rational arithmetic (``min_k_exact``), both to the horizon N*ceil(L/s), and
+the two K* must agree too, with an inconclusive search a mismatch; so must
 the float and exact decision tests (``sparse_pbh_test`` against
 ``sparse_controllable_exact``: verdict, rank condition and slack) and, once
 per system, the float and exact minimal-polynomial degrees of D.  For every
@@ -25,9 +26,9 @@ import time
 import numpy as np
 
 from sparse_ctrb import (
+    InconclusiveError,
     OracleBudget,
     SystemModel,
-    decision_horizon,
     exact_min_k,
     min_k_exact,
     min_poly_degree,
@@ -121,12 +122,19 @@ def main(argv=None):
                     (idx, s, f"decision={float_test}, exact decision={exact_test}")
                 )
             verdict = rep.verdict
-            k, _ = exact_min_k(sys_, s)
-            if verdict != (k is not None):
-                mismatches.append((idx, s, f"decision={verdict}, oracle_k={k}"))
-            k_exact, _ = min_k_exact(sys_, s, max_k=decision_horizon(sys_, s))
-            if k_exact != k:
-                mismatches.append((idx, s, f"oracle_k={k}, exact oracle_k={k_exact}"))
+            horizon = sys_.n_states * math.ceil(sys_.n_inputs / s)
+            try:
+                k, _ = exact_min_k(sys_, s)
+                k_exact, _ = min_k_exact(sys_, s, max_k=horizon)
+            except InconclusiveError as exc:
+                mismatches.append((idx, s, f"inconclusive search: {exc}"))
+            else:
+                if verdict != (k is not None):
+                    mismatches.append((idx, s, f"decision={verdict}, oracle_k={k}"))
+                if k_exact != k:
+                    mismatches.append(
+                        (idx, s, f"oracle_k={k}, exact oracle_k={k_exact}")
+                    )
             for what in rstar_mismatches(sys_, s):
                 mismatches.append((idx, s, what))
             if verdict:

@@ -4,8 +4,8 @@ Subcommands: ``check``, ``bounds``, ``decompose``, ``oracle``, ``steer``.
 Each reads a JSON system file, writes a JSON report to stdout and a one-line
 human summary to stderr.  Exit codes: 0 the analysis completed (verdicts,
 including negative ones, live in the report), 2 input error, 3 no verdict
-(inconclusive): the search budget ran out, or the search contradicts the
-sparse test it was bounded by.
+(inconclusive): the search budget ran out, or the sparse test referees the
+search (``oracle._min_k``).
 
 Reports are byte-identical across runs for identical inputs and flags; pass
 ``--timing`` to opt into a wall-clock ``elapsed_ms`` field (which breaks that

@@ -153,8 +153,8 @@ class _FloatSpan:
     ``min_poly_degree`` and ``support_screen`` (the necessary screen of the
     common-support test, None where the span has none); the schedule search
     in ``oracle`` also uses the incremental span (``empty``, ``extend``,
-    ``leaf_rank``), ``horizon``, and for matroid intersection ``circuits``
-    and ``cut_rank``.  This span decides ranks at ``tol``;
+    ``leaf_rank``), and for matroid intersection ``circuits`` and
+    ``cut_rank``.  This span decides ranks at ``tol``;
     ``exact._ExactSpan`` answers the same questions in rationals.
     The running span of the search is an orthonormal basis whose dependence
     threshold is biased toward independence, so pruning never drops a viable
@@ -262,14 +262,6 @@ class _FloatSpan:
         floor = max(np.sort(np.linalg.norm(b, axis=0))[s - 1] for b in blocks)
         sigma = np.linalg.svd(m, compute_uv=False)
         return int(np.count_nonzero(sigma > self.tol.rank_rel * n * floor))
-
-    def horizon(self, sys, s, output):
-        """``(K, proven)``; see ``oracle._sparse_horizon``."""
-        from .oracle import _partition_horizon, _sparse_horizon
-
-        if output:
-            return _partition_horizon(sys, s), False
-        return _sparse_horizon(sys, s, self)
 
 
 def pbh_test(sys: SystemModel, tol: Tolerance = DEFAULT_TOLERANCE) -> ControllabilityReport:

@@ -25,7 +25,7 @@ from .ctrb import (
     _sparse_test,
 )
 from .linalg import _powers
-from .oracle import OracleBudget, _min_k, _partition_horizon
+from .oracle import OracleBudget, _min_k
 
 __all__ = [
     "to_fractions",
@@ -164,10 +164,6 @@ class _ExactSpan:
     @staticmethod
     def cut_rank(dim, blocks, s, chosen):
         return dim
-
-    @staticmethod
-    def horizon(sys, s, output):
-        return _partition_horizon(sys, s), False
 
 
 def rank_exact(m) -> int:

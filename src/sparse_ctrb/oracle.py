@@ -14,7 +14,8 @@ comes from ``_best_schedule``, a depth-first search that returns the
 lexicographically first schedule reaching the target rank.  ``_min_k`` runs
 the two for K = 1, 2, ... under one budget: the search first, and once it
 has spent one greedy descent's worth of extensions at a K, the kernel, whose
-weak-duality bound skips every K where no schedule can reach the target.
+weak-duality bound skips every K where no schedule can reach the target,
+up to the horizon N * ceil(L/s) (the horizon rule is stated at ``_min_k``).
 State and output targets, float and exact arithmetic all go through these;
 the arithmetic is a *span* object, ``ctrb._FloatSpan`` or
 ``exact._ExactSpan``.  Budgets bound the whole run and make overruns an
@@ -24,6 +25,7 @@ explicit inconclusive outcome instead of a wrong answer.
 from __future__ import annotations
 
 import collections
+import functools
 import itertools
 import math
 import time
@@ -33,7 +35,13 @@ from typing import Optional
 import numpy as np
 
 from .bounds import _kstar_bounds
-from .ctrb import SystemModel, _check_sparsity, _FloatSpan, _require_output_map
+from .ctrb import (
+    SystemModel,
+    _check_sparsity,
+    _FloatSpan,
+    _require_output_map,
+    _sparse_test,
+)
 from .errors import BudgetExceededError, InconclusiveError, UncontrollableSystemError
 from .linalg import DEFAULT_TOLERANCE, Tolerance, _powers, _scheduled
 
@@ -52,7 +60,8 @@ __all__ = [
 
 @dataclass(frozen=True)
 class OracleBudget:
-    """Search budget. ``max_k=None`` lets callers derive the decision horizon."""
+    """Search budget. ``max_k=None`` searches to the decisive horizon
+    N * ceil(L/s) (see ``_min_k``)."""
 
     max_k: Optional[int] = None
     max_enumerations: int = 1_000_000
@@ -168,7 +177,8 @@ class _Settled(Exception):
     """The search gave up on a K that matroid intersection proved blocked."""
 
 
-def _best_schedule(blocks, caps, supports, target, span, counter, patience, blocked):
+def _best_schedule(blocks, caps, supports, target, span, counter, patience, blocked,
+                   fragile=None):
     """Depth-first search over schedules of the descending-power ``blocks``.
 
     Supports are tried in lexicographic order, schedule positions left to
@@ -177,7 +187,8 @@ def _best_schedule(blocks, caps, supports, target, span, counter, patience, bloc
     stays below ``target`` are cut, and nothing is searched when the
     capacities or the rank of all blocks fall short.  After ``patience``
     extensions (None: never) the search asks ``blocked()`` once and gives up
-    when it answers true.
+    when it answers true.  A leaf whose running span reaches ``target`` but
+    whose ``leaf_rank`` does not calls ``fragile(rank)``, which may raise.
     """
     k = len(blocks)
     suffix_cap = [0] * (k + 1)  # capacity of the blocks at depths >= d
@@ -202,7 +213,10 @@ def _best_schedule(blocks, caps, supports, target, span, counter, patience, bloc
             if depth + 1 < k:
                 found = dfs(depth + 1, nxt)
             else:
-                found = span.leaf_rank(dim, blocks, chosen) >= target
+                rank = span.leaf_rank(dim, blocks, chosen)
+                found = rank >= target
+                if not found and fragile:
+                    fragile(rank)
             if found:
                 return True
             chosen.pop()
@@ -287,22 +301,41 @@ def _blocked(blocks, s, l, target, span, counter, k):
     return span.cut_rank(dim, blocks, s, _supports_of(reach, k)) + spare < target
 
 
+def _partition_horizon(sys, s):
+    return sys.n_states * math.ceil(sys.n_inputs / s)
+
+
 def _min_k(sys, s, budget, span, output=False, first_k=1):
     """Smallest K in ``first_k..max_k`` at which a schedule reaches full state
     (or output) rank, as ``(K, supports, max_k)``; ``(None, None, max_k)``
-    when none does.  One budget covers every K, and ``max_k`` defaults to the
-    span's decisive horizon.  When that horizon is the steering bound of a
-    passed sparse test, a search that finds nothing contradicts the test and
-    is reported inconclusive: the rank decisions disagree at this tolerance."""
+    when none does.  One budget covers every K.
+
+    The horizon rule: ``max_k`` defaults to N * ceil(L/s), which decides the
+    question.  A passed sparse test gives K* <= q * ceil(S*/s) <= N * ceil(L/s)
+    by the steering bound, as q <= N and S* <= L; a failed one rules out every
+    K.  (Output questions stop there too, above their bound
+    q * ceil(rank H/s).)  Under that default and a state target, when the
+    span's sparse test (run at most once) passes, a search that finds nothing
+    is inconclusive, and so, at once, is a leaf whose running span reaches N
+    but whose ``leaf_rank`` does not: a witness past it is not robust."""
     if output:
         _require_output_map(sys)
     _check_sparsity(sys, s)
-    if budget.max_k is None:
-        max_k, proven = span.horizon(sys, s, output)
-    else:
-        max_k, proven = budget.max_k, False
+    max_k = budget.max_k or _partition_horizon(sys, s)
     counter = _Counter(budget, span.what)
     target = sys.n_outputs if output else sys.n_states
+
+    @functools.cache
+    def sparse_test_passes():
+        holds, _, _, slack = _sparse_test(sys, s, span)
+        return holds and slack >= 0
+
+    def referee(k, reason):
+        if budget.max_k is None and not output and sparse_test_passes():
+            raise InconclusiveError(
+                f"{span.what} {reason}", enumerations=counter.used, k_reached=k
+            )
+
     l = sys.n_inputs
     supports = list(itertools.combinations(range(l), s))
     problems = _descending_blocks(sys, s, span, output, max_k)
@@ -313,16 +346,13 @@ def _min_k(sys, s, budget, span, output=False, first_k=1):
             blocks, caps, supports, target, span, counter,
             patience=k * len(supports),
             blocked=lambda: _blocked(blocks, s, l, target, span, counter, k),
+            fragile=lambda r: referee(k, f"at K={k}: a leaf's running span has rank "
+                                      f"{target}, its SVD rank {r}; ill-posed"),
         )
         if witness is not None:
             return k, witness, max_k
-    if proven:
-        raise InconclusiveError(
-            f"{span.what} found no schedule up to K={max_k}, the sparse "
-            "steering-time upper bound, although the sparse test passed",
-            enumerations=counter.used,
-            k_reached=max_k,
-        )
+    referee(max_k, f"found no schedule up to K={max_k}, at least the sparse "
+            "steering-time upper bound, although the sparse test passed")
     return None, None, max_k
 
 
@@ -331,9 +361,7 @@ def _rank_test(sys, s, k, budget, tol, output):
         raise ValueError(f"K must be a positive integer, got {k!r}")
     budget = replace(budget or OracleBudget(), max_k=int(k))
     _, witness, _ = _min_k(sys, s, budget, _FloatSpan(tol), output, first_k=int(k))
-    if witness is None:
-        return False, None
-    return True, SupportSchedule(supports=witness, s=s)
+    return (True, SupportSchedule(witness, s)) if witness else (False, None)
 
 
 def kalman_type_rank_test(
@@ -351,29 +379,14 @@ def kalman_type_rank_test(
     return _rank_test(sys, s, k, budget, tol, output=False)
 
 
-def _partition_horizon(sys, s):
-    return sys.n_states * math.ceil(sys.n_inputs / s)
-
-
 def decision_horizon(sys: SystemModel, s: int, tol: Tolerance = DEFAULT_TOLERANCE) -> int:
-    """Schedule length that decides s-sparse controllability outright.
-
-    When the sparse rank test passes, the steering-time upper bound applies;
-    otherwise N * ceil(L/s) steps suffice: if no schedule of that length
-    reaches rank N, none of any length does (repeating the partition schedule
-    N times realizes the unconstrained rank).
-    """
-    return _sparse_horizon(sys, s, _FloatSpan(tol))[0]
-
-
-def _sparse_horizon(sys, s, span):
-    """``(K, proven)``: the decision horizon in the span's arithmetic, and
-    whether it is the steering bound of a passed sparse test, which proves
-    that some schedule of at most K steps reaches rank N."""
+    """Schedule length that decides s-sparse controllability outright: the
+    steering-time upper bound when the sparse test passes, else N * ceil(L/s),
+    since a failed test rules out every K (the horizon rule of ``_min_k``)."""
     try:
-        return _kstar_bounds(sys, "sparse", s, span).upper, True
+        return _kstar_bounds(sys, "sparse", s, _FloatSpan(tol)).upper
     except UncontrollableSystemError:
-        return _partition_horizon(sys, s), False
+        return _partition_horizon(sys, s)
 
 
 def exact_min_k(
@@ -384,17 +397,15 @@ def exact_min_k(
 ):
     """Smallest K admitting a rank-N schedule, with its witness.
 
-    Searches K = 1..max_k (the decision horizon by default) and returns
+    Searches K = 1..max_k (N * ceil(L/s) by default) and returns
     ``(None, None)`` when no schedule exists within that range, which is
-    definitive when max_k is at least the decision horizon.  When the
-    default horizon is the steering bound of a passed sparse test and no
-    schedule reaches rank N, the two contradict each other and
-    ``InconclusiveError`` is raised.
+    definitive under the default horizon.  Under that default,
+    ``InconclusiveError`` is raised when a passed sparse test contradicts a
+    null, or at the first leaf whose SVD re-check falls short of its running
+    span; see the horizon rule of ``oracle._min_k``.
     """
     k, witness, _ = _min_k(sys, s, budget or OracleBudget(), _FloatSpan(tol))
-    if witness is None:
-        return None, None
-    return k, SupportSchedule(supports=witness, s=s)
+    return (k, SupportSchedule(witness, s)) if witness else (None, None)
 
 
 def rstar_sequence(

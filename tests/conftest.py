@@ -59,6 +59,16 @@ def standard_form_reference():
     return load_fixture("standard-form-reference")
 
 
+def _dense_spectral(seed, n, l):
+    """Dense ``Q diag(0.5 + i/N) Q^-1`` with distinct eigenvalues and a dense
+    random H: controllable, and its N-block Krylov matrix is far too
+    ill-conditioned to rank."""
+    rng = np.random.default_rng(seed)
+    q = rng.standard_normal((n, n))
+    d = q @ np.diag(0.5 + np.arange(n) / n) @ np.linalg.inv(q)
+    return SystemModel(D=d, H=rng.standard_normal((n, l)))
+
+
 def int_matrix(rows, cols, lo=-1, hi=1):
     """Strategy for a rows x cols integer-entried float matrix."""
     return st.lists(

@@ -14,7 +14,7 @@ from sparse_ctrb import (
     transform_system,
     verify_standard_form,
 )
-from tests.conftest import invertible_matrices, small_systems
+from tests.conftest import _dense_spectral, invertible_matrices, small_systems
 
 
 class TestStandardFormFixture:
@@ -149,16 +149,6 @@ class TestStandardFormProperties:
             assert np.linalg.norm(z[big_r:] - free) <= 1e-7 * max(
                 1.0, np.linalg.norm(free)
             )
-
-
-def _dense_spectral(seed, n, l):
-    """Dense ``Q diag(0.5 + i/N) Q^-1`` with distinct eigenvalues and a dense
-    random H: controllable, and its N-block Krylov matrix is far too
-    ill-conditioned to rank."""
-    rng = np.random.default_rng(seed)
-    q = rng.standard_normal((n, n))
-    d = q @ np.diag(0.5 + np.arange(n) / n) @ np.linalg.inv(q)
-    return SystemModel(D=d, H=rng.standard_normal((n, l)))
 
 
 class TestStandardFormAtScale:

@@ -12,12 +12,15 @@ from sparse_ctrb import (
     InputError,
     OracleBudget,
     SystemModel,
+    bounds,
     load_system,
+    oracle,
     output_kalman_type_rank_test,
     save_system,
 )
 from sparse_ctrb.cli import main
 from sparse_ctrb.ctrb import _FloatSpan
+from sparse_ctrb.exact import _ExactSpan
 from sparse_ctrb.io import (
     REPORT_SCHEMA,
     SCHEMA_VERSION,
@@ -263,21 +266,39 @@ class TestCliExitCodes:
         assert report["result"]["max_k_searched"] == 12
 
     def test_search_contradicting_sparse_test_is_inconclusive(self, capsys, monkeypatch):
-        # A q that is too small (as on ill-conditioned D) shrinks the steering
-        # bound below K* = 3; the default search must not turn that into a
-        # definite "no schedule", but an explicit --max-k still may.
-        monkeypatch.setattr(_FloatSpan, "min_poly_degree", lambda self, d: 1)
+        # A search that finds nothing (as float rank decisions can on
+        # ill-conditioned D) while the sparse test passes: the default search
+        # must not turn that into a definite "no schedule", but an explicit
+        # --max-k still may.
+        monkeypatch.setattr(oracle, "_best_schedule", lambda *args, **kwargs: None)
         argv = ["oracle", str(FIXTURES / "nilpotent-chain.json"), "-s", "1"]
         code, out, _ = run_cli(capsys, *argv)
         assert code == 3
         report = json.loads(out)
         jsonschema.validate(report, REPORT_SCHEMA)
         assert report["result"]["inconclusive"] is True
-        assert report["result"]["k_reached"] == 1
+        assert report["result"]["k_reached"] == 6  # N * ceil(L/s) = 3 * 2
         assert "sparse steering-time upper bound" in report["result"]["reason"]
+        assert "the sparse test passed" in report["result"]["reason"]
         code, out, _ = run_cli(capsys, *argv, "--max-k", "1")
         assert code == 0
         assert json.loads(out)["result"]["k_star"] is None
+
+    def test_oracle_needs_no_steering_bound(self, capsys, monkeypatch):
+        # The default horizon is N * ceil(L/s): no q, no S*, no bounds.
+        def unused(*args, **kwargs):
+            raise AssertionError("the oracle evaluated a steering-time bound")
+
+        monkeypatch.setattr(_FloatSpan, "min_poly_degree", unused)
+        monkeypatch.setattr(_ExactSpan, "min_poly_degree", unused)
+        monkeypatch.setattr(oracle, "_kstar_bounds", unused)
+        monkeypatch.setattr(bounds, "_first_controllable_support", unused)
+        for fixture, k_star in (("nilpotent-chain", 3), ("inequality-blocked", None)):
+            argv = ["oracle", str(FIXTURES / f"{fixture}.json"), "-s", "1"]
+            for arithmetic in ([], ["--rational"]):
+                code, out, _ = run_cli(capsys, *argv, *arithmetic)
+                assert code == 0
+                assert json.loads(out)["result"]["k_star"] == k_star
 
     def test_missing_required_flag_exits_two(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -404,17 +425,19 @@ class TestCliReports:
         for s in range(1, system.n_inputs + 1):
             runs = [("check", "--output-mode", mode) for mode in modes]
             runs += [("bounds", "--variant", variant) for variant in variants]
+            runs += [("oracle", "--mode", m) for m in modes if m != "common-support"]
             for command, flag, value in runs:
                 argv = (command, path, "-s", str(s), flag, value)
                 float_code, float_out, _ = run_cli(capsys, *argv)
                 exact_code, exact_out, _ = run_cli(capsys, *argv, "--rational")
                 assert exact_code == float_code, argv
                 if float_code == 0:
-                    float_res = json.loads(float_out)["result"]
-                    exact_res = json.loads(exact_out)["result"]
-                    float_res.pop("screen", None)
-                    exact_res.pop("screen", None)
-                    assert exact_res == float_res, argv
+                    float_rep, exact_rep = json.loads(float_out), json.loads(exact_out)
+                    for rep in (float_rep, exact_rep):
+                        rep["result"].pop("screen", None)
+                    assert exact_rep["result"] == float_rep["result"], argv
+                    if command == "oracle":  # check's float witness has no exact twin
+                        assert exact_rep["witnesses"] == float_rep["witnesses"], argv
 
     def test_steer_report_contents(self, capsys, tmp_path):
         xf = tmp_path / "xf.json"

@@ -7,6 +7,7 @@ from hypothesis import given, strategies as st
 
 from sparse_ctrb import (
     BudgetExceededError,
+    InconclusiveError,
     OracleBudget,
     SupportSchedule,
     SystemModel,
@@ -34,7 +35,7 @@ from sparse_ctrb.oracle import (
     _descending_blocks,
     _supports_of,
 )
-from tests.conftest import small_systems
+from tests.conftest import _dense_spectral, small_systems
 
 
 class TestSupportSchedule:
@@ -152,6 +153,18 @@ class TestExactMinK:
         k, sched = exact_min_k(inequality_blocked, 1)
         assert k is None and sched is None
 
+    def test_fragile_leaf_is_inconclusive(self):
+        # At K = 8 the first leaf's running span has rank 16 but its SVD rank
+        # falls short; the default search stops there, while the fixed-K test
+        # goes on to the next leaf, whose SVD rank is 16.
+        sys = _dense_spectral(0, 16, 4)
+        with pytest.raises(InconclusiveError, match="ill-posed") as exc:
+            exact_min_k(sys, 2)
+        assert exc.value.k_reached == 8
+        ok, witness = kalman_type_rank_test(sys, 2, 8)
+        assert ok
+        assert witness.supports == ((0, 1),) * 7 + ((0, 2),)
+
     def test_budget_exhaustion_raises(self, no_common_support):
         with pytest.raises(BudgetExceededError) as exc:
             exact_min_k(no_common_support, 1, budget=OracleBudget(max_enumerations=2))
@@ -241,6 +254,15 @@ class TestDecisionHorizon:
     def test_fallback_partition_horizon(self):
         sys = SystemModel(D=np.diag([1.0, 2.0]), H=np.array([[0.0], [0.0]]))
         assert decision_horizon(sys, 1) == 2  # N * ceil(L/s)
+
+    def test_partition_schedule_repeated_can_fall_short(self):
+        # N repetitions of the partition schedule reach rank 1 here, yet
+        # K* = 2: the horizon rests on the steering bound, not on them.
+        sys = SystemModel(D=np.array([[0.0, 1.0], [1.0, 0.0]]), H=np.eye(2) * [1, 0])
+        repeated = SupportSchedule(partition_schedule(2, 1).supports * 2, 1)
+        assert rank(schedule_submatrix(sys, repeated)) == 1
+        assert exact_min_k(sys, 1)[0] == 2
+        assert decision_horizon(sys, 1) >= 2
 
     @given(small_systems(), st.data())
     def test_horizon_is_decisive(self, sys, data):
