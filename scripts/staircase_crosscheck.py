@@ -1,5 +1,6 @@
 #!/usr/bin/env python3
-"""Cross-check the float rank condition (the controllability staircase).
+"""Cross-check the float rank condition (the controllability staircase) and
+the float minimal-polynomial degree q.
 
 Two comparisons, one line per mismatch and a summary; exits 1 on any
 mismatch:
@@ -10,13 +11,20 @@ mismatch:
   verdict and witness eigenvalue of ``pbh_test`` against a reference written
   here: the eigenvalue probe sweep, ``rank([lambda*I - D, H]) < N`` at each
   of ``eigenvalue_probes(D)`` in order.  Witnesses must agree to 1e-6
-  relative.
+  relative.  Every one of these D has N distinct eigenvalues, so
+  ``min_poly_degree`` must return q = N.
 * On integer systems ``(P J P^-1, P H_J)`` with unimodular P and Jordan
   blocks of size up to 6 (``bench/inputs.jordan_system``), N = 4..24, the
   verdict of ``pbh_test`` against exact Kalman rank (``controllable_exact``).
   Each size also reports how many systems the staircase alone would call
   controllable (R = N) where ``pbh_test``'s eigenvalue probe sweep finds a
   rank drop; those are not mismatches, they show why the sweep is kept.
+  Float q below the exact q of the Jordan structure (the sum over distinct
+  eigenvalues of the largest block) is a mismatch: it would make the
+  steering bound q * ceil(S*/s) invalid.  Float q above it only loosens the
+  bound; each size reports how many systems it overcounts.  The core
+  dimension r of ``decompose`` is not checked: ``linalg.core_nilpotent`` is
+  known to fold eigenvalues into its nilpotent part.
 
 Usage:
     python scripts/staircase_crosscheck.py
@@ -43,6 +51,7 @@ from sparse_ctrb import (  # noqa: E402
     controllable_exact,
     eigenvalue_probes,
     load_system,
+    min_poly_degree,
     pbh_test,
     rank,
 )
@@ -80,6 +89,9 @@ def benchmark_mismatches():
                 holds, lam = probe_sweep(sys_)
                 name = f"seed {seed} {os.path.basename(path)}"
                 checked += 1
+                q = min_poly_degree(sys_.D)
+                if q != sys_.n_states:
+                    problems.append(f"{name}: q = {q}, not N = {sys_.n_states}")
                 if rep.verdict != holds:
                     problems.append(f"{name}: staircase {rep.verdict}, sweep {holds}")
                 elif lam is not None and abs(rep.witness_lambda - lam) > 1e-6 * max(
@@ -102,14 +114,23 @@ def jordan_blocks(rng, n):
     return blocks
 
 
+def exact_q(blocks):
+    """Minimal-polynomial degree of a Jordan matrix: the largest block of each
+    distinct eigenvalue, summed."""
+    largest = {}
+    for lam, size in blocks:
+        largest[lam] = max(largest.get(lam, 0), size)
+    return sum(largest.values())
+
+
 def jordan_mismatches():
     """Per N: (N, systems, uncontrollable ones, full staircases overturned by
-    the probe sweep, mismatches) against exact Kalman rank on integer Jordan
-    systems."""
+    the probe sweep, float q above exact, mismatches) against exact Kalman
+    rank and exact q on integer Jordan systems."""
     rng = np.random.default_rng(0)
     rows = []
     for n in JORDAN_SIZES:
-        uncontrollable, overturned, problems = 0, 0, []
+        uncontrollable, overturned, q_above, problems = 0, 0, 0, []
         for _ in range(JORDAN_PER_SIZE):
             blocks = jordan_blocks(rng, n)
             columns = [
@@ -127,7 +148,13 @@ def jordan_mismatches():
                     f"N={n} blocks {blocks} columns {columns}: "
                     f"float {got}, exact {want}"
                 )
-        rows.append((n, JORDAN_PER_SIZE, uncontrollable, overturned, problems))
+            q, q_exact = min_poly_degree(sys_.D), exact_q(blocks)
+            q_above += q > q_exact
+            if q < q_exact:
+                problems.append(f"N={n} blocks {blocks}: float q {q} < exact {q_exact}")
+        rows.append(
+            (n, JORDAN_PER_SIZE, uncontrollable, overturned, q_above, problems)
+        )
     return rows
 
 
@@ -139,13 +166,14 @@ def main():
         print(f"MISMATCH {line}")
     print(
         f"float-scale families: {checked} systems, "
-        f"{len(bench_problems)} mismatches against the probe sweep"
+        f"{len(bench_problems)} mismatches against the probe sweep or q = N"
     )
-    for n, count, uncontrollable, overturned, found in rows:
+    for n, count, uncontrollable, overturned, q_above, found in rows:
         print(
             f"integer Jordan systems N={n}: {count} systems ({uncontrollable} "
             f"uncontrollable, {overturned} full staircases overturned by the "
-            f"sweep), {len(found)} mismatches against exact Kalman rank"
+            f"sweep, float q above exact on {q_above}), {len(found)} "
+            f"mismatches against exact Kalman rank and exact q"
         )
     return 1 if problems else 0
 

@@ -47,7 +47,8 @@ class KStarBounds:
     """Two-sided bound lower <= K* <= upper for one variant.
 
     ``lower_exact`` keeps the raw rational before ceiling (e.g. 3/2), ``q`` the
-    minimal-polynomial degree of D, ``r_hs_star`` the effective per-step rank
+    minimal-polynomial degree of D (in floating point built to err upward,
+    which keeps the upper bound valid), ``r_hs_star`` the effective per-step rank
     min(rank(H), s) (rank(A H) in the output variant), and ``s_star`` the
     minimal controllable support size when the variant uses it.
     """

@@ -189,11 +189,7 @@ class _FloatSpan:
             w, v = np.linalg.eig(rest.T)
             i = np.lexsort((w.imag, w.real))[0]
             return False, complex(w[i]), (q[:, big_r:] @ v[:, i]).astype(complex)
-        for lam in eigenvalue_probes(d, self.tol):
-            pencil = np.hstack([lam * np.eye(n) - d, h.astype(complex)])
-            if rank(pencil, self.tol) < n:
-                return False, lam, np.conj(np.linalg.svd(pencil)[0][:, -1])
-        return True, None, None
+        return _probe_sweep(np.eye(n), d, h, eigenvalue_probes(d, self.tol), self.tol)
 
     def min_poly_degree(self, d):
         return min_poly_degree(d, self.tol)
@@ -388,22 +384,30 @@ def output_pbh_necessary(sys: SystemModel, tol: Tolerance = DEFAULT_TOLERANCE) -
     """Necessary eigenvalue-sweep condition for output controllability.
 
     Checks ``rank(A [lambda*I - D, H]) = m`` at all eigenvalue probes of D and
-    at one off-spectrum probe (1 + spectral radius): when rank(A) < m the rank
+    at one off-spectrum probe (1 + largest probe modulus): when rank(A) < m the rank
     can drop even away from the spectrum.  False disproves output
     controllability; True proves nothing.
     """
     a = _require_output_map(sys)
-    m = a.shape[0]
-    n = sys.n_states
-    eye = np.eye(n)
-    w = np.linalg.eigvals(sys.D)
-    spectral_radius = float(np.max(np.abs(w))) if w.size else 0.0
-    probes = eigenvalue_probes(sys.D, tol) + [complex(1.0 + spectral_radius)]
+    probes = eigenvalue_probes(sys.D, tol)
+    off = complex(1.0 + max((abs(p) for p in probes), default=0.0))
+    return _probe_sweep(a, a @ sys.D, a @ sys.H, probes + [off], tol)[0]
+
+
+def _probe_sweep(e, f, g, probes, tol):
+    """``(holds, lambda, z)``: does ``[lambda*E - F, G]`` keep full row rank at
+    every probe, else the first probe where it drops and a left null vector z
+    of its complex pencil.  E, F, G are real, so the pencil at conj(lambda) has
+    the same singular values: it is skipped, and a real probe ranked in reals."""
+    ranked = set()
     for lam in probes:
-        pencil = a @ np.hstack([lam * eye - sys.D, sys.H.astype(complex)])
-        if rank(pencil, tol) < m:
-            return False
-    return True
+        if lam.conjugate() in ranked:
+            continue
+        ranked.add(lam)
+        pencil = np.hstack([lam * e - f, g.astype(complex)])
+        if rank(pencil.real if lam.imag == 0 else pencil, tol) < len(e):
+            return False, lam, np.conj(np.linalg.svd(pencil)[0][:, -1])
+    return True, None, None
 
 
 def output_sparse_necessary(
@@ -411,9 +415,8 @@ def output_sparse_necessary(
 ) -> bool:
     """Necessary condition for s-sparse output controllability:
     ``s >= m - rank(A D)`` together with the eigenvalue-sweep condition."""
-    if not _output_rank_inequality(sys, s, _FloatSpan(tol)):
-        return False
-    return output_pbh_necessary(sys, tol)
+    inequality = _output_rank_inequality(sys, s, _FloatSpan(tol))
+    return inequality and output_pbh_necessary(sys, tol)
 
 
 def _check_sparsity(sys: SystemModel, s: int):

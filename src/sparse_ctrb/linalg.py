@@ -1,9 +1,10 @@
 """Dense linear-algebra kernels shared by the controllability machinery.
 
-Rank decisions follow two rules: :func:`rank` counts a singular value above
-``rank_rel * sigma_max * max(rows, cols)``, and the controllability staircase
-(:func:`_staircase`) one above ``rank_rel * max(|D|, |H|) * N``.  All routines
-here are pure functions of their arguments and are safe to call concurrently.
+Rank decisions follow three rules: :func:`rank` counts a singular value above
+``rank_rel * sigma_max * max(rows, cols)``, the controllability staircase
+(:func:`_staircase`) one above ``rank_rel * max(|D|, |H|) * N``, and the
+nullities of q and g_D (:func:`_nullities`) one of M^k above
+``rank_rel * N * |M|^k``.  All routines here are pure and safe to call concurrently.
 """
 
 from __future__ import annotations
@@ -93,10 +94,7 @@ def rank(m, tol: Tolerance = DEFAULT_TOLERANCE) -> int:
     if a.size == 0:
         return 0
     sigma = np.linalg.svd(a, compute_uv=False)
-    smax = sigma[0]
-    if smax == 0.0:
-        return 0
-    return int(np.count_nonzero(sigma > tol.rank_rel * smax * max(a.shape)))
+    return int(np.count_nonzero(sigma > tol.rank_rel * sigma[0] * max(a.shape)))
 
 
 def eigenvalues(d) -> np.ndarray:
@@ -107,9 +105,9 @@ def eigenvalues(d) -> np.ndarray:
     return w[order]
 
 
-def _cluster_means(values, radius):
-    """Greedy clustering of complex values at an absolute radius; returns the
-    cluster means sorted by (real, imag)."""
+def _clusters(values, radius):
+    """Greedy clustering of complex values at an absolute radius; returns
+    the ``(mean, size)`` of each cluster."""
     clusters = []  # [sum, count]
     for v in values:
         for c in clusters:
@@ -119,15 +117,12 @@ def _cluster_means(values, radius):
                 break
         else:
             clusters.append([v, 1])
-    means = [c[0] / c[1] for c in clusters]
-    means.sort(key=lambda z: (z.real, z.imag))
-    return means
+    return [(c[0] / c[1], c[1]) for c in clusters]
 
 
 def eigenvalue_probes(d, tol: Tolerance = DEFAULT_TOLERANCE) -> list[complex]:
-    """Candidate eigenvalue locations for the eigenvalue sweeps: the output
-    condition (``ctrb.output_pbh_necessary``) and the confirmation of a full
-    staircase in the state rank condition.
+    """Candidate eigenvalue locations for the probe sweep (``ctrb._probe_sweep``)
+    of the output condition and of a full staircase in the state rank condition.
 
     Cluster means are taken at ``eig_cluster`` and at coarser radii scaled by
     the spectral norm.  A defective eigenvalue of multiplicity k is computed
@@ -138,52 +133,53 @@ def eigenvalue_probes(d, tol: Tolerance = DEFAULT_TOLERANCE) -> list[complex]:
     (full rank there).
     """
     w = eigenvalues(d)
-    if w.size == 0:
-        return []
     scale = max(1.0, _spectral_norm(_square(d, "D", allow_complex=True)))
-    radii = [tol.eig_cluster, 1e-6 * scale, 1e-4 * scale, 1e-3 * scale]
-    probes: list[complex] = []
-    for radius in radii:
-        for mean in _cluster_means(list(w), radius):
-            if not any(p == mean for p in probes):
-                probes.append(mean)
-    probes.sort(key=lambda z: (z.real, z.imag))
-    return probes
+    radii = (tol.eig_cluster, 1e-6 * scale, 1e-4 * scale, 1e-3 * scale)
+    means = {mean for radius in radii for mean, _ in _clusters(w, radius)}
+    return sorted(means, key=lambda z: (z.real, z.imag))
+
+
+def _nullities(m, limit, tol):
+    """Nullities of M^0, M^1, ..., M^limit of a square M while they grow.  A
+    singular value of M^k counts above ``rank_rel * n * |M|^k``: a cut relative
+    to |M^k| would count the rounding noise of a power that has decayed."""
+    n, nulls, power = m.shape[0], [0], m
+    sigma = np.linalg.svd(m, compute_uv=False)
+    cut, unit = tol.rank_rel * sigma[0] * n, m / (sigma[0] or 1.0)
+    for k in range(limit):
+        if k:  # power = M^(k+1) / |M|^k, which cannot overflow
+            power = power @ unit
+            sigma = np.linalg.svd(power, compute_uv=False)
+        null = n - int(np.count_nonzero(sigma > cut))
+        if null <= nulls[-1]:
+            break
+        nulls.append(null)
+    return nulls
 
 
 def min_poly_degree(d, tol: Tolerance = DEFAULT_TOLERANCE) -> int:
-    """Degree of the minimal polynomial of ``d``.
-
-    Detected as the smallest q >= 1 with vec(D^q) in span{vec(D^0..D^{q-1})}.
-    The matrix is normalized by its spectral norm first; the degree is
-    invariant under nonzero scaling and the powers stay well-conditioned.
-    """
+    """Degree q of the minimal polynomial of ``d``, capped at N.  Over clusters
+    of eigenvalues at ``1e-6 * max(1, |D|)``, q sums each index (the times the
+    nullity of (D - mean I)^k grows) plus the eigenvalues the last nullity
+    leaves out, or the cluster's size once a nullity exceeds it (it then took
+    in other eigenvalues), so that rounding errs toward a larger q."""
     a = _square(d, "D")
-    n = a.shape[0]
-    if n == 0:
+    if len(a) == 0:
         raise ValueError("D must be non-empty")
-    nrm = _spectral_norm(a)
-    if nrm == 0.0:
-        return 1
-    vecs, known = [], None
-    for q, power in zip(range(n + 1), _powers(a / nrm, np.eye(n))):
-        vecs.append(power.ravel())
-        grown = rank(np.column_stack(vecs), tol)
-        if grown == known:
-            return q
-        known = grown
-    return n
+    q = 0
+    for mean, size in _clusters(eigenvalues(a), 1e-6 * max(1.0, _spectral_norm(a))):
+        nulls = [0] if size == 1 else _nullities(a - mean * np.eye(len(a)), size, tol)
+        q += size if nulls[-1] > size else len(nulls) - 1 + size - nulls[-1]
+    return min(q, len(a))
 
 
 def max_geometric_multiplicity(d, tol: Tolerance = DEFAULT_TOLERANCE) -> int:
     """Largest geometric multiplicity over the (clustered) eigenvalues of ``d``."""
     a = _square(d, "D")
-    n = a.shape[0]
-    if n == 0:
+    if len(a) == 0:
         raise ValueError("D must be non-empty")
-    reps = _cluster_means(list(eigenvalues(a)), tol.eig_cluster)
-    eye = np.eye(n)
-    return max(n - rank(lam * eye - a, tol) for lam in reps)
+    means = [mean for mean, _ in _clusters(eigenvalues(a), tol.eig_cluster)]
+    return max(_nullities(a - mean * np.eye(len(a)), 1, tol)[-1] for mean in means)
 
 
 def _powers(d, block, matmul=np.matmul):

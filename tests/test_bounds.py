@@ -19,7 +19,7 @@ from sparse_ctrb import (
     s_star,
     sparse_pbh_test,
 )
-from tests.conftest import small_systems
+from tests.conftest import _dense_spectral, small_systems
 
 
 class TestSStar:
@@ -111,6 +111,14 @@ class TestFixtureBounds:
             "output",
             "common_support",
         )
+
+    @pytest.mark.parametrize("n", [16, 32, 64])
+    def test_dense_spectral_bounds_are_ordered(self, n):
+        # q = N makes the steering bound N * ceil(S*/2) loose, so the upper
+        # bound is N - min(rank(H), 2) + 1 = N - 1, above ceil(N / 2).
+        b = kstar_bounds_sparse(_dense_spectral(0, n, 4), 2)
+        assert b.q == n
+        assert b.lower <= b.upper == n - 1
 
     def test_undefined_when_not_sparse_controllable(self, inequality_blocked):
         with pytest.raises(UncontrollableSystemError, match="K\\* undefined"):

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import assume, given, strategies as st
 
 from sparse_ctrb import (
+    DEFAULT_TOLERANCE,
     SystemModel,
     common_support_test,
     input_restriction,
@@ -16,6 +17,7 @@ from sparse_ctrb import (
     rank,
     sparse_pbh_test,
 )
+from sparse_ctrb import ctrb
 from tests.conftest import int_matrix, invertible_matrices, small_systems
 
 
@@ -92,6 +94,24 @@ class TestPbhAndKalman:
         m = np.hstack([lam * np.eye(2) - sys.D, sys.H])
         scale = 1.0 + np.linalg.norm(sys.D) + np.linalg.norm(sys.H)
         assert np.linalg.norm(np.conj(z) @ m) <= 1e-8 * scale
+
+    def test_sweep_ranks_one_pencil_per_conjugate_pair(self, monkeypatch):
+        # Weighted 16-state ring fed at node 0: a full staircase, then a
+        # sweep over 16 distinct eigenvalues, 7 conjugate pairs and 2 real.
+        n = 16
+        d = np.zeros((n, n))
+        d[(np.arange(n) + 1) % n, np.arange(n)] = 1.0 + 0.05 * np.sin(np.arange(n))
+        sys = SystemModel(D=d, H=np.eye(n)[:, :1])
+        assert kalman_test(sys)
+        ranked = []
+
+        def counting_rank(m, tol=DEFAULT_TOLERANCE):
+            ranked.append(m.shape)
+            return rank(m, tol)
+
+        monkeypatch.setattr(ctrb, "rank", counting_rank)
+        assert pbh_test(sys).verdict
+        assert len(ranked) <= 9
 
     @given(small_systems())
     def test_pbh_equals_kalman(self, sys):

@@ -131,6 +131,11 @@ class TestExactDecisions:
     def test_min_poly_degree_matches_float(self, d):
         assert min_poly_degree_exact(d) == min_poly_degree(d)
 
+    @given(jordan_systems(max_n=8))
+    def test_min_poly_degree_never_below_exact(self, sys):
+        # Rounding may overcount an eigenvalue's index, never undercount it.
+        assert min_poly_degree(sys.D) >= min_poly_degree_exact(sys.D)
+
     @given(small_systems())
     def test_s_star_matches_float(self, sys):
         if not controllable_exact(sys):

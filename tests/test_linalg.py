@@ -16,7 +16,7 @@ from sparse_ctrb.linalg import (
     extend_to_basis,
     max_geometric_multiplicity,
 )
-from tests.conftest import int_matrix
+from tests.conftest import _dense_spectral, int_matrix
 
 
 class TestRank:
@@ -115,6 +115,18 @@ class TestMinPolyDegree:
         assert min_poly_degree(1e9 * d) == 3
         assert min_poly_degree(1e-9 * d) == 3
 
+    @pytest.mark.parametrize("n", [16, 32, 64])
+    def test_distinct_spectrum_at_scale(self, n):
+        # A dense, non-normal D with N distinct eigenvalues: q = N.
+        assert min_poly_degree(_dense_spectral(0, n, 4).D) == n
+
+    def test_nullity_above_cluster_size_adds_the_size(self):
+        # |D| is about 2e4 against eigenvalue gaps of 1, so the nullities of
+        # (D - mean I)^k take in neighbouring eigenvalues and pass the size of
+        # a cluster; counting the steps alone would give q = 15.
+        d = _similar_jordan([(-3, 5), (-2, 5), (2, 4), (-1, 1), (3, 1)], 287)
+        assert min_poly_degree(d) == 16
+
     @given(int_matrix(3, 3, -1, 1))
     def test_degree_marks_first_dependent_power(self, d):
         q = min_poly_degree(d)
@@ -124,6 +136,22 @@ class TestMinPolyDegree:
         )
         # Powers 0..q-1 independent, power q dependent on them.
         assert rank(vecs) == q
+
+
+def _similar_jordan(blocks, seed):
+    """``P J P^-1`` for Jordan blocks (eigenvalue, size), with P a product of
+    random unit triangular integer factors, so |D| grows into the thousands."""
+    rng = np.random.default_rng(seed)
+    n = sum(size for _, size in blocks)
+    j = np.zeros((n, n))
+    row = 0
+    for lam, size in blocks:
+        j[row : row + size, row : row + size] = lam * np.eye(size) + np.eye(size, k=1)
+        row += size
+    lower = np.tril(rng.integers(-1, 2, (n, n)), -1) + np.eye(n)
+    upper = np.triu(rng.integers(-1, 2, (n, n)), 1) + np.eye(n)
+    inverse = np.rint(np.linalg.inv(upper)) @ np.rint(np.linalg.inv(lower))
+    return lower @ upper @ j @ inverse
 
 
 class TestMaxGeometricMultiplicity:
