@@ -30,7 +30,6 @@ from .linalg import (
     DEFAULT_TOLERANCE,
     Tolerance,
     _as_matrix,
-    _empty_basis,
     _independent_columns,
     _powers,
     _scheduled,
@@ -204,7 +203,7 @@ class _FloatSpan:
 
     @staticmethod
     def empty(block):
-        return _empty_basis(block.shape[0])
+        return np.zeros((block.shape[0], 0))
 
     @staticmethod
     def extend(basis, block, support):
@@ -246,16 +245,20 @@ class _FloatSpan:
 
     def cut_rank(self, dim, blocks, s, chosen):
         """SVD rank of the columns ``chosen`` picks from ``blocks``, counted
-        at a threshold no leaf check exceeds.  A leaf holds s columns of every
-        block, so its largest singular value is at least the s-th shortest
-        column of each block, and its threshold at least ``rank_rel * rows``
-        times the largest of those lengths; by interlacing, no leaf's rank
-        on these columns is then above the count."""
+        at a threshold no leaf check of a nonzero rank exceeds.  Such a leaf
+        holds s columns of every block and a nonzero column, so its largest
+        singular value is at least the s-th shortest column of each block
+        and the shortest nonzero column of all, and its threshold at least
+        ``rank_rel * rows`` times the largest of those lengths; by
+        interlacing, no leaf's rank on these columns is then above the
+        count."""
         n = blocks[0].shape[0]
         m = _scheduled(blocks, chosen, n)
         if m.shape[1] == 0:
             return 0
-        floor = max(np.sort(np.linalg.norm(b, axis=0))[s - 1] for b in blocks)
+        lengths = [np.sort(np.linalg.norm(b, axis=0)) for b in blocks]
+        nonzero = np.concatenate(lengths)
+        floor = max(max(c[s - 1] for c in lengths), nonzero[nonzero > 0].min())
         sigma = np.linalg.svd(m, compute_uv=False)
         return int(np.count_nonzero(sigma > self.tol.rank_rel * n * floor))
 

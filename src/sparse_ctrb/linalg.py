@@ -312,7 +312,3 @@ def _independent_columns(q, block, dep_eps=1e-13):
             current = np.column_stack([current, v / nv])
             accepted.append(j)
     return current, accepted
-
-
-def _empty_basis(n):
-    return np.zeros((n, 0))

@@ -8,16 +8,15 @@ controllable iff some schedule of some length reaches rank N.
 For one K the best rank r*(K) of a schedule is the size of a largest common
 independent set of two matroids on the columns ``D^p h_j``: the linear
 matroid, and the partition matroid with capacity s per power.
-``_common_independent`` finds one by shortest augmenting paths (Edmonds
-1970; Cunningham, SIAM J. Comput. 1986), in polynomial time.  The witness
-comes from ``_best_schedule``, a depth-first search that returns the
-lexicographically first schedule reaching the target rank.  ``_min_k`` runs
-the two for K = 1, 2, ... under one budget: the search first, and once it
-has spent one greedy descent's worth of extensions at a K, the kernel, whose
-weak-duality bound skips every K where no schedule can reach the target,
-up to the horizon N * ceil(L/s) (the horizon rule is stated at ``_min_k``).
-State and output targets, float and exact arithmetic all go through these;
-the arithmetic is a *span* object, ``ctrb._FloatSpan`` or
+``_common_independent`` finds one in polynomial time: a greedy fill from the
+last power back, then shortest augmenting paths (Edmonds 1970; Cunningham,
+SIAM J. Comput. 1986).  ``_min_k`` runs it first at every K, warm-started
+from the previous K's set, and skips every K its weak-duality bound rules
+out, up to the horizon N * ceil(L/s) (the horizon rule is stated at
+``_min_k``).  The witness comes from ``_best_schedule``, a depth-first
+search that returns the lexicographically first schedule reaching the
+target rank.  State and output targets, float and exact arithmetic all go
+through these; the arithmetic is a *span* object, ``ctrb._FloatSpan`` or
 ``exact._ExactSpan``.  Budgets bound the whole run and make overruns an
 explicit inconclusive outcome instead of a wrong answer.
 """
@@ -150,13 +149,12 @@ class _Counter:
                 enumerations=self.used,
                 k_reached=k,
             )
-        if self.deadline is not None and (self.used & 0xFF) == 0:
-            if time.monotonic() > self.deadline:
-                raise BudgetExceededError(
-                    f"{self.what} exceeded deadline",
-                    enumerations=self.used,
-                    k_reached=k,
-                )
+        if self.deadline is not None and time.monotonic() > self.deadline:
+            raise BudgetExceededError(
+                f"{self.what} exceeded deadline",
+                enumerations=self.used,
+                k_reached=k,
+            )
 
 
 def _descending_blocks(sys, s, span, output, k_max):
@@ -173,38 +171,30 @@ def _descending_blocks(sys, s, span, output, k_max):
         yield blocks, caps
 
 
-class _Settled(Exception):
-    """The search gave up on a K that matroid intersection proved blocked."""
+def _within_reach(blocks, caps, target, span):
+    """The pre-checks of a K: the capacities and the rank of all blocks
+    reach ``target``."""
+    return sum(caps) >= target and span.rank(blocks) >= target
 
 
-def _best_schedule(blocks, caps, supports, target, span, counter, patience, blocked,
-                   fragile=None):
+def _best_schedule(blocks, caps, supports, target, span, counter, fragile=None):
     """Depth-first search over schedules of the descending-power ``blocks``.
 
     Supports are tried in lexicographic order, schedule positions left to
     right.  Returns the first schedule whose rank reaches ``target``, or
     None.  Branches whose rank plus the capacity of the blocks still to come
-    stays below ``target`` are cut, and nothing is searched when the
-    capacities or the rank of all blocks fall short.  After ``patience``
-    extensions (None: never) the search asks ``blocked()`` once and gives up
-    when it answers true.  A leaf whose running span reaches ``target`` but
+    stays below ``target`` are cut; callers skip the blocks that fail
+    ``_within_reach``.  A leaf whose running span reaches ``target`` but
     whose ``leaf_rank`` does not calls ``fragile(rank)``, which may raise.
     """
     k = len(blocks)
     suffix_cap = [0] * (k + 1)  # capacity of the blocks at depths >= d
     for d in range(k - 1, -1, -1):
         suffix_cap[d] = suffix_cap[d + 1] + caps[d]
-    if suffix_cap[0] < target or span.rank(blocks) < target:
-        return None
     chosen = []
-    tried = 0
 
     def dfs(depth, basis):
-        nonlocal tried
         for sup in supports:
-            if tried == patience and blocked():
-                raise _Settled
-            tried += 1
             counter.tick(k)
             nxt, dim = span.extend(basis, blocks[depth], sup)
             if dim + suffix_cap[depth + 1] < target:
@@ -222,26 +212,41 @@ def _best_schedule(blocks, caps, supports, target, span, counter, patience, bloc
             chosen.pop()
         return False
 
-    try:
-        return tuple(chosen) if dfs(0, span.empty(blocks[0])) else None
-    except _Settled:
-        return None
+    return tuple(chosen) if dfs(0, span.empty(blocks[0])) else None
 
 
 def _common_independent(blocks, s, l, span, counter, k, inside=()):
     """A largest set of columns ``(d, j)`` of ``blocks`` (``l`` columns
-    each), at most ``s`` from each block, independent in the span: grown from
-    the common independent set ``inside`` by shortest augmenting paths.
+    each), at most ``s`` from each block, independent in the span, grown
+    from the common independent set ``inside``.
 
-    Returns ``(inside, reach)``.  ``reach`` is the set of columns from which
-    the final exchange graph reaches a block with room left, the U of the
-    min-max theorem: rank(U) + sum over blocks of min(s, |block - U|) equals
-    ``len(inside)``, and bounds the rank of every schedule by weak duality.
-    The arcs come from one span solve per outside column per augmentation,
-    and each augmentation ticks ``counter``.
+    First a greedy fill: blocks from the last (H) to the first, channels in
+    index order, keeping a column while its block has room and it grows the
+    span.  A fill that spans the space is returned at once, with an empty
+    ``reach``.  Otherwise shortest augmenting paths grow the set, and
+    ``reach`` is the set of columns from which the final exchange graph
+    reaches a block with room left, the U of the min-max theorem:
+    rank(U) + sum over blocks of min(s, |block - U|) equals ``len(inside)``,
+    and bounds the rank of every schedule by weak duality.  The arcs come
+    from one span solve per outside column per augmentation, and each
+    augmentation ticks ``counter``.
     """
-    ground = [(d, j) for d in range(len(blocks)) for j in range(l)]
-    inside = sorted(inside)
+    members, n = set(inside), len(blocks[0])
+    used = collections.Counter(d for d, _ in members)
+    basis, dim = span.empty(blocks[0]), 0
+    for d, j in inside:
+        basis, dim = span.extend(basis, blocks[d], (j,))
+    for d in range(k - 1, -1, -1):
+        for j in range(l):
+            if dim < n and used[d] < s and (d, j) not in members:
+                basis, grown = span.extend(basis, blocks[d], (j,))
+                if grown > dim:
+                    members.add((d, j))
+                    used[d], dim = used[d] + 1, grown
+    inside = sorted(members)
+    if dim == n:
+        return inside, set()
+    ground = [(d, j) for d in range(k) for j in range(l)]
     while True:
         counter.tick(k)
         members = set(inside)
@@ -288,12 +293,13 @@ def _supports_of(columns, k):
     return [tuple(sorted(j for d, j in columns if d == depth)) for depth in range(k)]
 
 
-def _blocked(blocks, s, l, target, span, counter, k):
-    """True when matroid intersection proves that no schedule of s channels
-    per block reaches ``target`` on ``blocks``.  The weak-duality bound
-    rank(U) + sum min(s, |block - U|) must stay below ``target``, with the
-    span counting rank(U) so that no leaf check counts more on U's columns."""
-    inside, reach = _common_independent(blocks, s, l, span, counter, k)
+def _blocked(blocks, s, l, target, span, inside, reach):
+    """True when the kernel's ``inside`` and ``reach`` prove that no
+    schedule of s channels per block reaches ``target`` on ``blocks``.  The
+    weak-duality bound rank(U) + sum min(s, |block - U|) must stay below
+    ``target``, with the span counting rank(U) so that no leaf check counts
+    more on U's columns."""
+    k = len(blocks)
     spare = sum(
         min(s, l - sum(1 for d, _ in reach if d == depth)) for depth in range(k)
     )
@@ -308,7 +314,10 @@ def _partition_horizon(sys, s):
 def _min_k(sys, s, budget, span, output=False, first_k=1):
     """Smallest K in ``first_k..max_k`` at which a schedule reaches full state
     (or output) rank, as ``(K, supports, max_k)``; ``(None, None, max_k)``
-    when none does.  One budget covers every K.
+    when none does.  One budget covers every K.  A K that passes
+    ``_within_reach`` goes to the kernel first, warm-started from the
+    previous K's set; a cut certified by ``_blocked`` skips it, and otherwise
+    the search looks for the witness.
 
     The horizon rule: ``max_k`` defaults to N * ceil(L/s), which decides the
     question.  A passed sparse test gives K* <= q * ceil(S*/s) <= N * ceil(L/s)
@@ -339,13 +348,16 @@ def _min_k(sys, s, budget, span, output=False, first_k=1):
     l = sys.n_inputs
     supports = list(itertools.combinations(range(l), s))
     problems = _descending_blocks(sys, s, span, output, max_k)
+    inside = []
     for k, (blocks, caps) in enumerate(problems, start=1):
-        if k < first_k:
+        inside = [(d + 1, j) for d, j in inside]
+        if k < first_k or not _within_reach(blocks, caps, target, span):
+            continue
+        inside, reach = _common_independent(blocks, s, l, span, counter, k, inside)
+        if len(inside) < target and _blocked(blocks, s, l, target, span, inside, reach):
             continue
         witness = _best_schedule(
             blocks, caps, supports, target, span, counter,
-            patience=k * len(supports),
-            blocked=lambda: _blocked(blocks, s, l, target, span, counter, k),
             fragile=lambda r: referee(k, f"at K={k}: a leaf's running span has rank "
                                       f"{target}, its SVD rank {r}; ill-posed"),
         )
@@ -417,10 +429,11 @@ def rstar_sequence(
 ):
     """Best achievable scheduled rank r*(K) for each K = 1..k_max.
 
-    The sequence increases strictly until the minimal steering time and is
-    constant afterwards.  Each entry is the SVD rank of the columns of a
-    largest common independent set, grown from the previous K's set (moved
-    one block down behind the new top power); the budget counts
+    r*(K) never falls, as a schedule for K is one for K + 1; that it rises
+    strictly until the minimal steering time and stays constant afterwards
+    (the stall rule) is unproven.  Each entry is the SVD rank of the columns
+    of a largest common independent set, grown from the previous K's set
+    (moved one block down behind the new top power); the budget counts
     augmentations.
     """
     _check_sparsity(sys, s)

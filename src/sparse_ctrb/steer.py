@@ -4,26 +4,27 @@ The endpoint map is linear once the schedule is fixed:
 ``x_K - D^K x_0 = [D^(K-1) H_{S_1}, ..., H_{S_K}] h``, so steering reduces to
 a minimum-norm least-squares solve restricted to the scheduled columns.
 Infeasibility shows up as a nonzero endpoint residual, not an exception.
-The greedy schedule grows the orthonormal basis of the schedule search
-(``linalg._independent_columns``) over the power sequence of ``linalg``, and
-the scheduled columns are the oracle's ``schedule_submatrix``.
+The schedule is the oracle's matroid-intersection kernel's, of maximal rank,
+and the scheduled columns are the oracle's ``schedule_submatrix``.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
 
-from .ctrb import SystemModel, _check_sparsity, _require_output_map
-from .linalg import (
-    DEFAULT_TOLERANCE,
-    Tolerance,
-    _empty_basis,
-    _independent_columns,
-    _powers,
+from .ctrb import SystemModel, _check_sparsity, _FloatSpan, _require_output_map
+from .linalg import DEFAULT_TOLERANCE, Tolerance, _powers
+from .oracle import (
+    OracleBudget,
+    SupportSchedule,
+    _common_independent,
+    _Counter,
+    _supports_of,
+    schedule_submatrix,
 )
-from .oracle import SupportSchedule, schedule_submatrix
 
 __all__ = [
     "SteeringPlan",
@@ -49,38 +50,21 @@ class SteeringPlan:
 def greedy_support_schedule(
     sys: SystemModel, s: int, k: int, tol: Tolerance = DEFAULT_TOLERANCE
 ) -> SupportSchedule:
-    """Heuristic schedule built backward from the final step.
-
-    For i = K down to 1, columns of D^(K-i) H are scanned in index order and
-    kept while they increase the accumulated rank, up to s per step.  The last
-    block is filled first: directions outside range(D) are reachable only
-    there.  Greedy is NOT rank-optimal in general -- an early pick can block a
-    scarcer direction (e.g. D = diag(1, 0), H = I, s = 1, K = 2 stalls at rank
-    1 while the schedule ((0,), (1,)) reaches 2); use the oracle's witness
-    schedule when optimality matters.  Earlier steps left without useful
-    columns get empty supports.  The accumulated span is the schedule
-    search's orthonormal basis, grown one column at a time, so a column
-    counts as new under the same dependence threshold.
+    """A K-step schedule of maximal rank r*(K): the set of the oracle's
+    matroid-intersection kernel, a greedy fill from the last step back
+    completed by augmenting paths.  Steps without columns get empty supports.
     """
     _check_sparsity(sys, s)
     if not (isinstance(k, (int, np.integer)) and k >= 0):
         raise ValueError(f"K must be a non-negative integer, got {k!r}")
-    k = int(k)
-    n, l = sys.n_states, sys.n_inputs
-    supports = [()] * k
-    basis = _empty_basis(n)
-    for i, block in zip(range(k, 0, -1), _powers(sys.D, sys.H)):
-        if basis.shape[1] == n:
-            break
-        picked = []
-        for j in range(l):
-            if len(picked) == int(s) or basis.shape[1] == n:
-                break
-            basis, accepted = _independent_columns(basis, block[:, j : j + 1])
-            if accepted:
-                picked.append(j)
-        supports[i - 1] = tuple(picked)
-    return SupportSchedule(supports=tuple(supports), s=int(s))
+    k, s = int(k), int(s)
+    if k == 0:
+        return SupportSchedule(supports=(), s=s)
+    span = _FloatSpan(tol)
+    blocks = list(itertools.islice(_powers(sys.D, sys.H), k))[::-1]
+    counter = _Counter(OracleBudget(), span.what)
+    inside, _ = _common_independent(blocks, s, sys.n_inputs, span, counter, k)
+    return SupportSchedule(supports=tuple(_supports_of(inside, k)), s=s)
 
 
 def _scheduled_columns(sys: SystemModel, schedule: SupportSchedule):

@@ -196,8 +196,9 @@ class TestCliExitCodes:
         assert report["elapsed_ms"] >= 0
 
     def test_output_budget_covers_every_k(self, capsys, tmp_path):
-        # Output rank 3 is out of reach; each K needs at most 19 support
-        # extensions and augmentations, K = 1..7 together 60, all K = 1..8 79.
+        # Output rank 3 is out of reach.  K = 1 and 2 fail the pre-checks at
+        # no tick, and each K from 3 on costs one tick, an augmentation round
+        # whose cut rules the K out: K = 1..7 together 5 ticks, all K = 1..8 6.
         system = SystemModel(
             D=np.array(
                 [[0, 0, 1, 0], [0, -1, 0, 0], [0, 0, -1, 0], [0, 0, 0, 0]], float
@@ -205,14 +206,14 @@ class TestCliExitCodes:
             H=np.array([[-1, 1], [-1, 0], [1, 0], [1, 1]], float),
             A=np.array([[-1, -1, 1, 1], [1, -1, 1, 0], [-1, 0, -1, 0]], float),
         )
-        budget = OracleBudget(max_enumerations=60)
+        budget = OracleBudget(max_enumerations=5)
         for k in range(1, 9):
             assert output_kalman_type_rank_test(system, 1, k, budget) == (False, None)
         path = tmp_path / "output-budget.json"
         save_system(path, system, name="output-budget")
         argv = ["oracle", str(path), "-s", "1", "--mode", "output"]
-        assert run_cli(capsys, *argv, "--budget", "79")[0] == 0
-        code, out, _ = run_cli(capsys, *argv, "--budget", "60")
+        assert run_cli(capsys, *argv, "--budget", "6")[0] == 0
+        code, out, _ = run_cli(capsys, *argv, "--budget", "5")
         assert code == 3
         report = json.loads(out)
         assert report["result"]["inconclusive"] is True
@@ -220,15 +221,16 @@ class TestCliExitCodes:
 
     def test_rational_deadline_stops_search(self, capsys, tmp_path):
         # Not 1-sparse controllable (N=3 > s + rank D = 2), yet from K = 3 on
-        # the blocks reach rank 3.  With 16 channels the horizon is K = 48,
-        # and each K costs 16 K extensions before matroid intersection rules
-        # it out: seconds of rational arithmetic in all.
+        # the blocks reach rank 3.  With 32 channels the horizon is K = 96,
+        # and matroid intersection rules out each K with one rational solve
+        # over all 32 K columns, tens of milliseconds a tick and seconds in
+        # all: the deadline has to be checked on every tick.
         path = tmp_path / "f3-wide.json"
         save_system(
             path,
             SystemModel(
                 D=np.diag([2.0, 0.0, 0.0]),
-                H=np.array([[1] * 16, [1, 0] * 8, [0, 1] * 8], float),
+                H=np.array([[1] * 32, [1, 0] * 16, [0, 1] * 16], float),
             ),
             name="f3-wide",
         )
@@ -474,6 +476,15 @@ class TestCliReports:
             str(yf),
             "--output-target",
         )
+        assert report["result"]["feasible"] is True
+
+    def test_steer_schedule_reaches_full_rank(self, capsys, tmp_path):
+        # A greedy fill from the last step stalls at rank 2 here; the
+        # schedule of maximal rank steers to every state at K = 3.
+        xf = tmp_path / "xf.json"
+        xf.write_text("[1.0, 1.0, 1.0]")
+        argv = ["steer", str(FIXTURES / "no-common-support.json"), "-s", "1"]
+        report = report_of(capsys, *argv, "--k", "3", "--x-final", str(xf))
         assert report["result"]["feasible"] is True
 
     def test_steer_wrong_vector_length(self, capsys, tmp_path):

@@ -34,6 +34,7 @@ from sparse_ctrb.oracle import (
     _Counter,
     _descending_blocks,
     _supports_of,
+    _within_reach,
 )
 from tests.conftest import _dense_spectral, small_systems
 
@@ -215,10 +216,10 @@ class TestCommonIndependent:
         counter = _Counter(OracleBudget(), "test")
 
         def reaches(blocks, caps, target):
-            found = _best_schedule(
-                blocks, caps, supports, target, span, counter, None, None
+            return _within_reach(blocks, caps, target, span) and (
+                _best_schedule(blocks, caps, supports, target, span, counter)
+                is not None
             )
-            return found is not None
 
         horizon = sys.n_states * math.ceil(l / s)
         problems = _descending_blocks(sys, s, span, False, horizon)

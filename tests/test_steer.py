@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from sparse_ctrb import (
     SupportSchedule,
@@ -15,7 +15,13 @@ from sparse_ctrb import (
     solve_output_inputs,
     sparse_pbh_test,
 )
-from tests.conftest import small_systems
+from tests.conftest import load_fixture, small_systems
+
+
+@st.composite
+def _systems_s_k(draw):
+    sys = draw(small_systems())
+    return sys, draw(st.integers(1, sys.n_inputs)), draw(st.integers(1, 4))
 
 
 class TestGreedySchedule:
@@ -29,11 +35,11 @@ class TestGreedySchedule:
         assert all(len(sup) <= 2 for sup in sched.supports)
 
     def test_documented_stall_case(self):
-        # Greedy is a heuristic: the last-step pick e_0 blocks the scarcer
-        # direction here, while the oracle still finds a full-rank schedule.
+        # A greedy fill from the last step picks e_0 there and stalls at rank
+        # 1; the schedule ((0,), (1,)) of maximal rank reaches 2.
         sys = SystemModel(D=np.diag([1.0, 0.0]), H=np.eye(2))
         sched = greedy_support_schedule(sys, 1, 2)
-        assert rank(schedule_submatrix(sys, sched)) == 1
+        assert rank(schedule_submatrix(sys, sched)) == 2
         ok, witness = kalman_type_rank_test(sys, 1, 2)
         assert ok
         assert rank(schedule_submatrix(sys, witness)) == 2
@@ -42,13 +48,16 @@ class TestGreedySchedule:
         sched = greedy_support_schedule(nilpotent_chain, 1, 0)
         assert sched.k == 0
 
-    @given(small_systems(), st.data())
-    def test_greedy_success_implies_oracle_success(self, sys, data):
-        s = data.draw(st.integers(1, sys.n_inputs))
-        k = data.draw(st.integers(1, 4))
+    @given(_systems_s_k())
+    @example((SystemModel(D=np.diag([1.0, 0.0]), H=np.eye(2)), 1, 2))
+    @example((load_fixture("no-common-support"), 1, 3))
+    def test_greedy_success_implies_oracle_success(self, case):
+        # The schedule has maximal rank: full rank exactly when some K-step
+        # schedule has.
+        sys, s, k = case
         sched = greedy_support_schedule(sys, s, k)
-        if rank(schedule_submatrix(sys, sched)) == sys.n_states:
-            assert kalman_type_rank_test(sys, s, k)[0]
+        full = rank(schedule_submatrix(sys, sched)) == sys.n_states
+        assert full == kalman_type_rank_test(sys, s, k)[0]
 
 
 class TestRollout:
