@@ -22,7 +22,9 @@ mismatch:
   Float q below the exact q of the Jordan structure (the sum over distinct
   eigenvalues of the largest block) is a mismatch: it would make the
   steering bound q * ceil(S*/s) invalid.  Float q above it only loosens the
-  bound; each size reports how many systems it overcounts.  The core
+  bound; each size reports how many systems it overcounts.  The exact
+  route's q (``min_poly_degree_exact``, integer elimination) must equal the
+  exact q of the Jordan structure on every one of these systems.  The core
   dimension r of ``decompose`` is not checked: ``linalg.core_nilpotent`` is
   known to fold eigenvalues into its nilpotent part.
 
@@ -55,6 +57,7 @@ from sparse_ctrb import (  # noqa: E402
     pbh_test,
     rank,
 )
+from sparse_ctrb.exact import min_poly_degree_exact  # noqa: E402
 from sparse_ctrb.linalg import _staircase  # noqa: E402
 
 FAMILIES = ("ring-", "rank-blocked-", "spectral-")
@@ -126,7 +129,8 @@ def exact_q(blocks):
 def jordan_mismatches():
     """Per N: (N, systems, uncontrollable ones, full staircases overturned by
     the probe sweep, float q above exact, mismatches) against exact Kalman
-    rank and exact q on integer Jordan systems."""
+    rank and exact q on integer Jordan systems; the exact route's q must
+    equal exact q."""
     rng = np.random.default_rng(0)
     rows = []
     for n in JORDAN_SIZES:
@@ -152,6 +156,11 @@ def jordan_mismatches():
             q_above += q > q_exact
             if q < q_exact:
                 problems.append(f"N={n} blocks {blocks}: float q {q} < exact {q_exact}")
+            q_route = min_poly_degree_exact(sys_.D)
+            if q_route != q_exact:
+                problems.append(
+                    f"N={n} blocks {blocks}: exact-route q {q_route} != {q_exact}"
+                )
         rows.append(
             (n, JORDAN_PER_SIZE, uncontrollable, overturned, q_above, problems)
         )
@@ -173,7 +182,8 @@ def main():
             f"integer Jordan systems N={n}: {count} systems ({uncontrollable} "
             f"uncontrollable, {overturned} full staircases overturned by the "
             f"sweep, float q above exact on {q_above}), {len(found)} "
-            f"mismatches against exact Kalman rank and exact q"
+            f"mismatches against exact Kalman rank and exact q (float q "
+            f"below it, or the exact route's q unequal to it)"
         )
     return 1 if problems else 0
 

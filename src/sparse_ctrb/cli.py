@@ -16,6 +16,7 @@ guarantee).  ``--rational`` switches rank decisions to exact arithmetic for
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -268,7 +269,9 @@ _RUNNERS = {
 }
 
 
+@functools.cache
 def _build_parser():
+    """The argparse tree, built once: parsing leaves no state in it."""
     parser = argparse.ArgumentParser(
         prog="sparse-ctrb",
         description="Controllability analysis for linear systems with sparse inputs",

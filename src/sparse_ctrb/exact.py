@@ -1,20 +1,24 @@
 """Exact-rational arithmetic for every rank question of the package.
 
 Entries are mapped to ``fractions.Fraction`` exactly (binary floats are
-rationals, so a decimal such as 0.35 is decided at its binary value).
+rationals, so a decimal such as 0.35 is decided at its binary value), and
+each matrix is then scaled once by the lcm of its denominators to Python ints.
 ``_ExactSpan`` is the rational counterpart of ``ctrb._FloatSpan``: the
 decisions and bounds are written once, in ``ctrb``, ``bounds`` and
 ``oracle``, against either span.  Its one elimination is ``extend``, a span
-of pivot-reduced rational vectors grown column by column; ranks, the rank
-condition (in exact arithmetic the eigenvalue rank condition is equivalent to
-Kalman rank N, so no algebraic eigenvalues are needed) and the
-minimal-polynomial degree all grow such a span.  The ``*_exact`` functions
-run the shared code with this span.  Intended for desk-scale fixture pinning
-and the CLI ``--rational`` mode; cost grows quickly with dimension.
+of pivot-reduced integer vectors grown column by column by fraction-free
+steps; ranks, the rank condition (in exact arithmetic the eigenvalue rank
+condition is equivalent to Kalman rank N, so no algebraic eigenvalues are
+needed) and the minimal-polynomial degree all grow such a span.  The
+``*_exact`` functions run the shared code with this span.  Intended for
+fixture pinning and the CLI ``--rational`` mode; the entries of D^k grow
+with k, so cost grows faster with dimension than on the float route.
 """
 
 from __future__ import annotations
 
+import math
+import operator
 from fractions import Fraction
 
 from .bounds import _s_star
@@ -45,20 +49,32 @@ def to_fractions(arr):
     return tuple(tuple(Fraction(x) for x in row) for row in arr)
 
 
-def _matmul(a, b):
-    bt = list(zip(*b))
+def _integers(arr):
+    """``to_fractions(arr)`` times the lcm of its denominators, as int rows:
+    the same ranks and dependences."""
+    rows = to_fractions(arr)
+    scale = math.lcm(*(x.denominator for row in rows for x in row))
     return tuple(
-        tuple(sum(x * y for x, y in zip(row, col)) for col in bt) for row in a
+        tuple(x.numerator * (scale // x.denominator) for x in row) for row in rows
     )
 
 
+def _matmul(a, b):
+    bt = list(zip(*b))
+    return tuple(tuple(sum(map(operator.mul, row, col)) for col in bt) for row in a)
+
+
 def _reduce(pivots, v):
-    """``v`` less the multiples of the pivot vectors ``(idx, p)`` that clear
-    its entries at their pivot indices."""
+    """``v`` with its entries at the pivot indices of the pivot vectors
+    ``(idx, p)`` cleared by fraction-free steps ``p[idx]·v - v[idx]·p``, each
+    divided by its content: a nonzero multiple of the rational elimination."""
     for idx, p in pivots:
         if v[idx] != 0:
-            f = v[idx] / p[idx]
-            v = [a - f * b for a, b in zip(v, p)]
+            a, b = p[idx], v[idx]
+            v = [a * x - b * y for x, y in zip(v, p)]
+            content = math.gcd(*v)
+            if content > 1:
+                v = [x // content for x in v]
     return v
 
 
@@ -84,12 +100,14 @@ class _ExactSpan:
     """Exact arithmetic for the rank questions in ``ctrb``, ``bounds`` and
     ``oracle``.
 
-    The running span is a list of pivot-reduced rational vectors, so its
+    The running span is a list of pivot-reduced integer vectors, so its
     dimension is exact and a leaf of the schedule search needs no re-check.
+    Only ranks and dependences are asked of it, so ``matrix`` and ``matmul``
+    give each matrix up to a nonzero scale.
     """
 
     what = "exact schedule search"
-    matrix = staticmethod(to_fractions)
+    matrix = staticmethod(_integers)
     matmul = staticmethod(_matmul)
 
     @staticmethod
@@ -102,16 +120,15 @@ class _ExactSpan:
     @staticmethod
     def rank_condition(sys):
         """Kalman rank N, grown block by block until a block adds nothing."""
-        dim = _stalled_dim(_powers(to_fractions(sys.D), to_fractions(sys.H), _matmul))
+        dim = _stalled_dim(_powers(_integers(sys.D), _integers(sys.H), _matmul))
         return dim == sys.n_states, None, None
 
     @staticmethod
     def min_poly_degree(d):
         """Number of powers I, D, D^2, ... before the first dependent one."""
-        d = to_fractions(d)
-        identity = tuple(
-            tuple(Fraction(int(i == j)) for j in range(len(d))) for i in range(len(d))
-        )
+        d = _integers(d)
+        n = len(d)
+        identity = tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
         return _stalled_dim(
             tuple((x,) for row in p for x in row) for p in _powers(d, identity, _matmul)
         )
@@ -168,7 +185,7 @@ class _ExactSpan:
 
 def rank_exact(m) -> int:
     """Exact rank of ``m``, its entries taken as the rationals they hold."""
-    return _ExactSpan.rank([to_fractions(m)])
+    return _ExactSpan.rank([_integers(m)])
 
 
 def controllable_exact(sys: SystemModel) -> bool:

@@ -18,6 +18,7 @@ from sparse_ctrb import (
     output_kalman_type_rank_test,
     save_system,
 )
+from sparse_ctrb import cli
 from sparse_ctrb.cli import main
 from sparse_ctrb.ctrb import _FloatSpan
 from sparse_ctrb.exact import _ExactSpan
@@ -222,9 +223,10 @@ class TestCliExitCodes:
     def test_rational_deadline_stops_search(self, capsys, tmp_path):
         # Not 1-sparse controllable (N=3 > s + rank D = 2), yet from K = 3 on
         # the blocks reach rank 3.  With 32 channels the horizon is K = 96,
-        # and matroid intersection rules out each K with one rational solve
-        # over all 32 K columns, tens of milliseconds a tick and seconds in
-        # all: the deadline has to be checked on every tick.
+        # and matroid intersection rules out each K with one exact solve over
+        # all 32 K columns: 94 ticks of about 0.03 s (up to 0.2 s), and 3.2 to
+        # 3.6 s in all without --deadline (in-process, 2-vCPU host).  The
+        # deadline has to be checked on every tick.
         path = tmp_path / "f3-wide.json"
         save_system(
             path,
@@ -321,6 +323,28 @@ class TestCliReports:
             )
             outputs.append(out)
         assert outputs[2] == outputs[3]
+
+    def test_shared_parser_carries_no_flag_over(self, capsys):
+        # main builds its argparse tree once per process.  Each report of a
+        # run of calls on that one tree has the bytes of the same argv parsed
+        # first by a fresh tree, so no flag carries over to the next call.
+        chain = str(FIXTURES / "nilpotent-chain.json")
+        argvs = (
+            ["check", *CHECK_1, "--rational"],
+            ["check", *CHECK_1],
+            ["oracle", chain, "-s", "1", "--deadline", "5"],
+            ["oracle", chain, "-s", "1"],
+        )
+        fresh = []
+        for argv in argvs:
+            cli._build_parser.cache_clear()
+            fresh.append(run_cli(capsys, *argv)[:2])
+        cli._build_parser.cache_clear()
+        shared = [run_cli(capsys, *argv)[:2] for argv in argvs]
+        assert cli._build_parser.cache_info().misses == 1
+        assert shared == fresh
+        assert all(code == 0 for code, _ in shared)
+        assert len({out for _, out in shared}) == len(argvs)
 
     def test_timing_flag_adds_elapsed(self, capsys):
         base = report_of(capsys, "check", *CHECK_1)
