@@ -28,6 +28,12 @@ mismatch:
   dimension r of ``decompose`` is not checked: ``linalg.core_nilpotent`` is
   known to fold eigenvalues into its nilpotent part.
 
+On every system of both sets the reference sweep also asks, at each probe
+it ranks, whether the Cholesky screen of ``ctrb._probe_sweep`` certifies the
+pencil full.  Each size reports how many probes the screen certified and how
+many it left to the SVD; a certified probe whose SVD rank is below N is a
+mismatch.
+
 Usage:
     python scripts/staircase_crosscheck.py
 """
@@ -49,6 +55,7 @@ sys.path.insert(0, str(ROOT / "bench"))
 import inputs  # noqa: E402
 
 from sparse_ctrb import (  # noqa: E402
+    DEFAULT_TOLERANCE,
     SystemModel,
     controllable_exact,
     eigenvalue_probes,
@@ -57,6 +64,7 @@ from sparse_ctrb import (  # noqa: E402
     pbh_test,
     rank,
 )
+from sparse_ctrb.ctrb import _full_row_rank_screen  # noqa: E402
 from sparse_ctrb.exact import min_poly_degree_exact  # noqa: E402
 from sparse_ctrb.linalg import _staircase  # noqa: E402
 
@@ -66,18 +74,30 @@ JORDAN_SIZES = (4, 8, 12, 16, 20, 24)
 JORDAN_PER_SIZE = 12
 
 
-def probe_sweep(sys):
-    """(holds, witness lambda) of the eigenvalue probe sweep."""
+def probe_sweep(sys, screen, problems, name):
+    """(holds, witness lambda) of the eigenvalue probe sweep.  ``screen``
+    (certified, left to the SVD) adds up what the Cholesky screen says of
+    each probe ranked; a certified probe of SVD rank below N goes into
+    ``problems``."""
     n = sys.n_states
     for lam in eigenvalue_probes(sys.D):
-        if rank(np.hstack([lam * np.eye(n) - sys.D, sys.H.astype(complex)])) < n:
+        pencil = np.hstack([lam * np.eye(n) - sys.D, sys.H.astype(complex)])
+        full = rank(pencil) == n
+        certified = _full_row_rank_screen(
+            pencil.real if lam.imag == 0 else pencil, DEFAULT_TOLERANCE
+        )
+        screen[0 if certified else 1] += 1
+        if certified and not full:
+            problems.append(f"{name}: screen certified rank-deficient probe {lam}")
+        if not full:
             return False, complex(lam)
     return True, None
 
 
 def benchmark_mismatches():
-    """Mismatches against the probe sweep on the float-scale families."""
-    checked, problems = 0, []
+    """Mismatches against the probe sweep on the float-scale families, with
+    the screen's (certified, left to the SVD) probe counts per N."""
+    checked, problems, screens = 0, [], {}
     with tempfile.TemporaryDirectory() as tmp:
         for seed in SEEDS:
             out = os.path.join(tmp, str(seed))
@@ -89,8 +109,9 @@ def benchmark_mismatches():
             for path in sorted(paths):
                 sys_, _ = load_system(path)
                 rep = pbh_test(sys_)
-                holds, lam = probe_sweep(sys_)
                 name = f"seed {seed} {os.path.basename(path)}"
+                screen = screens.setdefault(sys_.n_states, [0, 0])
+                holds, lam = probe_sweep(sys_, screen, problems, name)
                 checked += 1
                 q = min_poly_degree(sys_.D)
                 if q != sys_.n_states:
@@ -103,7 +124,7 @@ def benchmark_mismatches():
                     problems.append(
                         f"{name}: witness {rep.witness_lambda} against sweep {lam}"
                     )
-    return checked, problems
+    return checked, problems, screens
 
 
 def jordan_blocks(rng, n):
@@ -128,13 +149,14 @@ def exact_q(blocks):
 
 def jordan_mismatches():
     """Per N: (N, systems, uncontrollable ones, full staircases overturned by
-    the probe sweep, float q above exact, mismatches) against exact Kalman
-    rank and exact q on integer Jordan systems; the exact route's q must
-    equal exact q."""
+    the probe sweep, float q above exact, the screen's (certified, left to
+    the SVD) probe counts, mismatches) against exact Kalman rank and exact q
+    on integer Jordan systems; the exact route's q must equal exact q."""
     rng = np.random.default_rng(0)
     rows = []
     for n in JORDAN_SIZES:
         uncontrollable, overturned, q_above, problems = 0, 0, 0, []
+        screen = [0, 0]
         for _ in range(JORDAN_PER_SIZE):
             blocks = jordan_blocks(rng, n)
             columns = [
@@ -145,6 +167,7 @@ def jordan_mismatches():
             sys_ = SystemModel(D=d.astype(float), H=h.astype(float))
             want = controllable_exact(sys_)
             got = pbh_test(sys_).verdict
+            probe_sweep(sys_, screen, problems, f"N={n} blocks {blocks}")
             uncontrollable += not want
             overturned += _staircase(sys_.D, sys_.H)[1] == n and not got
             if got != want:
@@ -162,28 +185,36 @@ def jordan_mismatches():
                     f"N={n} blocks {blocks}: exact-route q {q_route} != {q_exact}"
                 )
         rows.append(
-            (n, JORDAN_PER_SIZE, uncontrollable, overturned, q_above, problems)
+            (n, JORDAN_PER_SIZE, uncontrollable, overturned, q_above, screen,
+             problems)
         )
     return rows
 
 
 def main():
-    checked, bench_problems = benchmark_mismatches()
+    checked, bench_problems, screens = benchmark_mismatches()
     rows = jordan_mismatches()
     problems = bench_problems + [line for *_, found in rows for line in found]
     for line in problems:
         print(f"MISMATCH {line}")
     print(
         f"float-scale families: {checked} systems, "
-        f"{len(bench_problems)} mismatches against the probe sweep or q = N"
+        f"{len(bench_problems)} mismatches against the probe sweep, q = N or "
+        f"the screen"
     )
-    for n, count, uncontrollable, overturned, q_above, found in rows:
+    for n, (certified, svd) in sorted(screens.items()):
+        print(
+            f"float-scale families N={n}: screen certified {certified} probes, "
+            f"left {svd} to the SVD"
+        )
+    for n, count, uncontrollable, overturned, q_above, screen, found in rows:
         print(
             f"integer Jordan systems N={n}: {count} systems ({uncontrollable} "
             f"uncontrollable, {overturned} full staircases overturned by the "
-            f"sweep, float q above exact on {q_above}), {len(found)} "
+            f"sweep, float q above exact on {q_above}; screen certified "
+            f"{screen[0]} probes, left {screen[1]} to the SVD), {len(found)} "
             f"mismatches against exact Kalman rank and exact q (float q "
-            f"below it, or the exact route's q unequal to it)"
+            f"below it, or the exact route's q unequal to it) or the screen"
         )
     return 1 if problems else 0
 

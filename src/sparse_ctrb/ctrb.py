@@ -401,16 +401,79 @@ def _probe_sweep(e, f, g, probes, tol):
     """``(holds, lambda, z)``: does ``[lambda*E - F, G]`` keep full row rank at
     every probe, else the first probe where it drops and a left null vector z
     of its complex pencil.  E, F, G are real, so the pencil at conj(lambda) has
-    the same singular values: it is skipped, and a real probe ranked in reals."""
+    the same singular values: it is skipped, and a real probe ranked in reals.
+    A pencil that passes :func:`_full_row_rank_screen` needs no SVD; every
+    other one is ranked by :func:`linalg.rank`, which alone decides a drop."""
     ranked = set()
     for lam in probes:
         if lam.conjugate() in ranked:
             continue
         ranked.add(lam)
-        pencil = np.hstack([lam * e - f, g.astype(complex)])
-        if rank(pencil.real if lam.imag == 0 else pencil, tol) < len(e):
-            return False, lam, np.conj(np.linalg.svd(pencil)[0][:, -1])
+        pencil = np.hstack([(lam.real if lam.imag == 0 else lam) * e - f, g])
+        if _full_row_rank_screen(pencil, tol):
+            continue
+        if rank(pencil, tol) < len(e):
+            z = np.linalg.svd(pencil.astype(complex))[0][:, -1]
+            return False, lam, np.conj(z)
     return True, None, None
+
+
+# Unit roundoff of float64, and the smallest Gram trace the screen trusts:
+# below it, underflow in the Gram product is no longer a relative error.
+_U = np.finfo(np.float64).eps / 2
+_SCREEN_MIN_TRACE = np.finfo(np.float64).tiny / _U
+
+
+def _full_row_rank_screen(m, tol):
+    """True only if ``m`` (n x w, real or complex) has full row rank under the
+    rule of :func:`linalg.rank`, ``sigma_n > rank_rel * c * sigma_1`` with
+    ``c = max(n, w)``.  False says nothing; the caller then takes the SVD.
+
+    The screen forms ``G = M M^H``, subtracts ``tau I`` and tries Cholesky,
+    with ``f = trace(G)`` (``|M|_F^2`` up to rounding), u the unit roundoff
+    and ``tau = ((rank_rel * c)^2 + 8u (w + n + 1)) * f``.  Why success
+    certifies the rule, with ``gamma_k = k u / (1 - k u)`` (Higham, *Accuracy
+    and Stability of Numerical Algorithms*, 2nd ed.):
+
+    * Gram product (section 3.1): each entry is an inner product of length
+      w, so whatever order the BLAS sums in, ``|dG| <= gamma_w |M| |M|^H``
+      entrywise and ``|dG|_2 <= |dG|_F <= gamma_w |M|_F^2``.
+    * Cholesky (Theorem 10.3, for any order of its inner products): if it
+      completes on the computed ``A = G - tau I``, then ``R^H R = A + dA``
+      with ``|dA| <= gamma_(n+1) |R^H| |R|``.  The diagonal of ``|R^H| |R|``
+      is that of ``R^H R``, so ``|dA|_2 <= gamma_(n+1) |R|_F^2`` and
+      ``|R|_F^2 = trace(A + dA) <= f / (1 - gamma_(n+1))``.
+    * In complex arithmetic a product errs by at most ``sqrt(2) gamma_2``
+      (section 3.6), so both bounds hold with ``sqrt(2) gamma_(k+2)`` for
+      ``gamma_k``.  Subtracting tau, and rounding f and tau, cost a few u
+      relative to f.
+    * ``R^H R`` is positive definite, so ``sigma_n(M)^2 = lambda_min(M M^H)
+      > tau - |dG|_2 - |dA|_2 - ...``, and the errors sum to at most about
+      ``sqrt(2) (w + n + 5) u f``, under the ``8u (w + n + 1) f`` in tau.
+      Hence ``sigma_n^2 > (rank_rel * c)^2 |M|_F^2 >= (rank_rel * c *
+      sigma_1)^2``; when n > w the factorisation cannot complete at all.
+
+    The rest of the ``8u`` term keeps ``sigma_n`` above
+    ``sqrt(6u (w + n)) |M|_F`` (4e-7 |M|_F at n = 128), orders of magnitude
+    above the SVD's own error of a few ``u * c * sigma_1``, so the SVD could
+    not count a certified pencil short.  Underflow is not a relative error:
+    a Gram trace below ``tiny / u``, or an overflowed one, is not screened
+    (and its overflow raises no warning that would reach a report).
+    """
+    n, w = m.shape
+    with np.errstate(over="ignore", invalid="ignore"):
+        gram = m @ m.conj().T
+    f = float(np.trace(gram).real)
+    if not _SCREEN_MIN_TRACE < f < np.inf:
+        return False
+    c = max(n, w)
+    tau = ((tol.rank_rel * c) ** 2 + 8 * _U * (w + n + 1)) * f
+    gram[np.diag_indices(n)] -= tau
+    try:
+        np.linalg.cholesky(gram)
+    except np.linalg.LinAlgError:
+        return False
+    return True
 
 
 def output_sparse_necessary(

@@ -98,6 +98,10 @@ REPORT_SCHEMA = {
 }
 
 
+# Exact types only: bool is a subclass of int and must not pass as a number.
+_NUMBERS = frozenset((int, float))
+
+
 def _parse_matrix(obj, name):
     if not (isinstance(obj, list) and obj and all(isinstance(r, list) for r in obj)):
         raise InputError(f"{name} must be a non-empty list of rows")
@@ -107,9 +111,10 @@ def _parse_matrix(obj, name):
     for i, row in enumerate(obj):
         if len(row) != width:
             raise InputError(f"{name} row {i} has length {len(row)}, expected {width}")
-        for x in row:
-            if isinstance(x, bool) or not isinstance(x, (int, float)):
-                raise InputError(f"{name} entries must be numbers, got {x!r}")
+        if not _NUMBERS.issuperset(map(type, row)):
+            for x in row:
+                if isinstance(x, bool) or not isinstance(x, (int, float)):
+                    raise InputError(f"{name} entries must be numbers, got {x!r}")
     return np.array(obj, dtype=np.float64)
 
 
@@ -181,6 +186,8 @@ def to_jsonable(value):
     if isinstance(value, np.complexfloating):
         return [float(value.real), float(value.imag)]
     if isinstance(value, np.ndarray):
+        if value.dtype.kind in "biuf":
+            return value.tolist()
         return [to_jsonable(v) for v in value.tolist()]
     if isinstance(value, (list, tuple)):
         return [to_jsonable(v) for v in value]
@@ -220,5 +227,54 @@ def build_report(
     return report
 
 
+# What ``json.dumps(v, allow_nan=False)`` encodes with; without an indent it
+# takes the C encoder.
+_ENCODER = json.JSONEncoder(allow_nan=False)
+# Scalars whose JSON text never holds ", ": a list of only these is encoded
+# in one call of the C encoder and its separators are then re-indented.
+_FLAT = frozenset((float, int, bool, type(None)))
+
+
+def _render(value, pad, out):
+    """Append the ``indent=2, sort_keys=True`` JSON text of ``value`` (string
+    keys, as :func:`build_report` makes them) at indentation ``pad`` to
+    ``out``."""
+    if isinstance(value, dict):
+        if not value:
+            out.append("{}")
+            return
+        inner = pad + "  "
+        opening = "{\n"
+        for key in sorted(value):
+            out.append(f"{opening}{inner}{_ENCODER.encode(key)}: ")
+            _render(value[key], inner, out)
+            opening = ",\n"
+        out.append(f"\n{pad}}}")
+    elif isinstance(value, (list, tuple)):
+        if not value:
+            out.append("[]")
+            return
+        inner = pad + "  "
+        if _FLAT.issuperset(map(type, value)):
+            body = _ENCODER.encode(value)[1:-1].replace(", ", ",\n" + inner)
+            out.append(f"[\n{inner}{body}\n{pad}]")
+            return
+        opening = "[\n"
+        for item in value:
+            out.append(opening + inner)
+            _render(item, inner, out)
+            opening = ",\n"
+        out.append(f"\n{pad}]")
+    else:
+        out.append(_ENCODER.encode(value))
+
+
 def render_report(report: dict) -> str:
-    return json.dumps(report, indent=2, sort_keys=True, allow_nan=False) + "\n"
+    """The bytes of ``json.dumps(report, indent=2, sort_keys=True,
+    allow_nan=False)`` plus a newline, without the pure-Python encoder that
+    any ``indent`` forces: lists of numbers, booleans and nulls go through the
+    C encoder whole.  nan and inf raise ``ValueError``."""
+    out = []
+    _render(report, "", out)
+    out.append("\n")
+    return "".join(out)

@@ -18,6 +18,18 @@ settings.load_profile("suite")
 
 FIXTURES = pathlib.Path(__file__).resolve().parent.parent / "fixtures"
 
+# Two exactly uncontrollable integer Jordan systems (N = 20 and 24) whose
+# float staircase is full; only the eigenvalue probe sweep finds the drop.
+with open(
+    pathlib.Path(__file__).parent / "data" / "near-defective-jordan.json",
+    encoding="utf-8",
+) as fh:
+    NEAR_DEFECTIVE_DATA = json.load(fh)
+NEAR_DEFECTIVE = [
+    SystemModel(D=np.array(d["D"], float), H=np.array(d["H"], float))
+    for d in NEAR_DEFECTIVE_DATA
+]
+
 
 def load_fixture(name: str) -> SystemModel:
     with open(FIXTURES / f"{name}.json", encoding="utf-8") as fh:

@@ -8,6 +8,7 @@ from sparse_ctrb import (
     DEFAULT_TOLERANCE,
     SystemModel,
     common_support_test,
+    eigenvalue_probes,
     input_restriction,
     kalman_test,
     output_kalman_test,
@@ -18,7 +19,13 @@ from sparse_ctrb import (
     sparse_pbh_test,
 )
 from sparse_ctrb import ctrb
-from tests.conftest import int_matrix, invertible_matrices, small_systems
+from tests.conftest import (
+    NEAR_DEFECTIVE,
+    NEAR_DEFECTIVE_DATA,
+    int_matrix,
+    invertible_matrices,
+    small_systems,
+)
 
 
 class TestSystemModel:
@@ -109,9 +116,18 @@ class TestPbhAndKalman:
             ranked.append(m.shape)
             return rank(m, tol)
 
+        screened = []
+        screen = ctrb._full_row_rank_screen
+
+        def counting_screen(m, tol):
+            screened.append(m.shape)
+            return screen(m, tol)
+
         monkeypatch.setattr(ctrb, "rank", counting_rank)
+        monkeypatch.setattr(ctrb, "_full_row_rank_screen", counting_screen)
         assert pbh_test(sys).verdict
         assert len(ranked) <= 9
+        assert len(screened) <= 9
 
     @given(small_systems())
     def test_pbh_equals_kalman(self, sys):
@@ -269,3 +285,125 @@ class TestOutputControllability:
         # verdict's necessary part: a controllable system passes.
         if output_kalman_test(sys) and output_pbh_necessary(sys):
             assert output_sparse_necessary(sys, sys.n_inputs)
+
+
+def _unscreened_sweep(e, f, g, probes, tol):
+    """The probe sweep without the Cholesky screen: an SVD rank at every
+    probe, the reference ``ctrb._probe_sweep`` must agree with."""
+    ranked = set()
+    for lam in probes:
+        if lam.conjugate() in ranked:
+            continue
+        ranked.add(lam)
+        pencil = np.hstack([lam * e - f, g.astype(complex)])
+        if rank(pencil.real if lam.imag == 0 else pencil, tol) < len(e):
+            return False, lam, np.conj(np.linalg.svd(pencil)[0][:, -1])
+    return True, None, None
+
+
+def _blocked_system(rng, n, l, complex_pair):
+    """Random ``(D, H)`` with ``z^T [lambda*I - D, H] = 0`` by construction:
+    ``D = P [[C, 0], [K, X]] P^-1`` and ``H = P [[0], [H_2]]``, so
+    ``z^T = (y^T, 0) P^-1`` for a left eigenvector y of C, at lambda = 0.3 or
+    at 0.7 +- 0.4i."""
+    k = 2 if complex_pair else 1
+    d0 = rng.standard_normal((n, n))
+    d0[:k, :k] = [[0.7, 0.4], [-0.4, 0.7]] if complex_pair else [[0.3]]
+    d0[:k, k:] = 0.0
+    h0 = rng.standard_normal((n, l))
+    h0[:k] = 0.0
+    p = rng.standard_normal((n, n))
+    return p @ d0 @ np.linalg.inv(p), p @ h0
+
+
+class TestProbeScreen:
+    """The Cholesky screen of ``ctrb._probe_sweep`` only ever skips an SVD:
+    the sweep's verdict, witness eigenvalue and witness z are those of the
+    unscreened sweep, and a screened pencil has full SVD rank."""
+
+    tol = DEFAULT_TOLERANCE
+
+    def assert_same_sweep(self, e, f, g, probes):
+        got = ctrb._probe_sweep(e, f, g, probes, self.tol)
+        want = _unscreened_sweep(e, f, g, probes, self.tol)
+        assert got[:2] == want[:2]
+        if want[2] is None:
+            assert got[2] is None
+        else:
+            assert np.array_equal(got[2], want[2])
+        return want[0]
+
+    def state_sweep(self, d, h):
+        n = d.shape[0]
+        return self.assert_same_sweep(np.eye(n), d, h, eigenvalue_probes(d))
+
+    def output_sweep(self, d, h, a):
+        probes = eigenvalue_probes(d)
+        off = complex(1.0 + max(abs(p) for p in probes))
+        return self.assert_same_sweep(a, a @ d, a @ h, probes + [off])
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_random_pencils_match_reference(self, seed):
+        rng = np.random.default_rng(seed)
+        n, l = int(rng.integers(2, 25)), int(rng.integers(1, 5))
+        d = rng.standard_normal((n, n)) * rng.choice([1e-3, 1.0, 1e3])
+        h = rng.standard_normal((n, l))
+        assert self.state_sweep(d, h)
+        m = int(rng.integers(1, n))
+        assert self.output_sweep(d, h, rng.standard_normal((m, n)))
+        if m > 1:  # rank(A) < m: the output pencil drops at every probe
+            a = rng.standard_normal((m, n))
+            a[-1] = a[0]
+            assert not self.output_sweep(d, h, a)
+
+    @pytest.mark.parametrize("seed", range(12))
+    @pytest.mark.parametrize("complex_pair", [False, True])
+    def test_rank_deficient_pencils_match_reference(self, seed, complex_pair):
+        rng = np.random.default_rng(100 + seed)
+        n, l = int(rng.integers(3, 25)), int(rng.integers(1, 5))
+        d, h = _blocked_system(rng, n, l, complex_pair)
+        assert not self.state_sweep(d, h)
+        a = rng.standard_normal((int(rng.integers(1, n)), n))
+        self.output_sweep(d, h, a)
+
+    @pytest.mark.parametrize(
+        "sys", NEAR_DEFECTIVE, ids=[d["name"] for d in NEAR_DEFECTIVE_DATA]
+    )
+    def test_near_defective_jordan_systems_match_reference(self, sys):
+        assert not self.state_sweep(sys.D, sys.H)
+
+    @pytest.mark.parametrize("shape", [(2, 3), (16, 20), (64, 68)])
+    @pytest.mark.parametrize("dtype", [float, complex])
+    def test_screen_is_sound_at_the_rank_threshold(self, shape, dtype):
+        # sigma_1 = 1 and sigma_n at a multiple of the rank rule's cut: the
+        # screen may pass only pencils the SVD ranks full, and it must pass
+        # a well-separated one.
+        n, w = shape
+        rng = np.random.default_rng(n)
+        u = np.linalg.qr(rng.standard_normal((n, n)))[0].astype(dtype)
+        v = np.linalg.qr(rng.standard_normal((w, n)))[0].astype(dtype)
+        if dtype is complex:
+            u = u * np.exp(1j * rng.uniform(0, 2 * np.pi, n))
+        cut = self.tol.rank_rel * w
+        for factor in (0.5, 0.999, 1.001, 2.0, 1e2, 1e4, 1e6):
+            sigma = np.geomspace(1.0, min(1.0, factor * cut), n)
+            m = (u * sigma) @ v.conj().T
+            screened = ctrb._full_row_rank_screen(m, self.tol)
+            if screened:
+                assert rank(m, self.tol) == n
+            if factor <= 1.0:
+                assert not screened
+        assert ctrb._full_row_rank_screen(u @ v.conj().T, self.tol)
+
+    def test_screen_rejects_deficient_and_unscaled_pencils(self):
+        rng = np.random.default_rng(7)
+        m = rng.standard_normal((12, 15))
+        assert ctrb._full_row_rank_screen(m, self.tol)
+        low = rng.standard_normal((12, 11)) @ rng.standard_normal((11, 15))
+        wide = rng.standard_normal((12, 10))
+        for bad in (low, wide, np.zeros((12, 15)), np.vstack([m[:-1], m[:1]])):
+            assert not ctrb._full_row_rank_screen(bad, self.tol)
+        # Underflowing or overflowing Gram products are never screened.
+        assert not ctrb._full_row_rank_screen(m * 1e-160, self.tol)
+        assert not ctrb._full_row_rank_screen(m * 1e160, self.tol)
+        assert rank(m * 1e-160, self.tol) == rank(m * 1e160, self.tol) == 12

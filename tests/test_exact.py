@@ -1,5 +1,3 @@
-import json
-import pathlib
 import time
 from fractions import Fraction
 from unittest import mock
@@ -32,17 +30,13 @@ from sparse_ctrb import (
 )
 from sparse_ctrb import exact
 from sparse_ctrb.exact import _ExactSpan, min_poly_degree_exact, to_fractions
-from tests.conftest import int_matrix, jordan_systems, small_systems
-
-with open(
-    pathlib.Path(__file__).parent / "data" / "near-defective-jordan.json",
-    encoding="utf-8",
-) as fh:
-    NEAR_DEFECTIVE_DATA = json.load(fh)
-NEAR_DEFECTIVE = [
-    SystemModel(D=np.array(d["D"], float), H=np.array(d["H"], float))
-    for d in NEAR_DEFECTIVE_DATA
-]
+from tests.conftest import (
+    NEAR_DEFECTIVE,
+    NEAR_DEFECTIVE_DATA,
+    int_matrix,
+    jordan_systems,
+    small_systems,
+)
 
 
 def _assert_witness(sys, rep):

@@ -7,6 +7,7 @@ from fractions import Fraction
 import jsonschema
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from sparse_ctrb import (
     InputError,
@@ -26,6 +27,7 @@ from sparse_ctrb.io import (
     REPORT_SCHEMA,
     SCHEMA_VERSION,
     SYSTEM_SCHEMA,
+    render_report,
     system_to_dict,
     to_jsonable,
 )
@@ -94,6 +96,20 @@ class TestSystemFiles:
         with pytest.raises(InputError):
             load_system(tmp_path / "nope.json")
 
+    @pytest.mark.parametrize(
+        "entry, shown",
+        [(True, "True"), (False, "False"), ("1", "'1'"), (None, "None"),
+         ([1.0], "[1.0]"), ({"x": 1}, "{'x': 1}")],
+    )
+    def test_non_number_entry_message(self, tmp_path, entry, shown):
+        # The message names the first offending entry of the row, whatever
+        # the numbers around it.
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({"D": [[1, 0.5], [2, entry]], "H": [[1], [1]]}))
+        with pytest.raises(InputError) as info:
+            load_system(path)
+        assert str(info.value) == f"D entries must be numbers, got {shown}"
+
 
 class TestJsonable:
     def test_fraction(self):
@@ -104,6 +120,61 @@ class TestJsonable:
 
     def test_array(self):
         assert to_jsonable(np.array([[1.0, 2.0]])) == [[1.0, 2.0]]
+
+    def test_arrays_give_python_scalars(self):
+        for arr in (np.array([[1.5, -0.0]]), np.arange(3), np.array([True, False]),
+                    np.array([1 + 2j])):
+            out = to_jsonable(arr)
+            assert out == [to_jsonable(v) for v in arr.tolist()]
+            assert json.dumps(out)
+
+
+def _json_values():
+    """Strategy for JSON values as reports hold them: string keys, finite
+    floats, bool next to int, nulls, non-ASCII text, nested and empty
+    containers, and lists that mix all of these."""
+    scalars = (
+        st.none()
+        | st.booleans()
+        | st.integers()
+        | st.floats(allow_nan=False, allow_infinity=False)
+        | st.text()
+    )
+    return st.recursive(
+        scalars,
+        lambda inner: st.lists(inner, max_size=6)
+        | st.lists(st.floats(allow_nan=False, allow_infinity=False), max_size=6)
+        | st.dictionaries(st.text(), inner, max_size=5),
+        max_leaves=40,
+    )
+
+
+class TestRenderReport:
+    """``render_report`` writes the bytes of ``json.dumps(indent=2,
+    sort_keys=True, allow_nan=False)`` plus a newline."""
+
+    @staticmethod
+    def reference(value):
+        return json.dumps(value, indent=2, sort_keys=True, allow_nan=False) + "\n"
+
+    @settings(max_examples=300)
+    @given(_json_values())
+    @example([-0.0, 1e16, 5e-324, 1e-7, 0.1, -1.5e300])
+    @example({"b": [True, 1, 0, False, 1.0, None], "a": [[], {}, [[]], [{}]]})
+    @example({"zé": ["日本", "\U0001f600", "a, b", "q\"u\n"], "": {}})
+    @example([[1.0, 2.0], [3, "x, y"], [None, [0.5, -0.0]]])
+    def test_matches_json_dumps(self, value):
+        assert render_report(value) == self.reference(value)
+
+    def test_tuples_render_as_lists(self):
+        value = {"w": (1.0, 2.0), "s": ((0, 1), ("a", None))}
+        assert render_report(value) == self.reference(value)
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+    def test_nan_and_inf_raise(self, bad):
+        for value in ([1.0, bad], {"x": bad}, [[0.5], ["s", bad]], bad):
+            with pytest.raises(ValueError):
+                render_report(value)
 
 
 class TestCliExitCodes:
