@@ -2,22 +2,24 @@
 """Cross-validate the sparse controllability decision test against the oracle.
 
 Samples deduplicated integer systems, runs the algebraic decision test and
-the exhaustive schedule search on each (system, sparsity) pair, and reports
-any disagreement.  The sample holds ``--count`` dense systems drawn by the
-flags and as many sparse ones (N <= 5, L <= 4, entries in -2..2, about half
-of them zero), on which the best schedules often need an exchange.  The
-search runs twice, in float (``exact_min_k``) and in rational arithmetic
-(``min_k_exact``), both to the horizon N*ceil(L/s), and the two K* must
-agree too, with an inconclusive search a mismatch; so must the float and
-exact decision tests (``sparse_pbh_test`` against
-``sparse_controllable_exact``: verdict, rank condition and slack) and, once
-per system, the float and exact minimal-polynomial degrees of D.  For every
-K up to N*ceil(L/s), in both arithmetics, the matroid-intersection r*(K)
-must be the best rank of the depth-first search alone: it reaches r*(K)
-and not r*(K)+1 (on the sparse sample, unless that search runs out of its
-budget or the float rank is ill-posed at K, see ``rstar_mismatches``; both
-are counted); and the schedule of ``greedy_support_schedule`` must have
-exact rank r*(K).
+the oracle on each (system, sparsity) pair, and reports any disagreement.
+The sample holds ``--count`` dense systems drawn by the flags and as many
+sparse ones (N <= 5, L <= 4, entries in -2..2, about half of them zero), on
+which the best schedules often need an exchange.  The oracle runs twice, in
+float (``exact_min_k``) and in rational arithmetic (``min_k_exact``), both
+to the horizon N*ceil(L/s), and the two K* must agree too, with an
+inconclusive search a mismatch.  Each witness, float and exact, must be the
+first schedule at its K* of the exhaustive depth-first search kept in
+``tests/reference_search.py`` (on the sparse sample, unless that search
+runs out of its budget; counted).  The float and exact decision tests
+(``sparse_pbh_test`` against ``sparse_controllable_exact``: verdict, rank
+condition and slack) must agree as well, and so, once per system, must the
+float and exact minimal-polynomial degrees of D.  For every K up to N*ceil(L/s), in both
+arithmetics, the matroid-intersection r*(K) must be the best rank of the
+depth-first search alone: it reaches r*(K) and not r*(K)+1 (on the sparse
+sample, unless that search runs out of its budget or the float rank is
+ill-posed at K, see ``rstar_mismatches``; both are counted); and the
+schedule of ``greedy_support_schedule`` must have exact rank r*(K).
 Exits non-zero when a mismatch is found.
 
 Usage:
@@ -28,10 +30,13 @@ import argparse
 import collections
 import itertools
 import math
+import pathlib
 import sys
 import time
 
 import numpy as np
+
+sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent))
 
 from sparse_ctrb import (
     BudgetExceededError,
@@ -49,13 +54,13 @@ from sparse_ctrb.ctrb import _FloatSpan
 from sparse_ctrb.exact import _ExactSpan, min_poly_degree_exact
 from sparse_ctrb.linalg import DEFAULT_TOLERANCE
 from sparse_ctrb.oracle import (
-    _best_schedule,
     _common_independent,
     _Counter,
     _descending_blocks,
     _supports_of,
     _within_reach,
 )
+from tests.reference_search import _best_schedule
 
 SPARSE_N, SPARSE_L, SPARSE_MAGNITUDE = 5, 4, 2
 SEARCH_BUDGET = 20_000
@@ -84,6 +89,36 @@ def sample_systems(count, seed, max_n, max_l, magnitude, sparse=False):
         seen.add(key)
         systems.append(SystemModel(D=d.astype(float), H=h.astype(float)))
     return systems
+
+
+def witness_mismatches(sys_, s, witnesses, sparse, unchecked):
+    """One line for each arithmetic whose oracle witness at its K* is not
+    the depth-first search's first schedule of rank N at that K.
+    ``witnesses`` maps ``"float"`` and ``"exact"`` to ``(K*, supports)``.
+    The search has the budget of ``rstar_mismatches``; on the ``sparse``
+    sample running out of it goes to ``unchecked``."""
+    supports = list(itertools.combinations(range(sys_.n_inputs), s))
+    budget = OracleBudget(max_enumerations=SEARCH_BUDGET) if sparse else OracleBudget()
+    found = []
+    for name, span in (("float", _FloatSpan(DEFAULT_TOLERANCE)), ("exact", _ExactSpan())):
+        k, witness = witnesses[name]
+        if k is None:
+            continue
+        *_, (blocks, caps) = _descending_blocks(sys_, s, span, False, k)
+        counter = _Counter(budget, "reference search")
+        try:
+            reference = _best_schedule(
+                blocks, caps, supports, sys_.n_states, span, counter
+            )
+        except BudgetExceededError:
+            if sparse:
+                unchecked["witness"] += 1
+            else:
+                found.append(f"{name} K*={k}: the reference search ran out of budget")
+            continue
+        if reference != witness:
+            found.append(f"{name} K*={k}: witness {witness}, reference search {reference}")
+    return found
 
 
 def reaches(blocks, caps, supports, target, span, budget):
@@ -204,9 +239,10 @@ def main(argv=None):
                 )
             verdict = rep.verdict
             horizon = sys_.n_states * math.ceil(sys_.n_inputs / s)
+            sparse = idx >= args.count
             try:
-                k, _ = exact_min_k(sys_, s)
-                k_exact, _ = min_k_exact(sys_, s, max_k=horizon)
+                k, schedule = exact_min_k(sys_, s)
+                k_exact, witness_exact = min_k_exact(sys_, s, max_k=horizon)
             except InconclusiveError as exc:
                 mismatches.append((idx, s, f"inconclusive search: {exc}"))
             else:
@@ -216,7 +252,13 @@ def main(argv=None):
                     mismatches.append(
                         (idx, s, f"oracle_k={k}, exact oracle_k={k_exact}")
                     )
-            for what in rstar_mismatches(sys_, s, idx >= args.count, unchecked):
+                witnesses = {
+                    "float": (k, schedule and schedule.supports),
+                    "exact": (k_exact, witness_exact),
+                }
+                for what in witness_mismatches(sys_, s, witnesses, sparse, unchecked):
+                    mismatches.append((idx, s, what))
+            for what in rstar_mismatches(sys_, s, sparse, unchecked):
                 mismatches.append((idx, s, what))
             if verdict:
                 controllable += 1
@@ -227,7 +269,9 @@ def main(argv=None):
         f"{controllable} sparse-controllable, {elapsed:.1f}s; r*(K) left "
         f"unchecked: {unchecked['budget']} sparse (arithmetic, K) pairs where "
         f"the reference search ran out of {SEARCH_BUDGET} extensions, "
-        f"{unchecked['float']} float K with an ill-posed rank"
+        f"{unchecked['float']} float K with an ill-posed rank; witnesses left "
+        f"unchecked: {unchecked['witness']} sparse (arithmetic, K*) pairs "
+        "where the reference search ran out"
     )
     for idx, s, what in mismatches:
         sys_ = systems[idx]
@@ -239,7 +283,8 @@ def main(argv=None):
         return 1
     print(
         "float and exact decision tests, q, float oracle and exact oracle "
-        "agree on every pair, and r*(K) is the search's best rank and the "
+        "agree on every pair, every witness checked is the search's first "
+        "schedule at K*, and r*(K) is the search's best rank and the "
         "steering schedule's rank at every K checked"
     )
     return 0

@@ -7,8 +7,8 @@ the questions into output controllability.  The package provides
 * decisive rank tests (floating-point with explicit tolerances, or exact
   rational arithmetic),
 * lower/upper bounds on the minimal number of steps ``K*`` needed to steer,
-* an oracle for ``K*`` with witnesses: matroid intersection decides each K
-  and gives the best scheduled rank, a depth-first search finds the witness,
+* an oracle for ``K*`` with witnesses: matroid intersection decides each K,
+  gives the best scheduled rank and certifies the witness step by step,
 * a similarity transform exposing the sparse-controllable subsystem, and
 * minimum-norm sparse input synthesis on a schedule of maximal rank for
   reaching a target state or output.

@@ -326,7 +326,7 @@ def _build_parser():
     )
 
     p = sub.add_parser(
-        "oracle", parents=[common], help="exhaustive minimal steering time"
+        "oracle", parents=[common], help="minimal steering time and its witness"
     )
     sparsity(p)
     p.add_argument("--mode", choices=["state", "output"], default="state")

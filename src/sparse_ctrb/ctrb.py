@@ -150,14 +150,14 @@ class _FloatSpan:
     Decisions and bounds are written once against a span: ``rank`` (of a
     list of blocks), ``matmul``, ``matrix``, ``rank_condition``,
     ``min_poly_degree`` and ``support_screen`` (the necessary screen of the
-    common-support test, None where the span has none); the schedule search
-    in ``oracle`` also uses the incremental span (``empty``, ``extend``,
+    common-support test, None where the span has none); the witness loop in
+    ``oracle`` also uses the incremental span (``empty``, ``extend``,
     ``leaf_rank``), and for matroid intersection ``circuits`` and
     ``cut_rank``.  This span decides ranks at ``tol``;
     ``exact._ExactSpan`` answers the same questions in rationals.
-    The running span of the search is an orthonormal basis whose dependence
-    threshold is biased toward independence, so pruning never drops a viable
-    branch; a leaf counts only with the full SVD rank of its scheduled matrix.
+    The running span of the witness loop is an orthonormal basis whose
+    dependence threshold leans to independence, so no cut drops a viable
+    support; a leaf counts only with the full SVD rank of its columns.
     Matroid intersection takes its circuits from least squares on unit
     columns, which only guides it: a float cut of a K rests on ``cut_rank``,
     an SVD rank that no leaf check can exceed.
@@ -263,18 +263,17 @@ class _FloatSpan:
         return int(np.count_nonzero(sigma > self.tol.rank_rel * n * floor))
 
 
+def _report(holds, lam, z, slack, tol):
+    """The report of a rank condition and, for the sparse test, its slack."""
+    inequality = slack is None or slack >= 0
+    return ControllabilityReport(
+        holds and inequality, holds, inequality, lam, z, slack, tol
+    )
+
+
 def pbh_test(sys: SystemModel, tol: Tolerance = DEFAULT_TOLERANCE) -> ControllabilityReport:
     """Eigenvalue rank test for plain controllability."""
-    holds, lam, z = _FloatSpan(tol).rank_condition(sys)
-    return ControllabilityReport(
-        verdict=holds,
-        rank_condition_holds=holds,
-        inequality_holds=True,
-        witness_lambda=lam,
-        witness_z=z,
-        slack=None,
-        tolerance=tol,
-    )
+    return _report(*_FloatSpan(tol).rank_condition(sys), None, tol)
 
 
 def kalman_test(sys: SystemModel, tol: Tolerance = DEFAULT_TOLERANCE) -> bool:
@@ -298,17 +297,7 @@ def sparse_pbh_test(
 
     Combines the eigenvalue rank condition with ``N <= s + rank(D)``.
     """
-    holds, lam, z, slack = _sparse_test(sys, s, _FloatSpan(tol))
-    inequality = slack >= 0
-    return ControllabilityReport(
-        verdict=holds and inequality,
-        rank_condition_holds=holds,
-        inequality_holds=inequality,
-        witness_lambda=lam,
-        witness_z=z,
-        slack=slack,
-        tolerance=tol,
-    )
+    return _report(*_sparse_test(sys, s, _FloatSpan(tol)), tol)
 
 
 def _first_controllable_support(sys, sizes, span, max_subsets=None):

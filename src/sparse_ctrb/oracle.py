@@ -13,12 +13,13 @@ last power back, then shortest augmenting paths (Edmonds 1970; Cunningham,
 SIAM J. Comput. 1986).  ``_min_k`` runs it first at every K, warm-started
 from the previous K's set, and skips every K its weak-duality bound rules
 out, up to the horizon N * ceil(L/s) (the horizon rule is stated at
-``_min_k``).  The witness comes from ``_best_schedule``, a depth-first
-search that returns the lexicographically first schedule reaching the
-target rank.  State and output targets, float and exact arithmetic all go
-through these; the arithmetic is a *span* object, ``ctrb._FloatSpan`` or
-``exact._ExactSpan``.  Budgets bound the whole run and make overruns an
-explicit inconclusive outcome instead of a wrong answer.
+``_min_k``).  The same kernel certifies the witness, the lexicographically
+first schedule reaching the target rank, one position at a time
+(``_first_schedule``).  State and output targets, float and exact
+arithmetic all go through these; the arithmetic is a *span* object,
+``ctrb._FloatSpan`` or ``exact._ExactSpan``.  Budgets bound the whole run
+and make overruns an explicit inconclusive outcome instead of a wrong
+answer.
 """
 
 from __future__ import annotations
@@ -143,15 +144,10 @@ class _Counter:
 
     def tick(self, k):
         self.used += 1
-        if self.used > self.budget.max_enumerations:
+        over = self.used > self.budget.max_enumerations
+        if over or (self.deadline is not None and time.monotonic() > self.deadline):
             raise BudgetExceededError(
-                f"{self.what} exceeded enumeration budget",
-                enumerations=self.used,
-                k_reached=k,
-            )
-        if self.deadline is not None and time.monotonic() > self.deadline:
-            raise BudgetExceededError(
-                f"{self.what} exceeded deadline",
+                f"{self.what} exceeded {'enumeration budget' if over else 'deadline'}",
                 enumerations=self.used,
                 k_reached=k,
             )
@@ -177,48 +173,11 @@ def _within_reach(blocks, caps, target, span):
     return sum(caps) >= target and span.rank(blocks) >= target
 
 
-def _best_schedule(blocks, caps, supports, target, span, counter, fragile=None):
-    """Depth-first search over schedules of the descending-power ``blocks``.
-
-    Supports are tried in lexicographic order, schedule positions left to
-    right.  Returns the first schedule whose rank reaches ``target``, or
-    None.  Branches whose rank plus the capacity of the blocks still to come
-    stays below ``target`` are cut; callers skip the blocks that fail
-    ``_within_reach``.  A leaf whose running span reaches ``target`` but
-    whose ``leaf_rank`` does not calls ``fragile(rank)``, which may raise.
-    """
-    k = len(blocks)
-    suffix_cap = [0] * (k + 1)  # capacity of the blocks at depths >= d
-    for d in range(k - 1, -1, -1):
-        suffix_cap[d] = suffix_cap[d + 1] + caps[d]
-    chosen = []
-
-    def dfs(depth, basis):
-        for sup in supports:
-            counter.tick(k)
-            nxt, dim = span.extend(basis, blocks[depth], sup)
-            if dim + suffix_cap[depth + 1] < target:
-                continue
-            chosen.append(sup)
-            if depth + 1 < k:
-                found = dfs(depth + 1, nxt)
-            else:
-                rank = span.leaf_rank(dim, blocks, chosen)
-                found = rank >= target
-                if not found and fragile:
-                    fragile(rank)
-            if found:
-                return True
-            chosen.pop()
-        return False
-
-    return tuple(chosen) if dfs(0, span.empty(blocks[0])) else None
-
-
-def _common_independent(blocks, s, l, span, counter, k, inside=()):
+def _common_independent(blocks, s, l, span, counter, k, inside=(), allowed=None):
     """A largest set of columns ``(d, j)`` of ``blocks`` (``l`` columns
     each), at most ``s`` from each block, independent in the span, grown
-    from the common independent set ``inside``.
+    from the common independent set ``inside``; block d may use only the
+    channels ``allowed[d]`` (default all), its other columns being loops.
 
     First a greedy fill: blocks from the last (H) to the first, channels in
     index order, keeping a column while its block has room and it grows the
@@ -232,12 +191,13 @@ def _common_independent(blocks, s, l, span, counter, k, inside=()):
     augmentation ticks ``counter``.
     """
     members, n = set(inside), len(blocks[0])
+    allowed = allowed or [range(l)] * k
     used = collections.Counter(d for d, _ in members)
     basis, dim = span.empty(blocks[0]), 0
     for d, j in inside:
         basis, dim = span.extend(basis, blocks[d], (j,))
     for d in range(k - 1, -1, -1):
-        for j in range(l):
+        for j in allowed[d]:
             if dim < n and used[d] < s and (d, j) not in members:
                 basis, grown = span.extend(basis, blocks[d], (j,))
                 if grown > dim:
@@ -246,7 +206,7 @@ def _common_independent(blocks, s, l, span, counter, k, inside=()):
     inside = sorted(members)
     if dim == n:
         return inside, set()
-    ground = [(d, j) for d in range(k) for j in range(l)]
+    ground = [(d, j) for d in range(k) for j in allowed[d]]
     while True:
         counter.tick(k)
         members = set(inside)
@@ -307,6 +267,56 @@ def _blocked(blocks, s, l, target, span, inside, reach):
     return span.cut_rank(dim, blocks, s, _supports_of(reach, k)) + spare < target
 
 
+def _first_schedule(blocks, caps, s, l, target, span, counter, inside, referee):
+    """The lexicographically first schedule of ``blocks`` reaching rank
+    ``target``, at a K where the kernel's set ``inside`` reaches it, or None.
+
+    Positions are fixed left to right, supports tried in lexicographic order
+    (each try ticks ``counter``) and cut when the running span plus the
+    capacity still to come falls short.  A last-position leaf whose running
+    span reaches ``target`` but not its ``leaf_rank`` goes to ``referee``.
+    Pass 1 keeps the first support past the cut, settling most K without a
+    kernel call.  If it ends short, pass 2 keeps a support only if the
+    kernel, warm-started from the current set, still reaches ``target`` with
+    it fixed (no call if it holds the set's columns there).  In exact
+    arithmetic a certified prefix has a completion, so this is an exhaustive
+    search's first schedule; one that runs out goes to ``referee``.
+    """
+    k = len(blocks)
+    supports = list(itertools.combinations(range(l), s))
+    for certify in (False, True):
+        chosen, basis, current = [], span.empty(blocks[0]), inside
+        for d in range(k):
+            for sup in supports:
+                counter.tick(k)
+                grown, dim = span.extend(basis, blocks[d], sup)
+                if dim + sum(caps[d + 1:]) < target:
+                    continue
+                if d == k - 1:
+                    rank = span.leaf_rank(dim, blocks, [*chosen, sup])
+                    if rank >= target:
+                        return (*chosen, sup)
+                    referee(k, f"at K={k}: a leaf's running span has rank "
+                            f"{target}, its SVD rank {rank}; ill-posed")
+                    continue
+                if certify and not {j for e, j in current if e == d} <= set(sup):
+                    kept = [(e, j) for e, j in current if e != d or j in sup]
+                    allowed = [*chosen, sup] + [range(l)] * (k - d - 1)
+                    found, _ = _common_independent(
+                        blocks, s, l, span, counter, k, kept, allowed
+                    )
+                    if len(found) < target:
+                        continue
+                    current = found
+                chosen, basis = [*chosen, sup], grown
+                break
+            else:
+                break
+    referee(k, f"at K={k}: a prefix certified by matroid intersection runs "
+            "out of supports; ill-posed")
+    return None
+
+
 def _partition_horizon(sys, s):
     return sys.n_states * math.ceil(sys.n_inputs / s)
 
@@ -315,9 +325,9 @@ def _min_k(sys, s, budget, span, output=False, first_k=1):
     """Smallest K in ``first_k..max_k`` at which a schedule reaches full state
     (or output) rank, as ``(K, supports, max_k)``; ``(None, None, max_k)``
     when none does.  One budget covers every K.  A K that passes
-    ``_within_reach`` goes to the kernel first, warm-started from the
-    previous K's set; a cut certified by ``_blocked`` skips it, and otherwise
-    the search looks for the witness.
+    ``_within_reach`` goes to the kernel, warm-started from the previous K's
+    set; a cut certified by ``_blocked`` skips it, and a set reaching the
+    target gets its witness from ``_first_schedule``.
 
     The horizon rule: ``max_k`` defaults to N * ceil(L/s), which decides the
     question.  A passed sparse test gives K* <= q * ceil(S*/s) <= N * ceil(L/s)
@@ -325,8 +335,9 @@ def _min_k(sys, s, budget, span, output=False, first_k=1):
     K.  (Output questions stop there too, above their bound
     q * ceil(rank H/s).)  Under that default and a state target, when the
     span's sparse test (run at most once) passes, a search that finds nothing
-    is inconclusive, and so, at once, is a leaf whose running span reaches N
-    but whose ``leaf_rank`` does not: a witness past it is not robust."""
+    is inconclusive, and so, at once, is an ill-posed K: a leaf whose span
+    reaches N but not its ``leaf_rank`` (a witness past it is not robust), a
+    certified prefix without a witness, or a short set with an uncertified cut."""
     if output:
         _require_output_map(sys)
     _check_sparsity(sys, s)
@@ -346,7 +357,6 @@ def _min_k(sys, s, budget, span, output=False, first_k=1):
             )
 
     l = sys.n_inputs
-    supports = list(itertools.combinations(range(l), s))
     problems = _descending_blocks(sys, s, span, output, max_k)
     inside = []
     for k, (blocks, caps) in enumerate(problems, start=1):
@@ -354,12 +364,13 @@ def _min_k(sys, s, budget, span, output=False, first_k=1):
         if k < first_k or not _within_reach(blocks, caps, target, span):
             continue
         inside, reach = _common_independent(blocks, s, l, span, counter, k, inside)
-        if len(inside) < target and _blocked(blocks, s, l, target, span, inside, reach):
+        if len(inside) < target:
+            if not _blocked(blocks, s, l, target, span, inside, reach):
+                referee(k, f"at K={k}: matroid intersection reaches rank "
+                        f"{len(inside)} of {target} without a certified cut; ill-posed")
             continue
-        witness = _best_schedule(
-            blocks, caps, supports, target, span, counter,
-            fragile=lambda r: referee(k, f"at K={k}: a leaf's running span has rank "
-                                      f"{target}, its SVD rank {r}; ill-posed"),
+        witness = _first_schedule(
+            blocks, caps, s, l, target, span, counter, inside, referee
         )
         if witness is not None:
             return k, witness, max_k
@@ -413,8 +424,8 @@ def exact_min_k(
     ``(None, None)`` when no schedule exists within that range, which is
     definitive under the default horizon.  Under that default,
     ``InconclusiveError`` is raised when a passed sparse test contradicts a
-    null, or at the first leaf whose SVD re-check falls short of its running
-    span; see the horizon rule of ``oracle._min_k``.
+    null, or at the first K whose float rank is ill-posed; see the horizon
+    rule of ``oracle._min_k``.
     """
     k, witness, _ = _min_k(sys, s, budget or OracleBudget(), _FloatSpan(tol))
     return (k, SupportSchedule(witness, s)) if witness else (None, None)

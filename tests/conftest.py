@@ -17,13 +17,11 @@ settings.register_profile(
 settings.load_profile("suite")
 
 FIXTURES = pathlib.Path(__file__).resolve().parent.parent / "fixtures"
+DATA = pathlib.Path(__file__).resolve().parent / "data"
 
 # Two exactly uncontrollable integer Jordan systems (N = 20 and 24) whose
 # float staircase is full; only the eigenvalue probe sweep finds the drop.
-with open(
-    pathlib.Path(__file__).parent / "data" / "near-defective-jordan.json",
-    encoding="utf-8",
-) as fh:
+with open(DATA / "near-defective-jordan.json", encoding="utf-8") as fh:
     NEAR_DEFECTIVE_DATA = json.load(fh)
 NEAR_DEFECTIVE = [
     SystemModel(D=np.array(d["D"], float), H=np.array(d["H"], float))

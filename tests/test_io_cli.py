@@ -31,7 +31,7 @@ from sparse_ctrb.io import (
     system_to_dict,
     to_jsonable,
 )
-from tests.conftest import FIXTURES
+from tests.conftest import DATA, FIXTURES
 
 CHECK_1 = [str(FIXTURES / "inequality-blocked.json"), "-s", "2"]
 
@@ -336,12 +336,40 @@ class TestCliExitCodes:
         assert report["result"]["k_star"] is None
         assert report["result"]["max_k_searched"] == 12
 
+    @pytest.mark.parametrize("rational", [False, True], ids=["float", "rational"])
+    def test_witness_needs_no_exhaustive_search(self, capsys, rational):
+        # On dfs-slow-8 the first path of supports past the capacity cut has
+        # no witness at K* = 6, and a depth-first search over schedules
+        # spends 31,278 ticks before it finds one.  Kernel-certified
+        # prefixes take 46.
+        argv = ["oracle", str(DATA / "dfs-slow-8.json"), "-s", "2", "--budget", "1000"]
+        code, out, err = run_cli(capsys, *argv, *(["--rational"] if rational else []))
+        assert code == 0, err
+        report = json.loads(out)
+        assert report["result"]["k_star"] == 6
+        assert report["witnesses"]["schedule"] == [[0, 3]] * 6
+
+    def test_uncertified_short_kernel_is_ill_posed(self, capsys, monkeypatch):
+        # A kernel set short of N whose cut is not certified (only float rank
+        # decisions can leave one) is referred to the sparse test, which
+        # passes here: exit 3 at that K, not a search for a witness.  The
+        # capacity pre-check would skip K = 1 and 2, so it is forced too.
+        monkeypatch.setattr(oracle, "_within_reach", lambda *args: True)
+        monkeypatch.setattr(oracle, "_blocked", lambda *args: False)
+        argv = ["oracle", str(FIXTURES / "nilpotent-chain.json"), "-s", "1"]
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 3
+        report = json.loads(out)
+        jsonschema.validate(report, REPORT_SCHEMA)
+        assert report["result"]["k_reached"] == 1
+        assert "ill-posed" in report["result"]["reason"]
+
     def test_search_contradicting_sparse_test_is_inconclusive(self, capsys, monkeypatch):
         # A search that finds nothing (as float rank decisions can on
         # ill-conditioned D) while the sparse test passes: the default search
         # must not turn that into a definite "no schedule", but an explicit
         # --max-k still may.
-        monkeypatch.setattr(oracle, "_best_schedule", lambda *args, **kwargs: None)
+        monkeypatch.setattr(oracle, "_first_schedule", lambda *args, **kwargs: None)
         argv = ["oracle", str(FIXTURES / "nilpotent-chain.json"), "-s", "1"]
         code, out, _ = run_cli(capsys, *argv)
         assert code == 3

@@ -25,18 +25,20 @@ from sparse_ctrb import (
     rstar_sequence,
     sparse_pbh_test,
 )
+from sparse_ctrb import oracle
 from sparse_ctrb.ctrb import _FloatSpan
 from sparse_ctrb.exact import _ExactSpan
 from sparse_ctrb.linalg import DEFAULT_TOLERANCE
 from sparse_ctrb.oracle import (
-    _best_schedule,
     _common_independent,
     _Counter,
     _descending_blocks,
+    _first_schedule,
     _supports_of,
     _within_reach,
 )
 from tests.conftest import _dense_spectral, small_systems
+from tests.reference_search import _best_schedule
 
 
 class TestSupportSchedule:
@@ -210,25 +212,36 @@ class TestCommonIndependent:
     def test_kernel_rank_is_search_best_rank(self, span, sys, data):
         # r*(K) of matroid intersection (float: the SVD rank of its columns)
         # is the best rank of the depth-first search: it reaches r*, not r*+1.
+        # At the first K where r* is N, the kernel-certified prefix loop
+        # returns the search's witness.
         s = data.draw(st.integers(1, sys.n_inputs))
-        l = sys.n_inputs
+        l, n = sys.n_inputs, sys.n_states
         supports = list(itertools.combinations(range(l), s))
         counter = _Counter(OracleBudget(), "test")
 
-        def reaches(blocks, caps, target):
-            return _within_reach(blocks, caps, target, span) and (
-                _best_schedule(blocks, caps, supports, target, span, counter)
-                is not None
-            )
+        def search(blocks, caps, target):
+            if not _within_reach(blocks, caps, target, span):
+                return None
+            return _best_schedule(blocks, caps, supports, target, span, counter)
 
-        horizon = sys.n_states * math.ceil(l / s)
+        def ignore(k, reason):
+            pass
+
+        horizon = n * math.ceil(l / s)
         problems = _descending_blocks(sys, s, span, False, horizon)
+        first = True
         for k, (blocks, caps) in enumerate(problems, start=1):
             inside, _ = _common_independent(blocks, s, l, span, counter, k)
             assert all(sum(d == depth for d, _ in inside) <= s for depth in range(k))
             r_star = span.leaf_rank(len(inside), blocks, _supports_of(inside, k))
-            assert reaches(blocks, caps, r_star)
-            assert not reaches(blocks, caps, r_star + 1)
+            witness = search(blocks, caps, r_star)
+            assert witness is not None
+            assert search(blocks, caps, r_star + 1) is None
+            if r_star == n and first:
+                assert witness == _first_schedule(
+                    blocks, caps, s, l, n, span, counter, inside, ignore
+                )
+                first = False
 
     @pytest.mark.parametrize(
         "span", [_FloatSpan(DEFAULT_TOLERANCE), _ExactSpan()], ids=["float", "exact"]
@@ -246,6 +259,66 @@ class TestCommonIndependent:
         assert len(inside) == 4
         assert span.leaf_rank(4, blocks, _supports_of(inside, 2)) == 4
         assert exact_min_k(sys, 2)[0] == 2
+
+
+    @pytest.mark.parametrize(
+        "span", [_FloatSpan(DEFAULT_TOLERANCE), _ExactSpan()], ids=["float", "exact"]
+    )
+    @pytest.mark.parametrize(
+        "d, h",
+        [
+            ([[0, 0, -2], [-1, 0, 0], [0, -1, 0]], [[-2, -2, 0], [0, 0, 2], [0, 0, 0]]),
+            (
+                [[-2, -1, 0, 0], [2, -1, 0, 0], [-1, 0, 0, -2], [0, -1, -1, 0]],
+                [[0, 0, -2], [0, 0, -1], [0, -1, 1], [-1, 0, -2]],
+            ),
+        ],
+        ids=["n3", "n4"],
+    )
+    def test_certified_prefixes_give_search_witness(self, span, d, h, monkeypatch):
+        # At K* = 2 (s = 2) the first support that survives the capacity cut
+        # at the first position has no completion, so the first pass ends
+        # short and the kernel must certify the prefix of the second.
+        sys = SystemModel(D=np.array(d, float), H=np.array(h, float))
+        l, n = sys.n_inputs, sys.n_states
+        blocks, caps = list(_descending_blocks(sys, 2, span, False, 2))[-1]
+        counter = _Counter(OracleBudget(), "test")
+        inside, _ = _common_independent(blocks, 2, l, span, counter, 2)
+        assert len(inside) == n
+        certified = []
+
+        def counting(*args):
+            certified.append(args[-1])
+            return _common_independent(*args)
+
+        monkeypatch.setattr(oracle, "_common_independent", counting)
+        witness = _first_schedule(
+            blocks, caps, 2, l, n, span, counter, inside,
+            lambda k, reason: pytest.fail(reason),
+        )
+        assert certified
+        supports = list(itertools.combinations(range(l), 2))
+        assert witness == _best_schedule(blocks, caps, supports, n, span, counter)
+        assert exact_min_k(sys, 2)[0] == 2
+
+    @pytest.mark.parametrize(
+        "span", [_FloatSpan(DEFAULT_TOLERANCE), _ExactSpan()], ids=["float", "exact"]
+    )
+    def test_certified_prefix_without_witness_goes_to_referee(self, span):
+        # Both blocks span e1, so no schedule reaches rank 2.  Handed a set
+        # that claims rank 2 (as a float kernel could), the prefix loop fixes
+        # the first position by it and then finds no leaf: it must refer the
+        # K as ill-posed, not return a schedule.
+        sys = SystemModel(D=np.diag([1.0, 2.0]), H=np.array([[1.0, 0.0], [0.0, 0.0]]))
+        blocks, caps = list(_descending_blocks(sys, 1, span, False, 2))[-1]
+        reasons = []
+        witness = _first_schedule(
+            blocks, caps, 1, 2, 2, span, _Counter(OracleBudget(), "test"),
+            [(0, 0), (1, 0)], lambda k, reason: reasons.append((k, reason)),
+        )
+        assert witness is None
+        assert reasons and reasons[-1][0] == 2
+        assert "runs out of supports; ill-posed" in reasons[-1][1]
 
 
 class TestDecisionHorizon:
