@@ -100,11 +100,13 @@ def witness_mismatches(sys_, s, witnesses, sparse, unchecked):
     supports = list(itertools.combinations(range(sys_.n_inputs), s))
     budget = OracleBudget(max_enumerations=SEARCH_BUDGET) if sparse else OracleBudget()
     found = []
-    for name, span in (("float", _FloatSpan(DEFAULT_TOLERANCE)), ("exact", _ExactSpan())):
+    for name, span in (
+        ("float", _FloatSpan(sys_, DEFAULT_TOLERANCE)), ("exact", _ExactSpan(sys_))
+    ):
         k, witness = witnesses[name]
         if k is None:
             continue
-        *_, (blocks, caps) = _descending_blocks(sys_, s, span, False, k)
+        *_, (blocks, caps) = _descending_blocks(span, s, False, k)
         counter = _Counter(budget, "reference search")
         try:
             reference = _best_schedule(
@@ -158,10 +160,10 @@ def rstar_mismatches(sys_, s, sparse, unchecked):
     horizon = sys_.n_states * math.ceil(l / s)
     found = []
     budget = OracleBudget(max_enumerations=SEARCH_BUDGET) if sparse else OracleBudget()
-    float_span, exact_span = _FloatSpan(DEFAULT_TOLERANCE), _ExactSpan()
+    float_span, exact_span = _FloatSpan(sys_, DEFAULT_TOLERANCE), _ExactSpan(sys_)
     problems = zip(
-        _descending_blocks(sys_, s, exact_span, False, horizon),
-        _descending_blocks(sys_, s, float_span, False, horizon),
+        _descending_blocks(exact_span, s, False, horizon),
+        _descending_blocks(float_span, s, False, horizon),
     )
     for k, ((exact_blocks, exact_caps), (float_blocks, float_caps)) in enumerate(
         problems, start=1

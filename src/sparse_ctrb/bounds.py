@@ -2,12 +2,14 @@
 states (or outputs) under a per-step sparsity budget.
 
 All variants, their guards included, are written once in ``_kstar_bounds``
-against a span (``ctrb._FloatSpan`` or ``exact._ExactSpan``) over integer
+against a span that holds the system (``ctrb._FloatSpan`` or
+``exact._ExactSpan``) over integer
 quantities (state or output dimension, rank of H, rank of A H, rank of D,
 minimal-polynomial degree q, minimal controllable support size S*), so the
 floating-point and exact-rational routes cannot diverge in the formulas or
 in when a bound is undefined.  The public functions run it in floating
-point; the CLI passes the span that ``--rational`` selects.
+point; the CLI passes the span it built for the run, exact under
+``--rational``.
 """
 
 from __future__ import annotations
@@ -22,7 +24,6 @@ from .ctrb import (
     _common_support,
     _first_controllable_support,
     _FloatSpan,
-    _require_output_map,
     _sparse_test,
 )
 from .errors import BudgetExceededError, UncontrollableSystemError
@@ -66,15 +67,13 @@ def _ceil_frac(num: int, den: int) -> int:
     return -(-num // den)
 
 
-def _s_star(sys, span, max_size=None, max_subsets=None):
+def _s_star(span, max_size=None, max_subsets=None):
     """S* in the span's arithmetic; see :func:`s_star`."""
-    if not span.rank_condition(sys)[0]:
+    if not span.rank_condition()[0]:
         raise UncontrollableSystemError("S* undefined: system is not controllable")
-    l = sys.n_inputs
+    l = span.sys.n_inputs
     cap = l if max_size is None else min(int(max_size), l)
-    support, tried = _first_controllable_support(
-        sys, range(1, cap + 1), span, max_subsets
-    )
+    support, tried = _first_controllable_support(span, range(1, cap + 1), max_subsets)
     if support is None:
         raise BudgetExceededError(
             f"no controllable support within size cap {cap}", enumerations=tried
@@ -82,7 +81,7 @@ def _s_star(sys, span, max_size=None, max_subsets=None):
     return len(support)
 
 
-def _kstar_bounds(sys, variant, s, span) -> KStarBounds:
+def _kstar_bounds(span, variant, s) -> KStarBounds:
     """The bounds of one variant in the span's arithmetic, guards included.
 
     The guard of each variant is the decision it requires: controllability,
@@ -91,42 +90,44 @@ def _kstar_bounds(sys, variant, s, span) -> KStarBounds:
     guard has settled the rank condition and rank(D) (in its slack), so
     neither is decided again.
     """
+    sys = span.sys
     target = sys.n_states
+    if variant != "unconstrained":
+        s = _check_sparsity(sys, s)
     if variant == "unconstrained":
-        if not span.rank_condition(sys)[0]:
+        if not span.rank_condition()[0]:
             raise UncontrollableSystemError("K* undefined: system is not controllable")
     elif variant in ("sparse", "relaxed"):
-        holds, _, _, slack = _sparse_test(sys, s, span)
+        holds, _, _, slack = _sparse_test(span, s)
         if not (holds and slack >= 0):
             raise UncontrollableSystemError(
                 "K* undefined: system is not s-sparse controllable"
             )
         r_d = slack + sys.n_states - s
     elif variant == "common_support":
-        if not _common_support(sys, s, span)[0]:
+        if not _common_support(span, s)[0]:
             raise UncontrollableSystemError(
                 "K* undefined: no single size-s support is controllable"
             )
     elif variant == "output":
-        a = span.matrix(_require_output_map(sys))
-        _check_sparsity(sys, s)
+        a = span.a
         target = len(a)
-        r_ah = span.rank([span.matmul(a, span.matrix(sys.H))])
+        r_ah = span.rank([span.matmul(a, span.h)])
     else:
         raise ValueError(f"unknown variant {variant!r}")
-    r_h = span.rank([span.matrix(sys.H)])
+    r_h = span.rank([span.h])
     if variant == "unconstrained":
         r_eff = r_h
     else:
         r_eff = min(r_ah if variant == "output" else r_h, s)
-    q = span.min_poly_degree(sys.D)
+    q = span.min_poly_degree(span.d)
     if r_eff < 1:
         raise UncontrollableSystemError(
             f"{variant} bounds undefined: effective per-step rank is zero"
         )
     s_star_value = None
     if variant == "sparse":
-        support, _ = _first_controllable_support(sys, range(1, sys.n_inputs + 1), span)
+        support, _ = _first_controllable_support(span, range(1, sys.n_inputs + 1))
         s_star_value = len(support)
         upper = min(q * _ceil_frac(s_star_value, s), target - r_eff + 1)
     elif variant == "relaxed":
@@ -155,14 +156,14 @@ def s_star(
     """Smallest support size T such that some (D, H_S) with |S| = T is
     controllable.  Undefined (raises) for uncontrollable systems; optional
     caps turn combinatorial blowup into an inconclusive error."""
-    return _s_star(sys, _FloatSpan(tol), max_size, max_subsets)
+    return _s_star(_FloatSpan(sys, tol), max_size, max_subsets)
 
 
 def kstar_bounds_unconstrained(
     sys: SystemModel, tol: Tolerance = DEFAULT_TOLERANCE
 ) -> KStarBounds:
     """ceil(N / rank(H)) <= K* <= min(q, N - rank(H) + 1) for controllable systems."""
-    return _kstar_bounds(sys, "unconstrained", None, _FloatSpan(tol))
+    return _kstar_bounds(_FloatSpan(sys, tol), "unconstrained", None)
 
 
 def kstar_bounds_sparse(
@@ -172,7 +173,7 @@ def kstar_bounds_sparse(
 
     Requires s-sparse controllability.  For s = 1 the two sides coincide at N.
     """
-    return _kstar_bounds(sys, "sparse", s, _FloatSpan(tol))
+    return _kstar_bounds(_FloatSpan(sys, tol), "sparse", s)
 
 
 def kstar_bounds_relaxed(
@@ -182,7 +183,7 @@ def kstar_bounds_relaxed(
 
     Never tighter than the sparse variant but avoids the S* subset search.
     """
-    return _kstar_bounds(sys, "relaxed", s, _FloatSpan(tol))
+    return _kstar_bounds(_FloatSpan(sys, tol), "relaxed", s)
 
 
 def output_kstar_bounds(
@@ -193,7 +194,7 @@ def output_kstar_bounds(
     The caller asserts s-sparse output controllability; this routine only
     screens the necessary rank quantity (rank(A H) >= 1).
     """
-    return _kstar_bounds(sys, "output", s, _FloatSpan(tol))
+    return _kstar_bounds(_FloatSpan(sys, tol), "output", s)
 
 
 def common_support_kstar_bounds(
@@ -201,4 +202,4 @@ def common_support_kstar_bounds(
 ) -> KStarBounds:
     """ceil(N / min(rank(H), s)) <= K* <= min(q, N - min(rank(H), s) + 1) when a
     single common support works."""
-    return _kstar_bounds(sys, "common_support", s, _FloatSpan(tol))
+    return _kstar_bounds(_FloatSpan(sys, tol), "common_support", s)

@@ -16,6 +16,7 @@ guarantee).  ``--rational`` switches rank decisions to exact arithmetic for
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import json
 import os
@@ -42,29 +43,17 @@ from .linalg import DEFAULT_TOLERANCE, Tolerance
 from .oracle import OracleBudget, _min_k
 from .steer import greedy_support_schedule, solve_inputs, solve_output_inputs
 
-_ARGUMENT_KEYS = (
-    "mode",
-    "s",
-    "variant",
-    "k",
-    "max_k",
-    "max_enumerations",
-    "deadline",
-    "x_init",
-    "x_final",
-    "output_target",
-    "rational",
-    "tol",
-)
-
 
 def _arguments_for(args) -> dict:
-    out = {}
-    for key in _ARGUMENT_KEYS:
-        value = getattr(args, key, None)
-        if value is not None and value is not False:
-            out[key] = value
-    return out
+    """The parsed options that are set, for the report: every destination
+    but the subcommand, the system path and ``--timing``."""
+    return {
+        key: value
+        for key, value in vars(args).items()
+        if key not in ("command", "system", "timing")
+        and value is not None
+        and value is not False
+    }
 
 
 def _tolerance_from(args) -> Tolerance:
@@ -107,11 +96,11 @@ def _reject_rational(args, command):
         raise InputError(f"{command} does not support --rational")
 
 
-def _run_check(system, args, tol, span):
+def _run_check(span, args, tol):
     s = args.s
     warn = []
     if args.mode == "state":
-        holds, lam, z, slack = _sparse_test(system, s, span)
+        holds, lam, z, slack = _sparse_test(span, s)
         result = {
             "verdict": holds and slack >= 0,
             "rank_condition_holds": holds,
@@ -122,15 +111,15 @@ def _run_check(system, args, tol, span):
         word = "is" if result["verdict"] else "is NOT"
         summary = f"{word} {s}-sparse controllable"
     elif args.mode == "common-support":
-        verdict, support, screen = _common_support(system, s, span)
+        verdict, support, screen = _common_support(span, s)
         result = {"verdict": verdict, "screen": screen}
         witnesses = {"support": support} if support is not None else None
         word = "admits" if verdict else "admits NO"
         summary = f"{word} controllable common support of size {s}"
     else:  # output
-        inequality = _output_rank_inequality(system, s, span)
-        kalman = _output_kalman(system, span)
-        sweep = output_pbh_necessary(system, tol)
+        inequality = _output_rank_inequality(span, s)
+        kalman = _output_kalman(span)
+        sweep = output_pbh_necessary(span.sys, tol)
         if args.rational:
             warn.append(
                 "rational mode: output eigenvalue sweep evaluated in floating point"
@@ -148,33 +137,22 @@ def _run_check(system, args, tol, span):
     return result, witnesses, warn, summary
 
 
-def _run_bounds(system, args, tol, span):
+def _run_bounds(span, args, tol):
     variant = args.variant
     s = args.s
     if variant != "unconstrained" and s is None:
         raise InputError(f"--variant {variant} requires -s")
-    b = bounds_mod._kstar_bounds(system, variant, s, span)
-    result = {
-        "variant": b.variant,
-        "lower": b.lower,
-        "upper": b.upper,
-        "lower_exact": b.lower_exact,
-        "q": b.q,
-        "r_hs_star": b.r_hs_star,
-        "s_star": b.s_star,
-    }
+    b = bounds_mod._kstar_bounds(span, variant, s)
     summary = f"{b.lower} <= K* <= {b.upper} ({variant})"
-    return result, None, [], summary
+    return dataclasses.asdict(b), None, [], summary
 
 
-def _run_oracle(system, args, tol, span):
+def _run_oracle(span, args, tol):
     limits = {"max_enumerations": args.max_enumerations, "deadline_s": args.deadline}
     budget = OracleBudget(
         max_k=args.max_k, **{key: v for key, v in limits.items() if v is not None}
     )
-    k_star, witness, max_k = _min_k(
-        system, args.s, budget, span, output=args.mode == "output"
-    )
+    k_star, witness, max_k = _min_k(span, args.s, budget, output=args.mode == "output")
     result = {"k_star": k_star, "max_k_searched": max_k, "inconclusive": False}
     witnesses = {"schedule": witness} if witness is not None else None
     if k_star is None:
@@ -184,8 +162,9 @@ def _run_oracle(system, args, tol, span):
     return result, witnesses, [], summary
 
 
-def _run_decompose(system, args, tol, span):
+def _run_decompose(span, args, tol):
     _reject_rational(args, "decompose")
+    system = span.sys
     dec = standard_form(system, args.s, tol)
     check = verify_standard_form(system, dec, tol)
     warn = []
@@ -224,8 +203,9 @@ def _run_decompose(system, args, tol, span):
     return result, None, warn, summary
 
 
-def _run_steer(system, args, tol, span):
+def _run_steer(span, args, tol):
     _reject_rational(args, "steer")
+    system = span.sys
     s = args.s
     k = args.k
     if k < 0:
@@ -381,12 +361,12 @@ def main(argv=None) -> int:
     code = 0
     try:
         tol = _tolerance_from(args)
-        span = exact._ExactSpan() if args.rational else _FloatSpan(tol)
         with _warnings.catch_warnings(record=True) as caught:
             _warnings.simplefilter("always")
             system, name = load_system(args.system)
+            span = exact._ExactSpan(system) if args.rational else _FloatSpan(system, tol)
             result, witnesses, extra_warnings, summary = _RUNNERS[command](
-                system, args, tol, span
+                span, args, tol
             )
         warning_strings = [str(w.message) for w in caught] + list(extra_warnings)
     except InconclusiveError as exc:

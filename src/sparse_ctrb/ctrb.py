@@ -12,8 +12,8 @@ whole space.  In floating point the staircase ``linalg._staircase`` computes
 that subspace, and a full one is confirmed at the eigenvalue probes of D.
 
 Each decision is written once, privately, against a span object that holds
-the arithmetic (``_FloatSpan`` here, ``exact._ExactSpan`` in rationals); the
-public functions run it with ``_FloatSpan(tol)``.
+a system in one arithmetic (``_FloatSpan`` here, ``exact._ExactSpan`` in
+rationals); the public functions run it with ``_FloatSpan(sys, tol)``.
 """
 
 from __future__ import annotations
@@ -145,10 +145,12 @@ def input_restriction(sys: SystemModel, support) -> SystemModel:
 
 
 class _FloatSpan:
-    """Floating-point arithmetic for every rank question of the package.
+    """A system in the floating-point arithmetic of every rank question.
 
-    Decisions and bounds are written once against a span: ``rank`` (of a
-    list of blocks), ``matmul``, ``matrix``, ``rank_condition``,
+    Decisions and bounds are written once against a span: it holds ``sys``
+    and, in its arithmetic, ``d``, ``h`` and ``a`` (on demand; it raises
+    when the system has no A), and answers ``rank`` (of a list of blocks),
+    ``matmul``, ``rank_condition`` (of H or of a support's columns),
     ``min_poly_degree`` and ``support_screen`` (the necessary screen of the
     common-support test, None where the span has none); the witness loop in
     ``oracle`` also uses the incremental span (``empty``, ``extend``,
@@ -164,10 +166,13 @@ class _FloatSpan:
     """
 
     what = "schedule search"
-    matrix = staticmethod(np.asarray)
 
-    def __init__(self, tol: Tolerance):
-        self.tol = tol
+    def __init__(self, sys: SystemModel, tol: Tolerance):
+        self.sys, self.d, self.h, self.tol = sys, sys.D, sys.H, tol
+
+    @property
+    def a(self):
+        return _require_output_map(self.sys)
 
     @staticmethod
     def matmul(a, b):
@@ -176,13 +181,15 @@ class _FloatSpan:
     def rank(self, blocks):
         return rank(np.hstack(blocks), self.tol)
 
-    def rank_condition(self, sys):
-        """``(holds, lambda, z)``.  R < N in the staircase fails it, with the
-        first eigenvalue of the input-free block and its left eigenvector
-        mapped back.  R = N still has to pass the eigenvalue probe sweep: a
-        staircase step of a near-defective D can exceed the cut by orders of
-        magnitude where the exact system is uncontrollable."""
-        d, h, n = sys.D, sys.H, sys.n_states
+    def rank_condition(self, support=None):
+        """``(holds, lambda, z)`` of (D, H), or of (D, H_S) for a support S.
+        R < N in the staircase fails it, with the first eigenvalue of the
+        input-free block and its left eigenvector mapped back.  R = N still
+        has to pass the eigenvalue probe sweep: a staircase step of a
+        near-defective D can exceed the cut by orders of magnitude where the
+        exact system is uncontrollable."""
+        d, n = self.d, len(self.d)
+        h = self.h if support is None else self.h[:, list(support)]
         q, big_r, rest = _staircase(d, h, self.tol)
         if big_r < n:
             w, v = np.linalg.eig(rest.T)
@@ -193,12 +200,12 @@ class _FloatSpan:
     def min_poly_degree(self, d):
         return min_poly_degree(d, self.tol)
 
-    def support_screen(self, sys):
+    def support_screen(self):
         """g_D, rank(H) and rank(D) for the common-support screen."""
         return {
-            "g_d": max_geometric_multiplicity(sys.D, self.tol),
-            "r_h": rank(sys.H, self.tol),
-            "r_d": rank(sys.D, self.tol),
+            "g_d": max_geometric_multiplicity(self.d, self.tol),
+            "r_h": rank(self.h, self.tol),
+            "r_d": rank(self.d, self.tol),
         }
 
     @staticmethod
@@ -273,7 +280,7 @@ def _report(holds, lam, z, slack, tol):
 
 def pbh_test(sys: SystemModel, tol: Tolerance = DEFAULT_TOLERANCE) -> ControllabilityReport:
     """Eigenvalue rank test for plain controllability."""
-    return _report(*_FloatSpan(tol).rank_condition(sys), None, tol)
+    return _report(*_FloatSpan(sys, tol).rank_condition(), None, tol)
 
 
 def kalman_test(sys: SystemModel, tol: Tolerance = DEFAULT_TOLERANCE) -> bool:
@@ -282,12 +289,12 @@ def kalman_test(sys: SystemModel, tol: Tolerance = DEFAULT_TOLERANCE) -> bool:
     return rank(controllability_matrix(sys.D, sys.H, n), tol) == n
 
 
-def _sparse_test(sys, s, span):
+def _sparse_test(span, s):
     """The rank condition ``(holds, witness_lambda, witness_z)`` and the
     slack ``s + rank(D) - N`` of the sparse test, in the span's arithmetic."""
-    _check_sparsity(sys, s)
-    holds, lam, z = span.rank_condition(sys)
-    return holds, lam, z, s + span.rank([span.matrix(sys.D)]) - sys.n_states
+    s = _check_sparsity(span.sys, s)
+    holds, lam, z = span.rank_condition()
+    return holds, lam, z, s + span.rank([span.d]) - span.sys.n_states
 
 
 def sparse_pbh_test(
@@ -297,40 +304,40 @@ def sparse_pbh_test(
 
     Combines the eigenvalue rank condition with ``N <= s + rank(D)``.
     """
-    return _report(*_sparse_test(sys, s, _FloatSpan(tol)), tol)
+    return _report(*_sparse_test(_FloatSpan(sys, tol), s), tol)
 
 
-def _first_controllable_support(sys, sizes, span, max_subsets=None):
+def _first_controllable_support(span, sizes, max_subsets=None):
     """The first support, by size in ``sizes`` and then lexicographically,
-    whose restriction passes the span's rank condition, or None; returned
-    with the number of supports tried.  More than ``max_subsets`` tries
-    raise an inconclusive error."""
+    whose columns pass the span's rank condition, or None; returned with the
+    number of supports tried.  More than ``max_subsets`` tries raise an
+    inconclusive error."""
     tried = 0
     for size in sizes:
-        for support in itertools.combinations(range(sys.n_inputs), size):
+        for support in itertools.combinations(range(span.sys.n_inputs), size):
             tried += 1
             if max_subsets is not None and tried > max_subsets:
                 raise BudgetExceededError(
                     "support search exceeded subset budget", enumerations=tried
                 )
-            if span.rank_condition(input_restriction(sys, support))[0]:
+            if span.rank_condition(support)[0]:
                 return support, tried
     return None, tried
 
 
-def _common_support(sys, s, span):
+def _common_support(span, s):
     """``(verdict, support, screen)`` of the common-support test.
 
     ``screen`` is the span's necessary screen (None in exact arithmetic);
     when it fails no support is enumerated.
     """
-    _check_sparsity(sys, s)
-    screen = span.support_screen(sys)
+    s = _check_sparsity(span.sys, s)
+    screen = span.support_screen()
     if screen is not None and not (
-        min(screen["r_h"], s) >= screen["g_d"] >= sys.n_states - screen["r_d"]
+        min(screen["r_h"], s) >= screen["g_d"] >= span.sys.n_states - screen["r_d"]
     ):
         return False, None, screen
-    support, _ = _first_controllable_support(sys, (s,), span)
+    support, _ = _first_controllable_support(span, (s,))
     return support is not None, support, screen
 
 
@@ -345,23 +352,23 @@ def common_support_test(
     largest geometric multiplicity of D) short-circuits to False before any
     enumeration.
     """
-    verdict, support, _ = _common_support(sys, s, _FloatSpan(tol))
+    verdict, support, _ = _common_support(_FloatSpan(sys, tol), s)
     return verdict, support
 
 
-def _output_kalman(sys, span):
+def _output_kalman(span):
     """rank(A [D^(N-1) H, ..., H]) = m in the span's arithmetic."""
-    a = span.matrix(_require_output_map(sys))
-    powers = _powers(span.matrix(sys.D), span.matrix(sys.H), span.matmul)
-    blocks = [span.matmul(a, p) for p in itertools.islice(powers, sys.n_states)]
+    a = span.a
+    powers = _powers(span.d, span.h, span.matmul)
+    blocks = [span.matmul(a, p) for p in itertools.islice(powers, span.sys.n_states)]
     return span.rank(blocks[::-1]) == len(a)
 
 
-def _output_rank_inequality(sys, s, span):
+def _output_rank_inequality(span, s):
     """The necessary inequality ``s >= m - rank(A D)``, after the sparsity guard."""
-    a = span.matrix(_require_output_map(sys))
-    _check_sparsity(sys, s)
-    return s >= len(a) - span.rank([span.matmul(a, span.matrix(sys.D))])
+    a = span.a
+    s = _check_sparsity(span.sys, s)
+    return s >= len(a) - span.rank([span.matmul(a, span.d)])
 
 
 def output_kalman_test(sys: SystemModel, tol: Tolerance = DEFAULT_TOLERANCE) -> bool:
@@ -369,7 +376,7 @@ def output_kalman_test(sys: SystemModel, tol: Tolerance = DEFAULT_TOLERANCE) -> 
 
     The rank stabilizes by K = N blocks, so this horizon is exact.
     """
-    return _output_kalman(sys, _FloatSpan(tol))
+    return _output_kalman(_FloatSpan(sys, tol))
 
 
 def output_pbh_necessary(sys: SystemModel, tol: Tolerance = DEFAULT_TOLERANCE) -> bool:
@@ -470,7 +477,7 @@ def output_sparse_necessary(
 ) -> bool:
     """Necessary condition for s-sparse output controllability:
     ``s >= m - rank(A D)`` together with the eigenvalue-sweep condition."""
-    inequality = _output_rank_inequality(sys, s, _FloatSpan(tol))
+    inequality = _output_rank_inequality(_FloatSpan(sys, tol), s)
     return inequality and output_pbh_necessary(sys, tol)
 
 

@@ -3,7 +3,8 @@
 Entries are mapped to ``fractions.Fraction`` exactly (binary floats are
 rationals, so a decimal such as 0.35 is decided at its binary value), and
 each matrix is then scaled once by the lcm of its denominators to Python ints.
-``_ExactSpan`` is the rational counterpart of ``ctrb._FloatSpan``: the
+``_ExactSpan(sys)`` is the rational counterpart of ``ctrb._FloatSpan``: it
+holds the system, with D and H converted once when it is built, and the
 decisions and bounds are written once, in ``ctrb``, ``bounds`` and
 ``oracle``, against either span.  Its one elimination is ``extend``, a span
 of pivot-reduced integer vectors grown column by column by fraction-free
@@ -17,6 +18,7 @@ with k, so cost grows faster with dimension than on the float route.
 
 from __future__ import annotations
 
+import functools
 import math
 import operator
 from fractions import Fraction
@@ -26,6 +28,7 @@ from .ctrb import (
     SystemModel,
     _common_support,
     _output_kalman,
+    _require_output_map,
     _sparse_test,
 )
 from .linalg import _powers
@@ -97,18 +100,25 @@ def _stalled_dim(blocks):
 
 
 class _ExactSpan:
-    """Exact arithmetic for the rank questions in ``ctrb``, ``bounds`` and
-    ``oracle``.
+    """A system and exact arithmetic for the rank questions in ``ctrb``,
+    ``bounds`` and ``oracle``: the protocol of ``ctrb._FloatSpan``.
 
-    The running span is a list of pivot-reduced integer vectors, so its
-    dimension is exact and a leaf of the schedule search needs no re-check.
-    Only ranks and dependences are asked of it, so ``matrix`` and ``matmul``
-    give each matrix up to a nonzero scale.
+    ``d`` and ``h`` are converted once, here, and ``a`` on first use.  Only
+    ranks and dependences are asked of a span, so each of them, and each
+    ``matmul``, holds its matrix up to a nonzero scale.  The running span is
+    a list of pivot-reduced integer vectors, so its dimension is exact and a
+    leaf of the schedule search needs no re-check.
     """
 
     what = "exact schedule search"
-    matrix = staticmethod(_integers)
     matmul = staticmethod(_matmul)
+
+    def __init__(self, sys: SystemModel):
+        self.sys, self.d, self.h = sys, _integers(sys.D), _integers(sys.H)
+
+    @functools.cached_property
+    def a(self):
+        return _integers(_require_output_map(self.sys))
 
     @staticmethod
     def rank(blocks):
@@ -117,16 +127,16 @@ class _ExactSpan:
             pass
         return dim
 
-    @staticmethod
-    def rank_condition(sys):
-        """Kalman rank N, grown block by block until a block adds nothing."""
-        dim = _stalled_dim(_powers(_integers(sys.D), _integers(sys.H), _matmul))
-        return dim == sys.n_states, None, None
+    def rank_condition(self, support=None):
+        """Kalman rank N of (D, H), or of (D, H_S) for a support S, grown
+        block by block until a block adds nothing."""
+        h = self.h if support is None else [[row[j] for j in support] for row in self.h]
+        dim = _stalled_dim(_powers(self.d, h, _matmul))
+        return dim == self.sys.n_states, None, None
 
     @staticmethod
     def min_poly_degree(d):
         """Number of powers I, D, D^2, ... before the first dependent one."""
-        d = _integers(d)
         n = len(d)
         identity = tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
         return _stalled_dim(
@@ -134,7 +144,7 @@ class _ExactSpan:
         )
 
     @staticmethod
-    def support_screen(sys):
+    def support_screen():
         return None
 
     @staticmethod
@@ -189,31 +199,31 @@ def rank_exact(m) -> int:
 
 
 def controllable_exact(sys: SystemModel) -> bool:
-    return _ExactSpan.rank_condition(sys)[0]
+    return _ExactSpan(sys).rank_condition()[0]
 
 
 def sparse_controllable_exact(sys: SystemModel, s: int):
     """Returns (verdict, rank_condition_holds, slack) with exact arithmetic."""
-    holds, _, _, slack = _sparse_test(sys, s, _ExactSpan())
+    holds, _, _, slack = _sparse_test(_ExactSpan(sys), s)
     return holds and slack >= 0, holds, slack
 
 
 def common_support_exact(sys: SystemModel, s: int):
     """Exact common-support verdict; enumeration without the float screen."""
-    verdict, support, _ = _common_support(sys, s, _ExactSpan())
+    verdict, support, _ = _common_support(_ExactSpan(sys), s)
     return verdict, support
 
 
 def output_kalman_exact(sys: SystemModel) -> bool:
-    return _output_kalman(sys, _ExactSpan())
+    return _output_kalman(_ExactSpan(sys))
 
 
 def min_poly_degree_exact(d_float) -> int:
-    return _ExactSpan.min_poly_degree(d_float)
+    return _ExactSpan.min_poly_degree(_integers(d_float))
 
 
 def s_star_exact(sys: SystemModel) -> int:
-    return _s_star(sys, _ExactSpan())
+    return _s_star(_ExactSpan(sys))
 
 
 def min_k_exact(
@@ -233,6 +243,6 @@ def min_k_exact(
     if not (isinstance(max_k, int) and max_k >= 1):
         raise ValueError(f"max_k must be a positive integer, got {max_k!r}")
     budget = OracleBudget(max_k=max_k, max_enumerations=max_enumerations)
-    k, witness, _ = _min_k(sys, s, budget, _ExactSpan(), output)
+    k, witness, _ = _min_k(_ExactSpan(sys), s, budget, output)
     return k, witness
 

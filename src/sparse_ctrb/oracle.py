@@ -16,10 +16,10 @@ out, up to the horizon N * ceil(L/s) (the horizon rule is stated at
 ``_min_k``).  The same kernel certifies the witness, the lexicographically
 first schedule reaching the target rank, one position at a time
 (``_first_schedule``).  State and output targets, float and exact
-arithmetic all go through these; the arithmetic is a *span* object,
-``ctrb._FloatSpan`` or ``exact._ExactSpan``.  Budgets bound the whole run
-and make overruns an explicit inconclusive outcome instead of a wrong
-answer.
+arithmetic all go through these; the arithmetic is a *span* object that
+holds the system, ``ctrb._FloatSpan`` or ``exact._ExactSpan``.  Budgets
+bound the whole run and make overruns an explicit inconclusive outcome
+instead of a wrong answer.
 """
 
 from __future__ import annotations
@@ -153,12 +153,12 @@ class _Counter:
             )
 
 
-def _descending_blocks(sys, s, span, output, k_max):
+def _descending_blocks(span, s, output, k_max):
     """For K = 1..k_max, the blocks ``[M D^(K-1) H, ..., M H]`` (M = A for
     output questions, else I) and their capacities ``min(s, rank)``, each
     power built and ranked once."""
-    a = span.matrix(_require_output_map(sys)) if output else None
-    powers = _powers(span.matrix(sys.D), span.matrix(sys.H), span.matmul)
+    a = span.a if output else None
+    powers = _powers(span.d, span.h, span.matmul)
     blocks, caps = [], []
     for power in itertools.islice(powers, k_max):
         block = power if a is None else span.matmul(a, power)
@@ -321,7 +321,7 @@ def _partition_horizon(sys, s):
     return sys.n_states * math.ceil(sys.n_inputs / s)
 
 
-def _min_k(sys, s, budget, span, output=False, first_k=1):
+def _min_k(span, s, budget, output=False, first_k=1):
     """Smallest K in ``first_k..max_k`` at which a schedule reaches full state
     (or output) rank, as ``(K, supports, max_k)``; ``(None, None, max_k)``
     when none does.  One budget covers every K.  A K that passes
@@ -338,16 +338,17 @@ def _min_k(sys, s, budget, span, output=False, first_k=1):
     is inconclusive, and so, at once, is an ill-posed K: a leaf whose span
     reaches N but not its ``leaf_rank`` (a witness past it is not robust), a
     certified prefix without a witness, or a short set with an uncertified cut."""
+    sys = span.sys
     if output:
         _require_output_map(sys)
-    _check_sparsity(sys, s)
+    s = _check_sparsity(sys, s)
     max_k = budget.max_k or _partition_horizon(sys, s)
     counter = _Counter(budget, span.what)
     target = sys.n_outputs if output else sys.n_states
 
     @functools.cache
     def sparse_test_passes():
-        holds, _, _, slack = _sparse_test(sys, s, span)
+        holds, _, _, slack = _sparse_test(span, s)
         return holds and slack >= 0
 
     def referee(k, reason):
@@ -357,7 +358,7 @@ def _min_k(sys, s, budget, span, output=False, first_k=1):
             )
 
     l = sys.n_inputs
-    problems = _descending_blocks(sys, s, span, output, max_k)
+    problems = _descending_blocks(span, s, output, max_k)
     inside = []
     for k, (blocks, caps) in enumerate(problems, start=1):
         inside = [(d + 1, j) for d, j in inside]
@@ -383,8 +384,8 @@ def _rank_test(sys, s, k, budget, tol, output):
     if not (isinstance(k, (int, np.integer)) and k >= 1):
         raise ValueError(f"K must be a positive integer, got {k!r}")
     budget = replace(budget or OracleBudget(), max_k=int(k))
-    _, witness, _ = _min_k(sys, s, budget, _FloatSpan(tol), output, first_k=int(k))
-    return (True, SupportSchedule(witness, s)) if witness else (False, None)
+    _, witness, _ = _min_k(_FloatSpan(sys, tol), s, budget, output, first_k=int(k))
+    return (True, SupportSchedule(witness, int(s))) if witness else (False, None)
 
 
 def kalman_type_rank_test(
@@ -407,7 +408,7 @@ def decision_horizon(sys: SystemModel, s: int, tol: Tolerance = DEFAULT_TOLERANC
     steering-time upper bound when the sparse test passes, else N * ceil(L/s),
     since a failed test rules out every K (the horizon rule of ``_min_k``)."""
     try:
-        return _kstar_bounds(sys, "sparse", s, _FloatSpan(tol)).upper
+        return _kstar_bounds(_FloatSpan(sys, tol), "sparse", s).upper
     except UncontrollableSystemError:
         return _partition_horizon(sys, s)
 
@@ -427,8 +428,8 @@ def exact_min_k(
     null, or at the first K whose float rank is ill-posed; see the horizon
     rule of ``oracle._min_k``.
     """
-    k, witness, _ = _min_k(sys, s, budget or OracleBudget(), _FloatSpan(tol))
-    return (k, SupportSchedule(witness, s)) if witness else (None, None)
+    k, witness, _ = _min_k(_FloatSpan(sys, tol), s, budget or OracleBudget())
+    return (k, SupportSchedule(witness, int(s))) if witness else (None, None)
 
 
 def rstar_sequence(
@@ -447,12 +448,12 @@ def rstar_sequence(
     (moved one block down behind the new top power); the budget counts
     augmentations.
     """
-    _check_sparsity(sys, s)
+    s = _check_sparsity(sys, s)
     if not (isinstance(k_max, (int, np.integer)) and k_max >= 1):
         raise ValueError(f"k_max must be a positive integer, got {k_max!r}")
-    span = _FloatSpan(tol)
+    span = _FloatSpan(sys, tol)
     counter = _Counter(budget or OracleBudget(), span.what)
-    problems = _descending_blocks(sys, s, span, False, int(k_max))
+    problems = _descending_blocks(span, s, False, int(k_max))
     l, inside, sequence = sys.n_inputs, [], []
     for k, (blocks, _) in enumerate(problems, start=1):
         inside = [(d + 1, j) for d, j in inside]

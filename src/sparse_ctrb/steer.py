@@ -54,13 +54,13 @@ def greedy_support_schedule(
     matroid-intersection kernel, a greedy fill from the last step back
     completed by augmenting paths.  Steps without columns get empty supports.
     """
-    _check_sparsity(sys, s)
+    s = _check_sparsity(sys, s)
     if not (isinstance(k, (int, np.integer)) and k >= 0):
         raise ValueError(f"K must be a non-negative integer, got {k!r}")
-    k, s = int(k), int(s)
+    k = int(k)
     if k == 0:
         return SupportSchedule(supports=(), s=s)
-    span = _FloatSpan(tol)
+    span = _FloatSpan(sys, tol)
     blocks = list(itertools.islice(_powers(sys.D, sys.H), k))[::-1]
     counter = _Counter(OracleBudget(), span.what)
     inside, _ = _common_independent(blocks, s, sys.n_inputs, span, counter, k)

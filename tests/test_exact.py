@@ -29,7 +29,7 @@ from sparse_ctrb import (
     common_support_exact,
 )
 from sparse_ctrb import exact
-from sparse_ctrb.exact import _ExactSpan, min_poly_degree_exact, to_fractions
+from sparse_ctrb.exact import _ExactSpan, _integers, min_poly_degree_exact, to_fractions
 from tests.conftest import (
     NEAR_DEFECTIVE,
     NEAR_DEFECTIVE_DATA,
@@ -134,13 +134,13 @@ def _span_answers(blocks):
 class TestIntegerSpan:
     @given(mixed_blocks())
     def test_matches_rational_elimination(self, blocks):
-        got = _span_answers([_ExactSpan.matrix(b) for b in blocks])
+        got = _span_answers([_integers(b) for b in blocks])
         with mock.patch.object(exact, "_reduce", _fraction_reduce):
             want = _span_answers([to_fractions(b) for b in blocks])
         assert got == want
 
     def test_span_holds_ints(self):
-        m = _ExactSpan.matrix(np.array([[0.5, 0.25], [1.0, -2.0]]))
+        m = _integers(np.array([[0.5, 0.25], [1.0, -2.0]]))
         pivots, dim = _ExactSpan.extend((), m, (0, 1))
         assert dim == 2
         assert all(type(x) is int for row in m for x in row)

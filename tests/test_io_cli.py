@@ -19,7 +19,7 @@ from sparse_ctrb import (
     output_kalman_type_rank_test,
     save_system,
 )
-from sparse_ctrb import cli
+from sparse_ctrb import cli, exact
 from sparse_ctrb.cli import main
 from sparse_ctrb.ctrb import _FloatSpan
 from sparse_ctrb.exact import _ExactSpan
@@ -516,6 +516,26 @@ class TestCliReports:
             "--rational",
         )
         assert float_rep["result"]["k_star"] == exact_rep["result"]["k_star"] == 2
+
+    def test_rational_run_converts_each_matrix_once(self, capsys, monkeypatch):
+        # The exact span converts D and H when the CLI builds it, once per
+        # run; the guard, S* and the bounds take them from the span.
+        convert, calls = exact.to_fractions, []
+        monkeypatch.setattr(
+            exact, "to_fractions", lambda arr: calls.append(arr) or convert(arr)
+        )
+        path = str(FIXTURES / "no-common-support.json")
+        run_cli(capsys, "bounds", path, "--variant", "sparse", "-s", "1", "--rational")
+        assert len(calls) == 2
+
+    def test_wide_output_map_warns_once(self, capsys, tmp_path):
+        # S* takes columns of the span's H and builds no system per support,
+        # so the m >= N warning of the loaded system is reported once.
+        path = tmp_path / "wide.json"
+        system = {"D": [[0, 1], [0, 0]], "H": [[1, 0], [0, 1]], "A": [[1, 0], [0, 1]]}
+        path.write_text(json.dumps(system))
+        report = report_of(capsys, "bounds", str(path), "-s", "1", "--variant", "sparse")
+        assert len(report["warnings"]) == 1
 
     @pytest.mark.parametrize(
         "fixture",

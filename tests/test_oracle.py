@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 
@@ -39,6 +40,8 @@ from sparse_ctrb.oracle import (
 )
 from tests.conftest import _dense_spectral, small_systems
 from tests.reference_search import _best_schedule
+
+SPANS = [lambda sys: _FloatSpan(sys, DEFAULT_TOLERANCE), _ExactSpan]
 
 
 class TestSupportSchedule:
@@ -205,11 +208,9 @@ class TestRstarSequence:
 
 
 class TestCommonIndependent:
-    @pytest.mark.parametrize(
-        "span", [_FloatSpan(DEFAULT_TOLERANCE), _ExactSpan()], ids=["float", "exact"]
-    )
+    @pytest.mark.parametrize("span_of", SPANS, ids=["float", "exact"])
     @given(small_systems(max_n=4), st.data())
-    def test_kernel_rank_is_search_best_rank(self, span, sys, data):
+    def test_kernel_rank_is_search_best_rank(self, span_of, sys, data):
         # r*(K) of matroid intersection (float: the SVD rank of its columns)
         # is the best rank of the depth-first search: it reaches r*, not r*+1.
         # At the first K where r* is N, the kernel-certified prefix loop
@@ -218,6 +219,7 @@ class TestCommonIndependent:
         l, n = sys.n_inputs, sys.n_states
         supports = list(itertools.combinations(range(l), s))
         counter = _Counter(OracleBudget(), "test")
+        span = span_of(sys)
 
         def search(blocks, caps, target):
             if not _within_reach(blocks, caps, target, span):
@@ -228,7 +230,7 @@ class TestCommonIndependent:
             pass
 
         horizon = n * math.ceil(l / s)
-        problems = _descending_blocks(sys, s, span, False, horizon)
+        problems = _descending_blocks(span, s, False, horizon)
         first = True
         for k, (blocks, caps) in enumerate(problems, start=1):
             inside, _ = _common_independent(blocks, s, l, span, counter, k)
@@ -243,17 +245,16 @@ class TestCommonIndependent:
                 )
                 first = False
 
-    @pytest.mark.parametrize(
-        "span", [_FloatSpan(DEFAULT_TOLERANCE), _ExactSpan()], ids=["float", "exact"]
-    )
-    def test_exchange_beats_greedy_order(self, span):
+    @pytest.mark.parametrize("span_of", SPANS, ids=["float", "exact"])
+    def test_exchange_beats_greedy_order(self, span_of):
         # Taking independent columns power by power reaches rank 3 at K = 2;
         # rank 4 needs an augmenting path through an exchange.
         sys = SystemModel(
             D=np.array([[1, 0, -2, 0], [0, 0, 0, -1], [0, 0, 0, -2], [-1, 0, 0, 0]], float),
             H=np.array([[0, -1, 0], [0, 0, 0], [2, 0, 0], [0, 0, -2]], float),
         )
-        blocks, _ = list(_descending_blocks(sys, 2, span, False, 2))[-1]
+        span = span_of(sys)
+        blocks, _ = list(_descending_blocks(span, 2, False, 2))[-1]
         counter = _Counter(OracleBudget(), "test")
         inside, _ = _common_independent(blocks, 2, 3, span, counter, 2)
         assert len(inside) == 4
@@ -261,9 +262,7 @@ class TestCommonIndependent:
         assert exact_min_k(sys, 2)[0] == 2
 
 
-    @pytest.mark.parametrize(
-        "span", [_FloatSpan(DEFAULT_TOLERANCE), _ExactSpan()], ids=["float", "exact"]
-    )
+    @pytest.mark.parametrize("span_of", SPANS, ids=["float", "exact"])
     @pytest.mark.parametrize(
         "d, h",
         [
@@ -275,13 +274,14 @@ class TestCommonIndependent:
         ],
         ids=["n3", "n4"],
     )
-    def test_certified_prefixes_give_search_witness(self, span, d, h, monkeypatch):
+    def test_certified_prefixes_give_search_witness(self, span_of, d, h, monkeypatch):
         # At K* = 2 (s = 2) the first support that survives the capacity cut
         # at the first position has no completion, so the first pass ends
         # short and the kernel must certify the prefix of the second.
         sys = SystemModel(D=np.array(d, float), H=np.array(h, float))
         l, n = sys.n_inputs, sys.n_states
-        blocks, caps = list(_descending_blocks(sys, 2, span, False, 2))[-1]
+        span = span_of(sys)
+        blocks, caps = list(_descending_blocks(span, 2, False, 2))[-1]
         counter = _Counter(OracleBudget(), "test")
         inside, _ = _common_independent(blocks, 2, l, span, counter, 2)
         assert len(inside) == n
@@ -301,16 +301,15 @@ class TestCommonIndependent:
         assert witness == _best_schedule(blocks, caps, supports, n, span, counter)
         assert exact_min_k(sys, 2)[0] == 2
 
-    @pytest.mark.parametrize(
-        "span", [_FloatSpan(DEFAULT_TOLERANCE), _ExactSpan()], ids=["float", "exact"]
-    )
-    def test_certified_prefix_without_witness_goes_to_referee(self, span):
+    @pytest.mark.parametrize("span_of", SPANS, ids=["float", "exact"])
+    def test_certified_prefix_without_witness_goes_to_referee(self, span_of):
         # Both blocks span e1, so no schedule reaches rank 2.  Handed a set
         # that claims rank 2 (as a float kernel could), the prefix loop fixes
         # the first position by it and then finds no leaf: it must refer the
         # K as ill-posed, not return a schedule.
         sys = SystemModel(D=np.diag([1.0, 2.0]), H=np.array([[1.0, 0.0], [0.0, 0.0]]))
-        blocks, caps = list(_descending_blocks(sys, 1, span, False, 2))[-1]
+        span = span_of(sys)
+        blocks, caps = list(_descending_blocks(span, 1, False, 2))[-1]
         reasons = []
         witness = _first_schedule(
             blocks, caps, 1, 2, 2, span, _Counter(OracleBudget(), "test"),
@@ -374,3 +373,27 @@ class TestOutputOracle:
             sys, sys.n_inputs, sys.n_states
         )
         assert ok == output_kalman_test(sys)
+
+
+def _flat(value):
+    """The leaves of a result, dataclasses and tuples opened."""
+    if dataclasses.is_dataclass(value):
+        value = dataclasses.astuple(value)
+    if isinstance(value, tuple):
+        return [leaf for item in value for leaf in _flat(item)]
+    return [value]
+
+
+def test_numpy_integer_sparsity_gives_int_results(no_common_support, output_reachable):
+    # The sparsity guard accepts np.int64(s); every result must then be the
+    # one s gives, of the same types, so no witness fails to wrap after the
+    # search and no bound comes back as np.int64.
+    calls = [
+        (lambda s: kalman_type_rank_test(no_common_support, s, 2), 2),
+        (lambda s: output_kalman_type_rank_test(output_reachable, s, 2), 1),
+        (lambda s: exact_min_k(no_common_support, s), 2),
+        (lambda s: kstar_bounds_sparse(no_common_support, s), 2),
+    ]
+    for call, s in calls:
+        want = [(type(x), x) for x in _flat(call(s))]
+        assert [(type(x), x) for x in _flat(call(np.int64(s)))] == want

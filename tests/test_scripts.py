@@ -1,0 +1,46 @@
+"""The scripts under ``scripts/`` import private names of the package, so
+each is run, or for the long ones imported, in a child process."""
+
+import os
+import subprocess
+import sys
+
+import pytest
+
+from tests.conftest import FIXTURES
+
+ROOT = FIXTURES.parent
+
+
+def _python(*args):
+    path = [str(ROOT / "src"), os.environ.get("PYTHONPATH", "")]
+    env = dict(
+        os.environ,
+        PYTHONPATH=os.pathsep.join(p for p in path if p),
+        PYTHONDONTWRITEBYTECODE="1",
+    )
+    return subprocess.run(
+        [sys.executable, *args], capture_output=True, text=True, env=env, timeout=300
+    )
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["equivalence_sweep.py", "--count", "20", "--seed", "3"],
+        ["bounds_vs_oracle.py", "--count", "10"],
+        ["fixture_report.py"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_script_runs(argv):
+    proc = _python(str(ROOT / "scripts" / argv[0]), *argv[1:])
+    assert proc.returncode == 0, proc.stdout[-2000:] + proc.stderr[-2000:]
+
+
+@pytest.mark.parametrize("name", ["staircase_crosscheck.py", "report_digest.py"])
+def test_script_imports(name):
+    # Both guard main(); a full cross-check takes about 11 s on a 2-vCPU host.
+    load = "import runpy, sys; runpy.run_path(sys.argv[1], run_name='imported')"
+    proc = _python("-c", load, str(ROOT / "scripts" / name))
+    assert proc.returncode == 0, proc.stderr[-2000:]
