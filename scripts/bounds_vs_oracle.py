@@ -11,9 +11,12 @@ Usage:
 
 import argparse
 import collections
+import pathlib
 import sys
 
 import numpy as np
+
+sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent / "src"))
 
 from sparse_ctrb import (
     SystemModel,

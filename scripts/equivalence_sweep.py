@@ -36,7 +36,9 @@ import time
 
 import numpy as np
 
-sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent))
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT))  # tests.reference_search
+sys.path.insert(0, str(ROOT / "src"))
 
 from sparse_ctrb import (
     BudgetExceededError,

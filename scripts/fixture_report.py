@@ -17,9 +17,12 @@ import json
 import pathlib
 import sys
 
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "src"))
+
 from sparse_ctrb.cli import main as cli_main
 
-FIXTURES = pathlib.Path(__file__).resolve().parent.parent / "fixtures"
+FIXTURES = ROOT / "fixtures"
 
 
 def run_command(argv):

@@ -120,7 +120,7 @@ def _kstar_bounds(span, variant, s) -> KStarBounds:
         r_eff = r_h
     else:
         r_eff = min(r_ah if variant == "output" else r_h, s)
-    q = span.min_poly_degree(span.d)
+    q = span.min_poly_degree()
     if r_eff < 1:
         raise UncontrollableSystemError(
             f"{variant} bounds undefined: effective per-step rank is zero"

@@ -3,9 +3,9 @@
 Subcommands: ``check``, ``bounds``, ``decompose``, ``oracle``, ``steer``.
 Each reads a JSON system file, writes a JSON report to stdout and a one-line
 human summary to stderr.  Exit codes: 0 the analysis completed (verdicts,
-including negative ones, live in the report), 2 input error, 3 no verdict
-(inconclusive): the search budget ran out, or the sparse test referees the
-search (``oracle._min_k``).
+including negative ones, live in the report), 2 input error (a report with
+inf or nan included), 3 no verdict (inconclusive): the search budget ran
+out, or the sparse test referees the search (``oracle._min_k``).
 
 Reports are byte-identical across runs for identical inputs and flags; pass
 ``--timing`` to opt into a wall-clock ``elapsed_ms`` field (which breaks that
@@ -39,7 +39,7 @@ from .ctrb import (
 from .decomp import standard_form, verify_standard_form
 from .errors import InconclusiveError, InputError, UncontrollableSystemError
 from .io import build_report, load_system, render_report
-from .linalg import DEFAULT_TOLERANCE, Tolerance
+from .linalg import DEFAULT_TOLERANCE, Tolerance, _integer
 from .oracle import OracleBudget, _min_k
 from .steer import greedy_support_schedule, solve_inputs, solve_output_inputs
 
@@ -174,28 +174,13 @@ def _run_decompose(span, args, tol):
             "(zero eigenvalue not semisimple); sparse classification is "
             "conservative"
         )
-    result = {
-        "R": dec.R,
-        "r": dec.r,
-        "R_s": dec.R_s,
-        "classification": dec.classification,
-        "core_rank_mismatch": dec.core_rank_mismatch,
-        "U": dec.U,
-        "W": dec.W,
-        "T": dec.T,
-        "D_bar": dec.D_bar,
-        "H_bar": dec.H_bar,
-        "verification": {
-            "similarity_residual": check.similarity_residual,
-            "structure_residual": check.structure_residual,
-            "nilpotent_residual": check.nilpotent_residual,
-            "input_free_residual": check.input_free_residual,
-            "subsystem_verdict": None
-            if check.subsystem_report is None
-            else check.subsystem_report.verdict,
-            "ok": check.ok,
-        },
-    }
+    # Shallow copies: dataclasses.asdict would deep-copy the N x N matrices.
+    verification = dict(vars(check))
+    subsystem = verification.pop("subsystem_report")
+    verification["subsystem_verdict"] = None if subsystem is None else subsystem.verdict
+    result = dict(vars(dec))
+    del result["s"]  # already among the report's arguments
+    result["verification"] = verification
     summary = (
         f"R={dec.R}, r={dec.r}, R_s={dec.R_s}; verification "
         + ("ok" if check.ok else "FAILED")
@@ -207,9 +192,7 @@ def _run_steer(span, args, tol):
     _reject_rational(args, "steer")
     system = span.sys
     s = args.s
-    k = args.k
-    if k < 0:
-        raise InputError(f"--k must be a non-negative integer, got {k}")
+    k = _integer(args.k, f"--k must be a non-negative integer, got {args.k}", least=0)
     x_init = (
         np.zeros(system.n_states)
         if args.x_init is None
@@ -361,39 +344,40 @@ def main(argv=None) -> int:
     code = 0
     try:
         tol = _tolerance_from(args)
-        with _warnings.catch_warnings(record=True) as caught:
-            _warnings.simplefilter("always")
-            system, name = load_system(args.system)
-            span = exact._ExactSpan(system) if args.rational else _FloatSpan(system, tol)
-            result, witnesses, extra_warnings, summary = _RUNNERS[command](
-                span, args, tol
-            )
-        warning_strings = [str(w.message) for w in caught] + list(extra_warnings)
-    except InconclusiveError as exc:
-        code, witnesses, warning_strings = 3, None, []
-        result = {
-            "inconclusive": True,
-            "reason": str(exc),
-            "enumerations": exc.enumerations,
-            "k_reached": exc.k_reached,
-        }
-        summary = f"inconclusive ({exc})"
+        try:
+            with _warnings.catch_warnings(record=True) as caught:
+                _warnings.simplefilter("always")
+                system, name = load_system(args.system)
+                span = exact._ExactSpan(system) if args.rational else _FloatSpan(system, tol)
+                result, witnesses, extra_warnings, summary = _RUNNERS[command](
+                    span, args, tol
+                )
+            warning_strings = [str(w.message) for w in caught] + list(extra_warnings)
+        except InconclusiveError as exc:
+            code, witnesses, warning_strings = 3, None, []
+            result = {
+                "inconclusive": True,
+                "reason": str(exc),
+                "enumerations": exc.enumerations,
+                "k_reached": exc.k_reached,
+            }
+            summary = f"inconclusive ({exc})"
+        report = build_report(
+            command=command,
+            system_name=name,
+            arguments=_arguments_for(args),
+            result=result,
+            tolerance=tol,
+            witnesses=witnesses,
+            warnings=warning_strings,
+            exact=bool(args.rational),
+            elapsed_ms=(time.monotonic() - started) * 1e3 if args.timing else None,
+        )
+        text = render_report(report)
     except (InputError, UncontrollableSystemError, ValueError) as exc:
         print(f"sparse-ctrb {command}: error: {exc}", file=sys.stderr)
         return 2
-    elapsed_ms = (time.monotonic() - started) * 1e3 if args.timing else None
-    report = build_report(
-        command=command,
-        system_name=name,
-        arguments=_arguments_for(args),
-        result=result,
-        tolerance=tol,
-        witnesses=witnesses,
-        warnings=warning_strings,
-        exact=bool(args.rational),
-        elapsed_ms=elapsed_ms,
-    )
-    sys.stdout.write(render_report(report))
+    sys.stdout.write(text)
     label = name if name is not None else args.system
     print(f"sparse-ctrb {command} [{label}]: {summary}", file=sys.stderr)
     return code

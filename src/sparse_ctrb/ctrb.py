@@ -18,6 +18,7 @@ rationals); the public functions run it with ``_FloatSpan(sys, tol)``.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import warnings
 from dataclasses import dataclass
@@ -31,14 +32,14 @@ from .linalg import (
     Tolerance,
     _as_matrix,
     _independent_columns,
+    _integer,
     _powers,
     _scheduled,
+    _Spectrum,
     _square,
     _staircase,
     controllability_matrix,
     eigenvalue_probes,
-    max_geometric_multiplicity,
-    min_poly_degree,
     rank,
 )
 
@@ -151,12 +152,12 @@ class _FloatSpan:
     and, in its arithmetic, ``d``, ``h`` and ``a`` (on demand; it raises
     when the system has no A), and answers ``rank`` (of a list of blocks),
     ``matmul``, ``rank_condition`` (of H or of a support's columns),
-    ``min_poly_degree`` and ``support_screen`` (the necessary screen of the
-    common-support test, None where the span has none); the witness loop in
-    ``oracle`` also uses the incremental span (``empty``, ``extend``,
-    ``leaf_rank``), and for matroid intersection ``circuits`` and
-    ``cut_rank``.  This span decides ranks at ``tol``;
-    ``exact._ExactSpan`` answers the same questions in rationals.
+    ``min_poly_degree`` (q of its D) and ``support_screen`` (the necessary
+    screen of the common-support test, None where the span has none); the
+    witness loop in ``oracle`` also uses the incremental span (``empty``,
+    ``extend``, ``leaf_rank``), and for matroid intersection ``circuits``
+    and ``cut_rank``.  This span decides ranks at ``tol`` and reads one
+    spectrum of D; ``exact._ExactSpan`` answers the same questions in rationals.
     The running span of the witness loop is an orthonormal basis whose
     dependence threshold leans to independence, so no cut drops a viable
     support; a leaf counts only with the full SVD rank of its columns.
@@ -173,6 +174,10 @@ class _FloatSpan:
     @property
     def a(self):
         return _require_output_map(self.sys)
+
+    @functools.cached_property
+    def _spectrum(self):
+        return _Spectrum(self.d, self.tol)
 
     @staticmethod
     def matmul(a, b):
@@ -195,15 +200,15 @@ class _FloatSpan:
             w, v = np.linalg.eig(rest.T)
             i = np.lexsort((w.imag, w.real))[0]
             return False, complex(w[i]), (q[:, big_r:] @ v[:, i]).astype(complex)
-        return _probe_sweep(np.eye(n), d, h, eigenvalue_probes(d, self.tol), self.tol)
+        return _probe_sweep(np.eye(n), d, h, self._spectrum.probes(), self.tol)
 
-    def min_poly_degree(self, d):
-        return min_poly_degree(d, self.tol)
+    def min_poly_degree(self):
+        return self._spectrum.min_poly_degree()
 
     def support_screen(self):
         """g_D, rank(H) and rank(D) for the common-support screen."""
         return {
-            "g_d": max_geometric_multiplicity(self.d, self.tol),
+            "g_d": self._spectrum.max_geometric_multiplicity(),
             "r_h": rank(self.h, self.tol),
             "r_d": rank(self.d, self.tol),
         }
@@ -482,11 +487,8 @@ def output_sparse_necessary(
 
 
 def _check_sparsity(sys: SystemModel, s: int):
-    if not (isinstance(s, (int, np.integer)) and 1 <= s <= sys.n_inputs):
-        raise ValueError(
-            f"sparsity s must satisfy 1 <= s <= L={sys.n_inputs}, got {s!r}"
-        )
-    return int(s)
+    l = sys.n_inputs
+    return _integer(s, f"sparsity s must satisfy 1 <= s <= L={l}, got {s!r}", most=l)
 
 
 def _require_output_map(sys: SystemModel) -> np.ndarray:

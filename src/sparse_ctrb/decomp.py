@@ -94,7 +94,7 @@ def standard_form(
     sys: SystemModel, s: int, tol: Tolerance = DEFAULT_TOLERANCE
 ) -> DecompositionResult:
     """Compute the standard form of ``sys`` at sparsity ``s``."""
-    _check_sparsity(sys, s)
+    s = _check_sparsity(sys, s)
     n = sys.n_states
     u, big_r, _ = _staircase(sys.D, sys.H, tol)
     d_check = u.T @ sys.D @ u
@@ -106,7 +106,7 @@ def standard_form(
     d_bar = np.linalg.solve(t, sys.D @ t)
     h_bar = np.linalg.solve(t, sys.H)
     r = fitting.r
-    r_s = r + min(int(s), big_r - r)
+    r_s = r + min(s, big_r - r)
     classification = (
         (CLASS_SPARSE,) * r_s
         + (CLASS_SPARSE_UNCONTROLLABLE,) * (big_r - r_s)
@@ -123,7 +123,7 @@ def standard_form(
         R=big_r,
         r=r,
         R_s=r_s,
-        s=int(s),
+        s=s,
         classification=classification,
         core_rank_mismatch=fitting.mismatch,
     )

@@ -31,7 +31,7 @@ from .ctrb import (
     _require_output_map,
     _sparse_test,
 )
-from .linalg import _powers
+from .linalg import _integer, _powers
 from .oracle import OracleBudget, _min_k
 
 __all__ = [
@@ -99,15 +99,24 @@ def _stalled_dim(blocks):
         dim = grown
 
 
+def _min_poly_degree(d):
+    """Number of powers I, D, D^2, ... before the first dependent one."""
+    n = len(d)
+    identity = tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
+    return _stalled_dim(
+        tuple((x,) for row in p for x in row) for p in _powers(d, identity, _matmul)
+    )
+
+
 class _ExactSpan:
     """A system and exact arithmetic for the rank questions in ``ctrb``,
     ``bounds`` and ``oracle``: the protocol of ``ctrb._FloatSpan``.
 
-    ``d`` and ``h`` are converted once, here, and ``a`` on first use.  Only
-    ranks and dependences are asked of a span, so each of them, and each
-    ``matmul``, holds its matrix up to a nonzero scale.  The running span is
-    a list of pivot-reduced integer vectors, so its dimension is exact and a
-    leaf of the schedule search needs no re-check.
+    ``d`` and ``h`` are converted once, here (q is that of this ``d``), and
+    ``a`` on first use.  Only ranks and dependences are asked of a span, so
+    each of them, and each ``matmul``, holds its matrix up to a nonzero
+    scale.  The running span is a list of pivot-reduced integer vectors, so
+    its dimension is exact and a leaf of the schedule search needs no re-check.
     """
 
     what = "exact schedule search"
@@ -134,14 +143,8 @@ class _ExactSpan:
         dim = _stalled_dim(_powers(self.d, h, _matmul))
         return dim == self.sys.n_states, None, None
 
-    @staticmethod
-    def min_poly_degree(d):
-        """Number of powers I, D, D^2, ... before the first dependent one."""
-        n = len(d)
-        identity = tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
-        return _stalled_dim(
-            tuple((x,) for row in p for x in row) for p in _powers(d, identity, _matmul)
-        )
+    def min_poly_degree(self):
+        return _min_poly_degree(self.d)
 
     @staticmethod
     def support_screen():
@@ -219,7 +222,7 @@ def output_kalman_exact(sys: SystemModel) -> bool:
 
 
 def min_poly_degree_exact(d_float) -> int:
-    return _ExactSpan.min_poly_degree(_integers(d_float))
+    return _min_poly_degree(_integers(d_float))
 
 
 def s_star_exact(sys: SystemModel) -> int:
@@ -240,8 +243,7 @@ def min_k_exact(
     minimal K.  With ``output=True`` the blocks are mapped through A and the
     target rank is the output dimension.
     """
-    if not (isinstance(max_k, int) and max_k >= 1):
-        raise ValueError(f"max_k must be a positive integer, got {max_k!r}")
+    max_k = _integer(max_k, f"max_k must be a positive integer, got {max_k!r}")
     budget = OracleBudget(max_k=max_k, max_enumerations=max_enumerations)
     k, witness, _ = _min_k(_ExactSpan(sys), s, budget, output)
     return k, witness

@@ -12,6 +12,7 @@ appears only when requested).  Indices in reports are 0-based.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 from fractions import Fraction
 from pathlib import Path
@@ -215,11 +216,7 @@ def build_report(
         "result": to_jsonable(result),
         "witnesses": to_jsonable(witnesses),
         "warnings": [str(w) for w in warnings],
-        "tolerance": {
-            "rank_rel": tolerance.rank_rel,
-            "eig_cluster": tolerance.eig_cluster,
-            "residual_abs": tolerance.residual_abs,
-        },
+        "tolerance": dataclasses.asdict(tolerance),
         "exact": bool(exact),
     }
     if elapsed_ms is not None:

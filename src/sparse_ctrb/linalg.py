@@ -9,6 +9,7 @@ nullities of q and g_D (:func:`_nullities`) one of M^k above
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 
@@ -75,6 +76,14 @@ def _as_matrix(a, name="matrix", allow_complex=False):
     return arr
 
 
+def _integer(value, message, least=1, most=float("inf")):
+    """``int(value)`` of a Python or numpy integer from ``least`` to ``most``;
+    any other value raises ``ValueError(message)``."""
+    if not (isinstance(value, (int, np.integer)) and least <= value <= most):
+        raise ValueError(message)
+    return int(value)
+
+
 def _square(a, name="matrix", allow_complex=False):
     arr = _as_matrix(a, name, allow_complex)
     if arr.shape[0] != arr.shape[1]:
@@ -120,6 +129,47 @@ def _clusters(values, radius):
     return [(c[0] / c[1], c[1]) for c in clusters]
 
 
+class _Spectrum:
+    """D's sorted eigenvalues, computed once, and their ``(mean, size)``
+    clusters on the probe ladder: radii ``eig_cluster``, then 1e-6, 1e-4 and
+    1e-3 times ``max(1, |D|)``, each rung (and |D|) computed on first use.
+    The probes read every rung, q the second and g_D the first."""
+
+    def __init__(self, d, tol: Tolerance):
+        self.d, self.tol, self.values, self._rungs = d, tol, eigenvalues(d), {}
+
+    @functools.cached_property
+    def _scale(self):
+        return max(1.0, _spectral_norm(self.d))
+
+    def _rung(self, i):
+        if i not in self._rungs:
+            step = (self.tol.eig_cluster, 1e-6, 1e-4, 1e-3)[i]
+            self._rungs[i] = _clusters(self.values, step * self._scale if i else step)
+        return self._rungs[i]
+
+    def probes(self):
+        means = {mean for i in range(4) for mean, _ in self._rung(i)}
+        return sorted(means, key=lambda z: (z.real, z.imag))
+
+    def _nonempty(self):
+        if len(self.d) == 0:
+            raise ValueError("D must be non-empty")
+        return len(self.d)
+
+    def min_poly_degree(self):
+        n, q = self._nonempty(), 0
+        for mean, size in self._rung(1):
+            nulls = [0] if size == 1 else _nullities(self.d - mean * np.eye(n), size, self.tol)
+            q += size if nulls[-1] > size else len(nulls) - 1 + size - nulls[-1]
+        return min(q, n)
+
+    def max_geometric_multiplicity(self):
+        n = self._nonempty()
+        means = [mean for mean, _ in self._rung(0)]
+        return max(_nullities(self.d - m * np.eye(n), 1, self.tol)[-1] for m in means)
+
+
 def eigenvalue_probes(d, tol: Tolerance = DEFAULT_TOLERANCE) -> list[complex]:
     """Candidate eigenvalue locations for the probe sweep (``ctrb._probe_sweep``)
     of the output condition and of a full staircase in the state rank condition.
@@ -132,11 +182,7 @@ def eigenvalue_probes(d, tol: Tolerance = DEFAULT_TOLERANCE) -> list[complex]:
     perturbation.  Probes at means of merged distinct eigenvalues are harmless
     (full rank there).
     """
-    w = eigenvalues(d)
-    scale = max(1.0, _spectral_norm(_square(d, "D", allow_complex=True)))
-    radii = (tol.eig_cluster, 1e-6 * scale, 1e-4 * scale, 1e-3 * scale)
-    means = {mean for radius in radii for mean, _ in _clusters(w, radius)}
-    return sorted(means, key=lambda z: (z.real, z.imag))
+    return _Spectrum(_square(d, "D", allow_complex=True), tol).probes()
 
 
 def _nullities(m, limit, tol):
@@ -163,23 +209,12 @@ def min_poly_degree(d, tol: Tolerance = DEFAULT_TOLERANCE) -> int:
     nullity of (D - mean I)^k grows) plus the eigenvalues the last nullity
     leaves out, or the cluster's size once a nullity exceeds it (it then took
     in other eigenvalues), so that rounding errs toward a larger q."""
-    a = _square(d, "D")
-    if len(a) == 0:
-        raise ValueError("D must be non-empty")
-    q = 0
-    for mean, size in _clusters(eigenvalues(a), 1e-6 * max(1.0, _spectral_norm(a))):
-        nulls = [0] if size == 1 else _nullities(a - mean * np.eye(len(a)), size, tol)
-        q += size if nulls[-1] > size else len(nulls) - 1 + size - nulls[-1]
-    return min(q, len(a))
+    return _Spectrum(_square(d, "D"), tol).min_poly_degree()
 
 
 def max_geometric_multiplicity(d, tol: Tolerance = DEFAULT_TOLERANCE) -> int:
     """Largest geometric multiplicity over the (clustered) eigenvalues of ``d``."""
-    a = _square(d, "D")
-    if len(a) == 0:
-        raise ValueError("D must be non-empty")
-    means = [mean for mean, _ in _clusters(eigenvalues(a), tol.eig_cluster)]
-    return max(_nullities(a - mean * np.eye(len(a)), 1, tol)[-1] for mean in means)
+    return _Spectrum(_square(d, "D"), tol).max_geometric_multiplicity()
 
 
 def _powers(d, block, matmul=np.matmul):
@@ -205,8 +240,7 @@ def controllability_matrix(d, h, k: int) -> np.ndarray:
         raise ValueError(
             f"H must have {a.shape[0]} rows to match D, got {b.shape[0]}"
         )
-    if not (isinstance(k, (int, np.integer)) and k >= 1):
-        raise ValueError(f"K must be a positive integer, got {k!r}")
+    k = _integer(k, f"K must be a positive integer, got {k!r}")
     return np.hstack(list(itertools.islice(_powers(a, b), k))[::-1])
 
 

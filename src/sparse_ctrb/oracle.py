@@ -43,7 +43,7 @@ from .ctrb import (
     _sparse_test,
 )
 from .errors import BudgetExceededError, InconclusiveError, UncontrollableSystemError
-from .linalg import DEFAULT_TOLERANCE, Tolerance, _powers, _scheduled
+from .linalg import DEFAULT_TOLERANCE, Tolerance, _integer, _powers, _scheduled
 
 __all__ = [
     "OracleBudget",
@@ -68,12 +68,10 @@ class OracleBudget:
     deadline_s: Optional[float] = None
 
     def __post_init__(self):
-        if self.max_k is not None and not (
-            isinstance(self.max_k, int) and self.max_k >= 1
-        ):
-            raise ValueError(f"max_k must be a positive integer or None, got {self.max_k!r}")
-        if not (isinstance(self.max_enumerations, int) and self.max_enumerations >= 1):
-            raise ValueError("max_enumerations must be a positive integer")
+        message = f"max_k must be a positive integer or None, got {self.max_k!r}"
+        if self.max_k is not None:
+            _integer(self.max_k, message)
+        _integer(self.max_enumerations, "max_enumerations must be a positive integer")
         if self.deadline_s is not None and not self.deadline_s > 0:
             raise ValueError("deadline_s must be positive or None")
 
@@ -87,8 +85,7 @@ class SupportSchedule:
     s: int
 
     def __post_init__(self):
-        if not (isinstance(self.s, int) and self.s >= 1):
-            raise ValueError(f"s must be a positive integer, got {self.s!r}")
+        _integer(self.s, f"s must be a positive integer, got {self.s!r}")
         cleaned = []
         for sup in self.supports:
             sup = tuple(int(j) for j in sup)
@@ -109,10 +106,8 @@ class SupportSchedule:
 def partition_schedule(l: int, s: int) -> SupportSchedule:
     """Schedule of ceil(L/s) size-s supports covering all L channels in order;
     a short final set is padded from the tail of the index range."""
-    if not (isinstance(l, int) and l >= 1):
-        raise ValueError(f"L must be a positive integer, got {l!r}")
-    if not (isinstance(s, int) and 1 <= s <= l):
-        raise ValueError(f"s must satisfy 1 <= s <= L={l}, got {s!r}")
+    l = _integer(l, f"L must be a positive integer, got {l!r}")
+    s = _integer(s, f"s must satisfy 1 <= s <= L={l}, got {s!r}", most=l)
     supports = []
     for i in range(math.ceil(l / s)):
         start = i * s
@@ -381,10 +376,9 @@ def _min_k(span, s, budget, output=False, first_k=1):
 
 
 def _rank_test(sys, s, k, budget, tol, output):
-    if not (isinstance(k, (int, np.integer)) and k >= 1):
-        raise ValueError(f"K must be a positive integer, got {k!r}")
-    budget = replace(budget or OracleBudget(), max_k=int(k))
-    _, witness, _ = _min_k(_FloatSpan(sys, tol), s, budget, output, first_k=int(k))
+    k = _integer(k, f"K must be a positive integer, got {k!r}")
+    budget = replace(budget or OracleBudget(), max_k=k)
+    _, witness, _ = _min_k(_FloatSpan(sys, tol), s, budget, output, first_k=k)
     return (True, SupportSchedule(witness, int(s))) if witness else (False, None)
 
 
@@ -449,11 +443,10 @@ def rstar_sequence(
     augmentations.
     """
     s = _check_sparsity(sys, s)
-    if not (isinstance(k_max, (int, np.integer)) and k_max >= 1):
-        raise ValueError(f"k_max must be a positive integer, got {k_max!r}")
+    k_max = _integer(k_max, f"k_max must be a positive integer, got {k_max!r}")
     span = _FloatSpan(sys, tol)
     counter = _Counter(budget or OracleBudget(), span.what)
-    problems = _descending_blocks(span, s, False, int(k_max))
+    problems = _descending_blocks(span, s, False, k_max)
     l, inside, sequence = sys.n_inputs, [], []
     for k, (blocks, _) in enumerate(problems, start=1):
         inside = [(d + 1, j) for d, j in inside]

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .ctrb import SystemModel, _check_sparsity, _FloatSpan, _require_output_map
-from .linalg import DEFAULT_TOLERANCE, Tolerance, _powers
+from .linalg import DEFAULT_TOLERANCE, Tolerance, _integer, _powers
 from .oracle import (
     OracleBudget,
     SupportSchedule,
@@ -55,9 +55,7 @@ def greedy_support_schedule(
     completed by augmenting paths.  Steps without columns get empty supports.
     """
     s = _check_sparsity(sys, s)
-    if not (isinstance(k, (int, np.integer)) and k >= 0):
-        raise ValueError(f"K must be a non-negative integer, got {k!r}")
-    k = int(k)
+    k = _integer(k, f"K must be a non-negative integer, got {k!r}", least=0)
     if k == 0:
         return SupportSchedule(supports=(), s=s)
     span = _FloatSpan(sys, tol)

@@ -206,6 +206,18 @@ class TestCliExitCodes:
             assert out == ""
             assert "error" in err
 
+    def test_non_finite_report_is_input_error(self, capsys, tmp_path):
+        # The trajectory overflows to inf, which JSON cannot hold: the run
+        # exits 2 with an error line and writes nothing to stdout.
+        system, target = tmp_path / "big.json", tmp_path / "target.json"
+        system.write_text(json.dumps({"D": [[1e200, 0], [0, 1]], "H": [[1], [1]]}))
+        target.write_text("[1, 1]")
+        argv = ("steer", str(system), "-s", "1", "--k", "3", "--x-final", str(target))
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("sparse-ctrb steer: error: ")
+
     def test_bounds_undefined_is_input_error(self, capsys):
         code, _, err = run_cli(
             capsys, "bounds", str(FIXTURES / "uncontrollable.json"), "-s", "1"
@@ -527,6 +539,23 @@ class TestCliReports:
         path = str(FIXTURES / "no-common-support.json")
         run_cli(capsys, "bounds", path, "--variant", "sparse", "-s", "1", "--rational")
         assert len(calls) == 2
+
+    def test_float_run_computes_the_spectrum_once(self, capsys, monkeypatch):
+        # D is the same for the system and every support, so the float span
+        # computes its eigenvalues once: the probes of each rank condition,
+        # q and g_D all read them.
+        eigvals, calls = np.linalg.eigvals, []
+        monkeypatch.setattr(
+            np.linalg, "eigvals", lambda a: calls.append(a) or eigvals(a)
+        )
+        for fixture, command, *flags in (
+            ("no-common-support", "bounds", "-s", "1"),
+            ("nilpotent-chain", "check", "-s", "1", "--output-mode", "common-support"),
+        ):
+            calls.clear()
+            path = str(FIXTURES / f"{fixture}.json")
+            code, _, _ = run_cli(capsys, command, path, *flags)
+            assert (code, len(calls)) == (0, 1), fixture
 
     def test_wide_output_map_warns_once(self, capsys, tmp_path):
         # S* takes columns of the span's H and builds no system per support,

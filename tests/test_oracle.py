@@ -28,7 +28,7 @@ from sparse_ctrb import (
 )
 from sparse_ctrb import oracle
 from sparse_ctrb.ctrb import _FloatSpan
-from sparse_ctrb.exact import _ExactSpan
+from sparse_ctrb.exact import _ExactSpan, min_k_exact
 from sparse_ctrb.linalg import DEFAULT_TOLERANCE
 from sparse_ctrb.oracle import (
     _common_independent,
@@ -384,15 +384,21 @@ def _flat(value):
     return [value]
 
 
-def test_numpy_integer_sparsity_gives_int_results(no_common_support, output_reachable):
+def test_numpy_integer_sparsity_gives_int_results(
+    no_common_support, output_reachable, nilpotent_chain
+):
     # The sparsity guard accepts np.int64(s); every result must then be the
     # one s gives, of the same types, so no witness fails to wrap after the
-    # search and no bound comes back as np.int64.
+    # search and no bound comes back as np.int64.  The other integer
+    # arguments (K, max_k, L) go through the same guard.
     calls = [
         (lambda s: kalman_type_rank_test(no_common_support, s, 2), 2),
         (lambda s: output_kalman_type_rank_test(output_reachable, s, 2), 1),
         (lambda s: exact_min_k(no_common_support, s), 2),
         (lambda s: kstar_bounds_sparse(no_common_support, s), 2),
+        (lambda k: min_k_exact(nilpotent_chain, 1, k), 6),
+        (lambda k: exact_min_k(nilpotent_chain, 1, OracleBudget(max_k=k)), 6),
+        (lambda s: partition_schedule(2 * s, s), 1),
     ]
     for call, s in calls:
         want = [(type(x), x) for x in _flat(call(s))]

@@ -13,12 +13,9 @@ ROOT = FIXTURES.parent
 
 
 def _python(*args):
-    path = [str(ROOT / "src"), os.environ.get("PYTHONPATH", "")]
-    env = dict(
-        os.environ,
-        PYTHONPATH=os.pathsep.join(p for p in path if p),
-        PYTHONDONTWRITEBYTECODE="1",
-    )
+    # No PYTHONPATH: each script finds the package as it is run from a shell.
+    env = {key: value for key, value in os.environ.items() if key != "PYTHONPATH"}
+    env["PYTHONDONTWRITEBYTECODE"] = "1"
     return subprocess.run(
         [sys.executable, *args], capture_output=True, text=True, env=env, timeout=300
     )
