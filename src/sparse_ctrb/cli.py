@@ -18,7 +18,6 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import functools
-import json
 import os
 import sys
 import time
@@ -38,7 +37,7 @@ from .ctrb import (
 )
 from .decomp import standard_form, verify_standard_form
 from .errors import InconclusiveError, InputError, UncontrollableSystemError
-from .io import build_report, load_system, render_report
+from .io import _load_vector, build_report, load_system, render_report
 from .linalg import DEFAULT_TOLERANCE, Tolerance, _integer
 from .oracle import OracleBudget, _min_k
 from .steer import greedy_support_schedule, solve_inputs, solve_output_inputs
@@ -71,24 +70,6 @@ def _tolerance_from(args) -> Tolerance:
         return Tolerance(rank_rel=value)
     except ValueError as exc:
         raise InputError(str(exc))
-
-
-def _load_vector(path, length, name):
-    """Read a JSON file holding a flat array of numbers of the given length."""
-    try:
-        with open(path, encoding="utf-8") as fh:
-            data = json.load(fh)
-    except OSError as exc:
-        raise InputError(f"cannot read {name} file {path!r}: {exc}")
-    except json.JSONDecodeError as exc:
-        raise InputError(f"{name} file {path!r} is not valid JSON: {exc}")
-    if not isinstance(data, list) or not all(
-        isinstance(x, (int, float)) and not isinstance(x, bool) for x in data
-    ):
-        raise InputError(f"{name} file must contain a flat JSON array of numbers")
-    if len(data) != length:
-        raise InputError(f"{name} must have {length} entries, got {len(data)}")
-    return np.array(data, dtype=np.float64)
 
 
 def _reject_rational(args, command):

@@ -103,6 +103,18 @@ REPORT_SCHEMA = {
 _NUMBERS = frozenset((int, float))
 
 
+def _floats(rows, name):
+    """``rows``, lists of JSON numbers, as one float64 array."""
+    for row in rows:
+        if not _NUMBERS.issuperset(map(type, row)):
+            bad = next(x for x in row if type(x) not in _NUMBERS)
+            raise InputError(f"{name} entries must be numbers, got {bad!r}")
+    try:
+        return np.array(rows, dtype=np.float64)
+    except OverflowError as exc:  # an integer beyond the float range
+        raise InputError(f"{name} entries must fit in a float: {exc}") from exc
+
+
 def _parse_matrix(obj, name):
     if not (isinstance(obj, list) and obj and all(isinstance(r, list) for r in obj)):
         raise InputError(f"{name} must be a non-empty list of rows")
@@ -112,11 +124,17 @@ def _parse_matrix(obj, name):
     for i, row in enumerate(obj):
         if len(row) != width:
             raise InputError(f"{name} row {i} has length {len(row)}, expected {width}")
-        if not _NUMBERS.issuperset(map(type, row)):
-            for x in row:
-                if isinstance(x, bool) or not isinstance(x, (int, float)):
-                    raise InputError(f"{name} entries must be numbers, got {x!r}")
-    return np.array(obj, dtype=np.float64)
+    return _floats(obj, name)
+
+
+def _read_json(path, label):
+    """The JSON content of the file ``path``, named ``label`` in errors."""
+    try:
+        return json.loads(Path(path).read_text(encoding="utf-8"))
+    except OSError as exc:
+        raise InputError(f"cannot read {label}: {exc}") from exc
+    except json.JSONDecodeError as exc:
+        raise InputError(f"{label} is not valid JSON: {exc}") from exc
 
 
 def load_system(path):
@@ -126,12 +144,7 @@ def load_system(path):
     keys, ragged or non-numeric matrices, dimension mismatches).
     """
     path = Path(path)
-    try:
-        raw = json.loads(path.read_text())
-    except OSError as exc:
-        raise InputError(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise InputError(f"{path} is not valid JSON: {exc}") from exc
+    raw = _read_json(path, path)
     if not isinstance(raw, dict):
         raise InputError(f"{path} must contain a JSON object")
     unknown = set(raw) - {"name", "D", "H", "A"}
@@ -151,6 +164,18 @@ def load_system(path):
     except ValueError as exc:
         raise InputError(f"{path}: {exc}") from exc
     return system, name
+
+
+def _load_vector(path, length, name):
+    """Read a JSON file holding a flat array of ``length`` numbers; ``name``
+    (a CLI flag) labels it in errors."""
+    data = _read_json(path, f"{name} file {path!r}")
+    if not isinstance(data, list):
+        raise InputError(f"{name} file must contain a flat JSON array of numbers")
+    vector = _floats([data], name)[0]
+    if len(vector) != length:
+        raise InputError(f"{name} must have {length} entries, got {len(vector)}")
+    return vector
 
 
 def system_to_dict(sys: SystemModel, name=None):

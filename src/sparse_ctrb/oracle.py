@@ -72,8 +72,8 @@ class OracleBudget:
         if self.max_k is not None:
             _integer(self.max_k, message)
         _integer(self.max_enumerations, "max_enumerations must be a positive integer")
-        if self.deadline_s is not None and not self.deadline_s > 0:
-            raise ValueError("deadline_s must be positive or None")
+        if self.deadline_s is not None and not 0 < self.deadline_s < math.inf:
+            raise ValueError("deadline_s must be positive and finite or None")
 
 
 @dataclass(frozen=True)
@@ -139,7 +139,11 @@ class _Counter:
 
     def tick(self, k):
         self.used += 1
-        over = self.used > self.budget.max_enumerations
+        self.check(k, self.used > self.budget.max_enumerations)
+
+    def check(self, k, over=False):
+        """Raise when ``over`` the enumeration budget or past the deadline,
+        counting no tick."""
         if over or (self.deadline is not None and time.monotonic() > self.deadline):
             raise BudgetExceededError(
                 f"{self.what} exceeded {'enumeration budget' if over else 'deadline'}",
@@ -177,13 +181,15 @@ def _common_independent(blocks, s, l, span, counter, k, inside=(), allowed=None)
     First a greedy fill: blocks from the last (H) to the first, channels in
     index order, keeping a column while its block has room and it grows the
     span.  A fill that spans the space is returned at once, with an empty
-    ``reach``.  Otherwise shortest augmenting paths grow the set, and
-    ``reach`` is the set of columns from which the final exchange graph
-    reaches a block with room left, the U of the min-max theorem:
-    rank(U) + sum over blocks of min(s, |block - U|) equals ``len(inside)``,
-    and bounds the rank of every schedule by weak duality.  The arcs come
-    from one span solve per outside column per augmentation, and each
-    augmentation ticks ``counter``.
+    ``cut``.  Otherwise shortest augmenting paths grow the set, one search
+    from the columns free in the span per augmentation; ``cut`` is the set
+    of columns the final search does not reach, the U of the min-max
+    theorem.  By weak duality every column set U bounds the rank of every
+    schedule by rank(U) + sum over blocks of min(s, |block - U|); in exact
+    arithmetic this U makes the bound equal ``len(inside)`` (Schrijver,
+    Combinatorial Optimization, 2003, Thm 41.2).  The arcs come from one
+    span solve per outside column per augmentation, and each augmentation
+    ticks ``counter``.
     """
     members, n = set(inside), len(blocks[0])
     allowed = allowed or [range(l)] * k
@@ -207,14 +213,13 @@ def _common_independent(blocks, s, l, span, counter, k, inside=(), allowed=None)
         members = set(inside)
         outside = [y for y in ground if y not in members]
         circuits = span.circuits(blocks, inside, outside)
-        used = collections.Counter(d for d, _ in inside)
+        cols = [[x for x in inside if x[0] == d] for d in range(k)]  # per block
         arcs = collections.defaultdict(list)  # exchanges that keep a matroid
         for y, circuit in zip(outside, circuits):
             for i in circuit or ():
                 arcs[inside[i]].append(y)  # inside - x + y stays independent
-            if used[y[0]] == s:
-                arcs[y] = [x for x in inside if x[0] == y[0]]
-        sinks = {y for y in outside if used[y[0]] < s}
+            arcs[y] = cols[y[0]]  # inside - x + y stays within capacity
+        sinks = {y for y in outside if len(cols[y[0]]) < s}
         came_from = {y: None for y, c in zip(outside, circuits) if c is None}
         queue = collections.deque(came_from)
         while queue:
@@ -230,17 +235,7 @@ def _common_independent(blocks, s, l, span, counter, k, inside=(), allowed=None)
                     came_from[w] = v
                     queue.append(w)
         else:
-            back = collections.defaultdict(list)
-            for v, targets in list(arcs.items()):
-                for w in targets:
-                    back[w].append(v)
-            reach, queue = set(sinks), collections.deque(sinks)
-            while queue:
-                for v in back[queue.popleft()]:
-                    if v not in reach:
-                        reach.add(v)
-                        queue.append(v)
-            return inside, reach
+            return inside, set(ground) - came_from.keys()
 
 
 def _supports_of(columns, k):
@@ -248,18 +243,18 @@ def _supports_of(columns, k):
     return [tuple(sorted(j for d, j in columns if d == depth)) for depth in range(k)]
 
 
-def _blocked(blocks, s, l, target, span, inside, reach):
-    """True when the kernel's ``inside`` and ``reach`` prove that no
-    schedule of s channels per block reaches ``target`` on ``blocks``.  The
-    weak-duality bound rank(U) + sum min(s, |block - U|) must stay below
-    ``target``, with the span counting rank(U) so that no leaf check counts
-    more on U's columns."""
-    k = len(blocks)
-    spare = sum(
-        min(s, l - sum(1 for d, _ in reach if d == depth)) for depth in range(k)
-    )
-    dim = sum(1 for x in inside if x in reach)
-    return span.cut_rank(dim, blocks, s, _supports_of(reach, k)) + spare < target
+def _blocked(blocks, s, l, target, span, inside, cut):
+    """True when the kernel's ``inside`` and ``cut`` prove that no schedule
+    of s channels per block reaches ``target`` on ``blocks``: the
+    weak-duality bound rank(U) + sum min(s, |block - U|) stays below
+    ``target``.  The bound holds for every column set U, so the answer is
+    sound whichever cut a float exchange graph gives; the span counts
+    rank(U) so that no leaf check counts more on U's columns, and exact
+    arithmetic makes the bound tight."""
+    supports = _supports_of(cut, len(blocks))
+    spare = sum(min(s, l - len(sup)) for sup in supports)
+    dim = sum(1 for x in inside if x in cut)
+    return span.cut_rank(dim, blocks, s, supports) + spare < target
 
 
 def _first_schedule(blocks, caps, s, l, target, span, counter, inside, referee):
@@ -319,10 +314,11 @@ def _partition_horizon(sys, s):
 def _min_k(span, s, budget, output=False, first_k=1):
     """Smallest K in ``first_k..max_k`` at which a schedule reaches full state
     (or output) rank, as ``(K, supports, max_k)``; ``(None, None, max_k)``
-    when none does.  One budget covers every K.  A K that passes
-    ``_within_reach`` goes to the kernel, warm-started from the previous K's
-    set; a cut certified by ``_blocked`` skips it, and a set reaching the
-    target gets its witness from ``_first_schedule``.
+    when none does.  One budget covers every K, and the deadline is also
+    checked once at every K.  A K that passes ``_within_reach`` goes to the
+    kernel, warm-started from the previous K's set; a cut certified by
+    ``_blocked`` skips it, and a set reaching the target gets its witness
+    from ``_first_schedule``.
 
     The horizon rule: ``max_k`` defaults to N * ceil(L/s), which decides the
     question.  A passed sparse test gives K* <= q * ceil(S*/s) <= N * ceil(L/s)
@@ -356,12 +352,13 @@ def _min_k(span, s, budget, output=False, first_k=1):
     problems = _descending_blocks(span, s, output, max_k)
     inside = []
     for k, (blocks, caps) in enumerate(problems, start=1):
+        counter.check(k)
         inside = [(d + 1, j) for d, j in inside]
         if k < first_k or not _within_reach(blocks, caps, target, span):
             continue
-        inside, reach = _common_independent(blocks, s, l, span, counter, k, inside)
+        inside, cut = _common_independent(blocks, s, l, span, counter, k, inside)
         if len(inside) < target:
-            if not _blocked(blocks, s, l, target, span, inside, reach):
+            if not _blocked(blocks, s, l, target, span, inside, cut):
                 referee(k, f"at K={k}: matroid intersection reaches rank "
                         f"{len(inside)} of {target} without a certified cut; ill-posed")
             continue

@@ -65,17 +65,21 @@ def greedy_support_schedule(
     return SupportSchedule(supports=tuple(_supports_of(inside, k)), s=s)
 
 
-def _scheduled_columns(sys: SystemModel, schedule: SupportSchedule):
-    """Scheduled endpoint-map columns plus their (step, channel) slots."""
-    slots = [(step, j) for step, sup in enumerate(schedule.supports) for j in sup]
-    return schedule_submatrix(sys, schedule), slots
-
-
-def _assemble_plan(sys, schedule, x_init, coeffs, slots, target, output_map=None):
-    k = schedule.k
-    inputs = np.zeros((k, sys.n_inputs))
-    for value, (step, j) in zip(coeffs, slots):
-        inputs[step, j] = value
+def _solve(sys, schedule, x_init, target, output_map, tol):
+    """Minimum-norm inputs on ``schedule`` steering ``output_map @ x_K``
+    (x_K itself when ``output_map`` is None) from ``x_init`` toward
+    ``target``, with the trajectory and residual they give."""
+    matrix = schedule_submatrix(sys, schedule)
+    drift = np.linalg.matrix_power(sys.D, schedule.k) @ x_init
+    if output_map is not None:
+        matrix, drift = output_map @ matrix, output_map @ drift
+    inputs = np.zeros((schedule.k, sys.n_inputs))
+    if matrix.shape[1]:
+        rcond = tol.rank_rel * max(matrix.shape)
+        coeffs, *_ = np.linalg.lstsq(matrix, target - drift, rcond=rcond)
+        slots = [(step, j) for step, sup in enumerate(schedule.supports) for j in sup]
+        for value, (step, j) in zip(coeffs, slots):
+            inputs[step, j] = value
     trajectory = rollout(sys, inputs, x_init)
     endpoint = trajectory[-1] if output_map is None else output_map @ trajectory[-1]
     residual = float(np.linalg.norm(target - endpoint))
@@ -84,13 +88,6 @@ def _assemble_plan(sys, schedule, x_init, coeffs, slots, target, output_map=None
     return SteeringPlan(
         schedule=schedule, inputs=inputs, trajectory=trajectory, residual=residual
     )
-
-
-def _min_norm_solve(matrix, rhs, tol):
-    if matrix.shape[1] == 0:
-        return np.zeros(0)
-    coeffs, *_ = np.linalg.lstsq(matrix, rhs, rcond=tol.rank_rel * max(matrix.shape))
-    return coeffs
 
 
 def solve_inputs(
@@ -103,10 +100,7 @@ def solve_inputs(
     """Minimum-norm inputs steering x_init toward x_final on the schedule."""
     x_init = _vector(x_init, sys.n_states, "x_init")
     x_final = _vector(x_final, sys.n_states, "x_final")
-    matrix, slots = _scheduled_columns(sys, schedule)
-    drift = np.linalg.matrix_power(sys.D, schedule.k) @ x_init
-    coeffs = _min_norm_solve(matrix, x_final - drift, tol)
-    return _assemble_plan(sys, schedule, x_init, coeffs, slots, x_final)
+    return _solve(sys, schedule, x_init, x_final, None, tol)
 
 
 def solve_output_inputs(
@@ -120,10 +114,7 @@ def solve_output_inputs(
     a = _require_output_map(sys)
     x_init = _vector(x_init, sys.n_states, "x_init")
     y_final = _vector(y_final, a.shape[0], "y_final")
-    matrix, slots = _scheduled_columns(sys, schedule)
-    drift = a @ (np.linalg.matrix_power(sys.D, schedule.k) @ x_init)
-    coeffs = _min_norm_solve(a @ matrix, y_final - drift, tol)
-    return _assemble_plan(sys, schedule, x_init, coeffs, slots, y_final, output_map=a)
+    return _solve(sys, schedule, x_init, y_final, a, tol)
 
 
 def rollout(sys: SystemModel, inputs, x_init) -> np.ndarray:

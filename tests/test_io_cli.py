@@ -218,6 +218,42 @@ class TestCliExitCodes:
         assert out == ""
         assert err.startswith("sparse-ctrb steer: error: ")
 
+    @pytest.mark.parametrize(
+        "argv",
+        [["check"], ["oracle"], ["check", "--rational"], ["oracle", "--rational"]],
+        ids=" ".join,
+    )
+    def test_system_integer_beyond_float_range_is_input_error(
+        self, capsys, tmp_path, argv
+    ):
+        # 1e400 written as a float loads as inf and is rejected as such; an
+        # integer past the float range must exit 2 as well.
+        system = tmp_path / "big.json"
+        system.write_text('{"D": [[1' + "0" * 400 + ', 0], [0, 1]], "H": [[1], [1]]}')
+        code, out, err = run_cli(capsys, argv[0], str(system), "-s", "1", *argv[1:])
+        assert (code, out) == (2, "")
+        assert "D entries must fit in a float" in err
+
+    @pytest.mark.parametrize("flag", ["--x-init", "--x-final"])
+    def test_vector_integer_beyond_float_range_is_input_error(
+        self, capsys, tmp_path, flag
+    ):
+        huge, zeros = tmp_path / "huge.json", tmp_path / "zeros.json"
+        huge.write_text("[1" + "0" * 400 + ", 0, 0]")
+        zeros.write_text("[0, 0, 0]")
+        vectors = {"--x-init": zeros, "--x-final": zeros, flag: huge}
+        code, out, err = run_cli(
+            capsys, "steer", str(FIXTURES / "nilpotent-chain.json"), "-s", "1",
+            "--k", "3", *(f"{k}={v}" for k, v in vectors.items()),
+        )
+        assert (code, out) == (2, "")
+        assert f"{flag} entries must fit in a float" in err
+
+    def test_non_finite_deadline_is_input_error(self, capsys):
+        code, out, err = run_cli(capsys, "oracle", *CHECK_1, "--deadline", "inf")
+        assert (code, out) == (2, "")
+        assert "deadline_s must be positive and finite" in err
+
     def test_bounds_undefined_is_input_error(self, capsys):
         code, _, err = run_cli(
             capsys, "bounds", str(FIXTURES / "uncontrollable.json"), "-s", "1"

@@ -31,6 +31,7 @@ from sparse_ctrb.ctrb import _FloatSpan
 from sparse_ctrb.exact import _ExactSpan, min_k_exact
 from sparse_ctrb.linalg import DEFAULT_TOLERANCE
 from sparse_ctrb.oracle import (
+    _blocked,
     _common_independent,
     _Counter,
     _descending_blocks,
@@ -176,6 +177,23 @@ class TestExactMinK:
             exact_min_k(no_common_support, 1, budget=OracleBudget(max_enumerations=2))
         assert exc.value.enumerations is not None
 
+    def test_deadline_is_checked_at_every_k(self, monkeypatch):
+        # The third state is unreachable, so every K fails the rank pre-check
+        # and neither the kernel nor the witness loop ticks.  A clock that
+        # advances one second per reading passes the 2.5 s deadline at K = 3.
+        sys = SystemModel(D=np.diag([1.0, -1.0, 0.5]), H=np.array([[1.0], [1.0], [0.0]]))
+        clock = itertools.count()
+        monkeypatch.setattr(oracle.time, "monotonic", lambda: float(next(clock)))
+        budget = OracleBudget(max_k=3000, deadline_s=2.5)
+        with pytest.raises(BudgetExceededError, match="exceeded deadline") as exc:
+            exact_min_k(sys, 1, budget)
+        assert (exc.value.k_reached, exc.value.enumerations) == (3, 0)
+
+    @pytest.mark.parametrize("deadline", [math.inf, math.nan, 0.0, -1.0])
+    def test_deadline_must_be_positive_and_finite(self, deadline):
+        with pytest.raises(ValueError, match="deadline_s"):
+            OracleBudget(deadline_s=deadline)
+
     @given(small_systems(), st.data())
     def test_agrees_with_decision_test(self, sys, data):
         s = data.draw(st.integers(1, sys.n_inputs))
@@ -244,6 +262,29 @@ class TestCommonIndependent:
                     blocks, caps, s, l, n, span, counter, inside, ignore
                 )
                 first = False
+
+    @given(small_systems(max_n=4), st.data())
+    def test_cut_is_tight_and_certified(self, sys, data):
+        # Wherever the exact kernel's set is short of N, the columns its last
+        # search does not reach form a cut U with
+        # rank(U) + sum over blocks of min(s, L - |U in block|) = |set|,
+        # which _blocked certifies against one more than the set's size.
+        s = data.draw(st.integers(1, sys.n_inputs))
+        l, n = sys.n_inputs, sys.n_states
+        span = _ExactSpan(sys)
+        counter = _Counter(OracleBudget(), "test")
+        problems = _descending_blocks(span, s, False, n * math.ceil(l / s))
+        for k, (blocks, _) in enumerate(problems, start=1):
+            inside, cut = _common_independent(blocks, s, l, span, counter, k)
+            if len(inside) == n:
+                continue
+            supports = _supports_of(cut, k)
+            basis, rank_u = span.empty(blocks[0]), 0
+            for block, sup in zip(blocks, supports):
+                basis, rank_u = span.extend(basis, block, sup)
+            spare = sum(min(s, l - len(sup)) for sup in supports)
+            assert rank_u + spare == len(inside)
+            assert _blocked(blocks, s, l, len(inside) + 1, span, inside, cut)
 
     @pytest.mark.parametrize("span_of", SPANS, ids=["float", "exact"])
     def test_exchange_beats_greedy_order(self, span_of):

@@ -12,10 +12,12 @@ from tests.conftest import FIXTURES
 ROOT = FIXTURES.parent
 
 
-def _python(*args):
+def _python(*args, hash_seed=None):
     # No PYTHONPATH: each script finds the package as it is run from a shell.
     env = {key: value for key, value in os.environ.items() if key != "PYTHONPATH"}
     env["PYTHONDONTWRITEBYTECODE"] = "1"
+    if hash_seed is not None:
+        env["PYTHONHASHSEED"] = hash_seed
     return subprocess.run(
         [sys.executable, *args], capture_output=True, text=True, env=env, timeout=300
     )
@@ -41,3 +43,14 @@ def test_script_imports(name):
     load = "import runpy, sys; runpy.run_path(sys.argv[1], run_name='imported')"
     proc = _python("-c", load, str(ROOT / "scripts" / name))
     assert proc.returncode == 0, proc.stderr[-2000:]
+
+
+def test_report_digest_is_byte_stable():
+    # The whole battery, about 2.5 s a run on a 2-vCPU host: string hashing
+    # may not reach a report, and no run may crash.
+    script = str(ROOT / "scripts" / "report_digest.py")
+    argv = [script, "--root", str(ROOT), "--seed", "401"]
+    first, second = (_python(*argv, hash_seed=seed) for seed in ("1", "2"))
+    assert first.returncode == 0, first.stderr[-2000:]
+    assert second.returncode == 0, second.stderr[-2000:]
+    assert first.stdout and first.stdout == second.stdout
