@@ -19,7 +19,9 @@ arithmetics, the matroid-intersection r*(K) must be the best rank of the
 depth-first search alone: it reaches r*(K) and not r*(K)+1 (on the sparse
 sample, unless that search runs out of its budget or the float rank is
 ill-posed at K, see ``rstar_mismatches``; both are counted); and the
-schedule of ``greedy_support_schedule`` must have exact rank r*(K).
+schedule of ``greedy_support_schedule`` must have exact rank r*(K).  The
+summary counts the (arithmetic, K) pairs that the oracle's pre-check by the
+paper's rank inequality rules out, and those that the kernel's cut does.
 Exits non-zero when a mismatch is found.
 
 Usage:
@@ -56,9 +58,11 @@ from sparse_ctrb.ctrb import _FloatSpan
 from sparse_ctrb.exact import _ExactSpan, min_poly_degree_exact
 from sparse_ctrb.linalg import DEFAULT_TOLERANCE
 from sparse_ctrb.oracle import (
+    _blocked,
     _common_independent,
     _Counter,
     _descending_blocks,
+    _ruled_out,
     _supports_of,
     _within_reach,
 )
@@ -142,12 +146,15 @@ def exact_rank(blocks, supports):
     return dim
 
 
-def rstar_mismatches(sys_, s, sparse, unchecked):
+def rstar_mismatches(sys_, s, sparse, unchecked, cuts):
     """One line for each (arithmetic, K) with K up to N*ceil(L/s) where the
     depth-first search does not reach r*(K) or reaches r*(K)+1, and for each
     K where the steering schedule's exact rank is not the exact r*(K).  On
     the dense sample the search has the oracle's default budget, and every
-    disagreement, running out included, is a mismatch.
+    disagreement, running out included, is a mismatch.  ``cuts`` counts the
+    (arithmetic, K) that the oracle's inequality cut rules out and those
+    that pass its pre-checks and the kernel's cut rules out; the search's
+    own pre-check stays the cut-free ``_within_reach``.
 
     On the ``sparse`` sample two kinds of K go to ``unchecked`` instead: a
     K where the search runs out of ``SEARCH_BUDGET`` extensions, and a float
@@ -157,9 +164,9 @@ def rstar_mismatches(sys_, s, sparse, unchecked):
     reaches neither r* nor r*+1 (each leaf holds s channels per step, more
     than the kernel's set), or as a kernel's set whose exact rank is above
     its float r*."""
-    l = sys_.n_inputs
+    l, n = sys_.n_inputs, sys_.n_states
     supports = list(itertools.combinations(range(l), s))
-    horizon = sys_.n_states * math.ceil(l / s)
+    horizon = n * math.ceil(l / s)
     found = []
     budget = OracleBudget(max_enumerations=SEARCH_BUDGET) if sparse else OracleBudget()
     float_span, exact_span = _FloatSpan(sys_, DEFAULT_TOLERANCE), _ExactSpan(sys_)
@@ -175,7 +182,13 @@ def rstar_mismatches(sys_, s, sparse, unchecked):
             ("float", float_span, float_blocks, float_caps),
         ):
             counter = _Counter(OracleBudget(), "equivalence sweep")
-            inside, _ = _common_independent(blocks, s, l, span, counter, k)
+            inside, cut = _common_independent(blocks, s, l, span, counter, k)
+            ruling = _ruled_out(blocks, caps, s, l, n, span)
+            if ruling == "inequality":
+                cuts["inequality"] += 1
+            elif ruling is None and len(inside) < n:
+                dim = sum(1 for x in inside if x in cut)
+                cuts["kernel"] += _blocked(blocks, s, l, n, span, dim, _supports_of(cut, k))
             chosen = _supports_of(inside, k)
             r_star = span.leaf_rank(len(inside), blocks, chosen)
             if name == "exact":
@@ -227,7 +240,7 @@ def main(argv=None):
     start = time.perf_counter()
     pairs = 0
     controllable = 0
-    mismatches, unchecked = [], collections.Counter()
+    mismatches, unchecked, cuts = [], collections.Counter(), collections.Counter()
     for idx, sys_ in enumerate(systems):
         q, q_exact = min_poly_degree(sys_.D), min_poly_degree_exact(sys_.D)
         if q != q_exact:
@@ -262,7 +275,7 @@ def main(argv=None):
                 }
                 for what in witness_mismatches(sys_, s, witnesses, sparse, unchecked):
                     mismatches.append((idx, s, what))
-            for what in rstar_mismatches(sys_, s, sparse, unchecked):
+            for what in rstar_mismatches(sys_, s, sparse, unchecked, cuts):
                 mismatches.append((idx, s, what))
             if verdict:
                 controllable += 1
@@ -275,7 +288,9 @@ def main(argv=None):
         f"the reference search ran out of {SEARCH_BUDGET} extensions, "
         f"{unchecked['float']} float K with an ill-posed rank; witnesses left "
         f"unchecked: {unchecked['witness']} sparse (arithmetic, K*) pairs "
-        "where the reference search ran out"
+        f"where the reference search ran out; (arithmetic, K) pairs ruled out: "
+        f"{cuts['inequality']} by the inequality cut, {cuts['kernel']} by the "
+        "kernel's cut"
     )
     for idx, s, what in mismatches:
         sys_ = systems[idx]

@@ -155,9 +155,10 @@ class _FloatSpan:
     ``min_poly_degree`` (q of its D) and ``support_screen`` (the necessary
     screen of the common-support test, None where the span has none); the
     witness loop in ``oracle`` also uses the incremental span (``empty``,
-    ``extend``, ``leaf_rank``), and for matroid intersection ``circuits``
-    and ``cut_rank``.  This span decides ranks at ``tol`` and reads one
-    spectrum of D; ``exact._ExactSpan`` answers the same questions in rationals.
+    ``extend``, ``leaf_rank``), its pre-checks ``ranks``, and for matroid
+    intersection and its cuts ``circuits`` and ``cut_rank``.  This span
+    decides ranks at ``tol`` and reads one spectrum of D;
+    ``exact._ExactSpan`` answers the same questions in rationals.
     The running span of the witness loop is an orthonormal basis whose
     dependence threshold leans to independence, so no cut drops a viable
     support; a leaf counts only with the full SVD rank of its columns.
@@ -185,6 +186,11 @@ class _FloatSpan:
 
     def rank(self, blocks):
         return rank(np.hstack(blocks), self.tol)
+
+    def ranks(self, blocks):
+        """``(None, rank of all blocks)``: the rank of all blocks but the
+        last is left to ``cut_rank``, which counts a float cut itself."""
+        return None, self.rank(blocks)
 
     def rank_condition(self, support=None):
         """``(holds, lambda, z)`` of (D, H), or of (D, H_S) for a support S.

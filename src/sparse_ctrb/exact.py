@@ -131,10 +131,14 @@ class _ExactSpan:
 
     @staticmethod
     def rank(blocks):
-        dim = 0
-        for dim in _dims(blocks):
-            pass
-        return dim
+        return _ExactSpan.ranks(blocks)[1]
+
+    @staticmethod
+    def ranks(blocks):
+        """Rank of all blocks but the last, and of all blocks, from one
+        elimination: the first is its dimension before the last block."""
+        dims = [0, 0, *_dims(blocks)]
+        return dims[-2], dims[-1]
 
     def rank_condition(self, support=None):
         """Kalman rank N of (D, H), or of (D, H_S) for a support S, grown
@@ -193,6 +197,8 @@ class _ExactSpan:
 
     @staticmethod
     def cut_rank(dim, blocks, s, chosen):
+        """The exact rank of the columns ``chosen`` picks, which the caller
+        has counted (see ``oracle._blocked``)."""
         return dim
 
 

@@ -10,10 +10,13 @@ independent set of two matroids on the columns ``D^p h_j``: the linear
 matroid, and the partition matroid with capacity s per power.
 ``_common_independent`` finds one in polynomial time: a greedy fill from the
 last power back, then shortest augmenting paths (Edmonds 1970; Cunningham,
-SIAM J. Comput. 1986).  ``_min_k`` runs it first at every K, warm-started
-from the previous K's set, and skips every K its weak-duality bound rules
-out, up to the horizon N * ceil(L/s) (the horizon rule is stated at
-``_min_k``).  The same kernel certifies the witness, the lexicographically
+SIAM J. Comput. 1986).  ``_min_k`` goes through K = 1, 2, ... up to the
+horizon N * ceil(L/s) (the horizon rule is stated at ``_min_k``), and its
+pre-checks of a K run in order: the capacities, the rank of all blocks, and
+the paper's rank inequality as a cut (``_ruled_out``).  A K that passes
+them goes to the kernel, warm-started from the previous K's set, and is
+skipped when the kernel's weak-duality bound rules it out.  The same kernel
+certifies the witness, the lexicographically
 first schedule reaching the target rank, one position at a time
 (``_first_schedule``).  State and output targets, float and exact
 arithmetic all go through these; the arithmetic is a *span* object that
@@ -167,9 +170,30 @@ def _descending_blocks(span, s, output, k_max):
 
 
 def _within_reach(blocks, caps, target, span):
-    """The pre-checks of a K: the capacities and the rank of all blocks
-    reach ``target``."""
+    """The capacities and the rank of all blocks reach ``target``: the
+    cut-free pre-checks, which the reference search keeps."""
     return sum(caps) >= target and span.rank(blocks) >= target
+
+
+def _ruled_out(blocks, caps, s, l, target, span):
+    """The pre-check that rules out a K before the kernel runs, or None.
+
+    In order: ``"capacity"`` when the capacities, ``"rank"`` when the rank
+    of all blocks falls short of ``target``, and ``"inequality"`` when the
+    paper's rank inequality does.  Every column of the first K - 1 blocks
+    lies in range(D) (in A range(D) for output targets), so a schedule
+    reaches at most rank(U) + s with U those columns: the bound of
+    ``_blocked`` on this fixed U.  ``span.ranks`` reads rank(U) and the
+    rank of all blocks off one elimination."""
+    if sum(caps) < target:
+        return "capacity"
+    below, rank = span.ranks(blocks)
+    if rank < target:
+        return "rank"
+    u = [range(l)] * (len(blocks) - 1) + [()]
+    if _blocked(blocks, s, l, target, span, below, u):
+        return "inequality"
+    return None
 
 
 def _common_independent(blocks, s, l, span, counter, k, inside=(), allowed=None):
@@ -243,18 +267,18 @@ def _supports_of(columns, k):
     return [tuple(sorted(j for d, j in columns if d == depth)) for depth in range(k)]
 
 
-def _blocked(blocks, s, l, target, span, inside, cut):
-    """True when the kernel's ``inside`` and ``cut`` prove that no schedule
-    of s channels per block reaches ``target`` on ``blocks``: the
-    weak-duality bound rank(U) + sum min(s, |block - U|) stays below
-    ``target``.  The bound holds for every column set U, so the answer is
-    sound whichever cut a float exchange graph gives; the span counts
-    rank(U) so that no leaf check counts more on U's columns, and exact
-    arithmetic makes the bound tight."""
-    supports = _supports_of(cut, len(blocks))
-    spare = sum(min(s, l - len(sup)) for sup in supports)
-    dim = sum(1 for x in inside if x in cut)
-    return span.cut_rank(dim, blocks, s, supports) + spare < target
+def _blocked(blocks, s, l, target, span, dim, cut):
+    """True when the column set U that ``cut`` picks from ``blocks`` (the
+    channels of U in each block) proves that no schedule of s channels per
+    block reaches ``target``: the weak-duality bound rank(U) + sum min(s,
+    |block - U|) stays below ``target``.  The bound holds for every U, so
+    the answer is sound whichever cut a float exchange graph gives.  ``dim``
+    is rank(U) where the caller has counted it: the size of the kernel's
+    set inside its own cut, which exact arithmetic makes rank(U), or the
+    exact rank of a fixed U.  The exact span takes it; the float span counts
+    rank(U) itself, so that no leaf check counts more on U's columns."""
+    spare = sum(min(s, l - len(sup)) for sup in cut)
+    return span.cut_rank(dim, blocks, s, cut) + spare < target
 
 
 def _first_schedule(blocks, caps, s, l, target, span, counter, inside, referee):
@@ -315,9 +339,11 @@ def _min_k(span, s, budget, output=False, first_k=1):
     """Smallest K in ``first_k..max_k`` at which a schedule reaches full state
     (or output) rank, as ``(K, supports, max_k)``; ``(None, None, max_k)``
     when none does.  One budget covers every K, and the deadline is also
-    checked once at every K.  A K that passes ``_within_reach`` goes to the
-    kernel, warm-started from the previous K's set; a cut certified by
-    ``_blocked`` skips it, and a set reaching the target gets its witness
+    checked once at every K.  The pre-checks of ``_ruled_out`` run first, in
+    order: the capacities, the rank of all blocks, and the paper's rank
+    inequality; a K they rule out costs no tick.  A K that passes them goes
+    to the kernel, warm-started from the previous K's set; a cut certified
+    by ``_blocked`` skips it, and a set reaching the target gets its witness
     from ``_first_schedule``.
 
     The horizon rule: ``max_k`` defaults to N * ceil(L/s), which decides the
@@ -354,11 +380,12 @@ def _min_k(span, s, budget, output=False, first_k=1):
     for k, (blocks, caps) in enumerate(problems, start=1):
         counter.check(k)
         inside = [(d + 1, j) for d, j in inside]
-        if k < first_k or not _within_reach(blocks, caps, target, span):
+        if k < first_k or _ruled_out(blocks, caps, s, l, target, span):
             continue
         inside, cut = _common_independent(blocks, s, l, span, counter, k, inside)
         if len(inside) < target:
-            if not _blocked(blocks, s, l, target, span, inside, cut):
+            dim = sum(1 for x in inside if x in cut)
+            if not _blocked(blocks, s, l, target, span, dim, _supports_of(cut, k)):
                 referee(k, f"at K={k}: matroid intersection reaches rank "
                         f"{len(inside)} of {target} without a certified cut; ill-posed")
             continue

@@ -69,6 +69,31 @@ def standard_form_reference():
     return load_fixture("standard-form-reference")
 
 
+def inequality_blocked_output():
+    """N = 4, m = 3 output system that the paper's inequality rules out at
+    s = 1: rank(A D [D^(K-2) H, ..., H]) + s = 2 + 1 < 3 at every K >= 3,
+    while K = 1, 2 fail the capacity pre-check."""
+    return SystemModel(
+        D=np.array([[0, 0, 1, 0], [0, -1, 0, 0], [0, 0, -1, 0], [0, 0, 0, 0]], float),
+        H=np.array([[-1, 1], [-1, 0], [1, 0], [1, 1]], float),
+        A=np.array([[-1, -1, 1, 1], [1, -1, 1, 0], [-1, 0, -1, 0]], float),
+    )
+
+
+def kernel_blocked_output(width=2):
+    """N = 5, m = 4 output system that only the kernel's cut rules out.
+    H repeats e1, e2 to ``width`` channels; A D^p H lies on one output axis
+    for every p >= 2, so at s = 1 a schedule reaches output rank 3 of 4,
+    while rank(A D [D^(K-2) H, ..., H]) + s = 3 + 1 leaves the paper's
+    inequality satisfied at every K.  At s = 1 the pre-checks skip K = 1..3
+    and the kernel rules out each K >= 4 with one tick."""
+    d = np.zeros((5, 5))
+    d[2, 0] = d[3, 1] = d[4, 2] = d[4, 3] = d[4, 4] = 1
+    a = np.array([[1, 1, 0, 0, 0], [0, 0, 1, 0, 0], [0, 0, 0, 1, 0], [0, 0, 0, 0, 1]])
+    h = np.tile(np.eye(5)[:, :2], width // 2)
+    return SystemModel(D=d, H=h, A=a.astype(float))
+
+
 def _dense_spectral(seed, n, l):
     """Dense ``Q diag(0.5 + i/N) Q^-1`` with distinct eigenvalues and a dense
     random H: controllable, and its N-block Krylov matrix is far too

@@ -31,7 +31,12 @@ from sparse_ctrb.io import (
     system_to_dict,
     to_jsonable,
 )
-from tests.conftest import DATA, FIXTURES
+from tests.conftest import (
+    DATA,
+    FIXTURES,
+    inequality_blocked_output,
+    kernel_blocked_output,
+)
 
 CHECK_1 = [str(FIXTURES / "inequality-blocked.json"), "-s", "2"]
 
@@ -312,48 +317,46 @@ class TestCliExitCodes:
         assert report["elapsed_ms"] >= 0
 
     def test_output_budget_covers_every_k(self, capsys, tmp_path):
-        # Output rank 3 is out of reach.  K = 1 and 2 fail the pre-checks at
-        # no tick, and each K from 3 on costs one tick, an augmentation round
-        # whose cut rules the K out: K = 1..7 together 5 ticks, all K = 1..8 6.
-        system = SystemModel(
-            D=np.array(
-                [[0, 0, 1, 0], [0, -1, 0, 0], [0, 0, -1, 0], [0, 0, 0, 0]], float
-            ),
-            H=np.array([[-1, 1], [-1, 0], [1, 0], [1, 1]], float),
-            A=np.array([[-1, -1, 1, 1], [1, -1, 1, 0], [-1, 0, -1, 0]], float),
-        )
-        budget = OracleBudget(max_enumerations=5)
-        for k in range(1, 9):
+        # Output rank 4 is out of reach, and only the kernel's cut shows it.
+        # K = 1..3 fail the capacity pre-check at no tick, and each K from 4
+        # on passes the paper's inequality and costs one tick, an
+        # augmentation round whose cut rules the K out: K = 1..9 together 6
+        # ticks, all K = 1..10 7.
+        system = kernel_blocked_output()
+        budget = OracleBudget(max_enumerations=1)
+        for k in range(1, 11):
             assert output_kalman_type_rank_test(system, 1, k, budget) == (False, None)
         path = tmp_path / "output-budget.json"
         save_system(path, system, name="output-budget")
         argv = ["oracle", str(path), "-s", "1", "--mode", "output"]
-        assert run_cli(capsys, *argv, "--budget", "6")[0] == 0
-        code, out, _ = run_cli(capsys, *argv, "--budget", "5")
+        assert run_cli(capsys, *argv, "--budget", "7")[0] == 0
+        code, out, _ = run_cli(capsys, *argv, "--budget", "6")
         assert code == 3
         report = json.loads(out)
         assert report["result"]["inconclusive"] is True
-        assert report["result"]["k_reached"] == 8
+        assert report["result"]["k_reached"] == 10
+        # Here rank(A D [D^(K-2) H, ..., H]) + s = 2 + 1 < 3, so the paper's
+        # inequality rules out K = 3..8 at no tick, and the search ends with
+        # its null under a budget of one.
+        path = tmp_path / "output-inequality.json"
+        save_system(path, inequality_blocked_output(), name="output-inequality")
+        argv = ["oracle", str(path), "-s", "1", "--mode", "output", "--budget", "1"]
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0
+        result = json.loads(out)["result"]
+        assert (result["k_star"], result["max_k_searched"]) == (None, 8)
 
     def test_rational_deadline_stops_search(self, capsys, tmp_path):
-        # Not 1-sparse controllable (N=3 > s + rank D = 2), yet from K = 3 on
-        # the blocks reach rank 3.  With 32 channels the horizon is K = 96,
-        # and matroid intersection rules out each K with one exact solve over
-        # all 32 K columns: 94 ticks of about 0.03 s (up to 0.2 s), and 3.2 to
-        # 3.6 s in all without --deadline (in-process, 2-vCPU host).  The
-        # deadline has to be checked on every tick.
-        path = tmp_path / "f3-wide.json"
-        save_system(
-            path,
-            SystemModel(
-                D=np.diag([2.0, 0.0, 0.0]),
-                H=np.array([[1] * 32, [1, 0] * 16, [0, 1] * 16], float),
-            ),
-            name="f3-wide",
-        )
+        # Output rank 4 is out of reach, and with 32 channels the horizon is
+        # K = 160.  The paper's inequality leaves every K to the kernel, whose
+        # cut rules out each K >= 4 with one exact solve over all 32 K
+        # columns: 5.5 s in all without --deadline (in-process, 2-vCPU
+        # host).  The deadline has to be checked on every tick.
+        path = tmp_path / "kernel-blocked-wide.json"
+        save_system(path, kernel_blocked_output(32), name="kernel-blocked-wide")
         started = time.monotonic()
         code, out, _ = run_cli(
-            capsys, "oracle", str(path), "-s", "1", "--rational",
+            capsys, "oracle", str(path), "-s", "1", "--mode", "output", "--rational",
             "--deadline", "0.5", "--budget", "20000000",
         )
         assert time.monotonic() - started < 10
@@ -385,6 +388,44 @@ class TestCliExitCodes:
         assert report["result"]["max_k_searched"] == 12
 
     @pytest.mark.parametrize("rational", [False, True], ids=["float", "rational"])
+    @pytest.mark.parametrize("width", [None, 32], ids=["fixture", "f3-wide"])
+    def test_inequality_cut_skips_the_kernel(
+        self, capsys, tmp_path, monkeypatch, width, rational
+    ):
+        # N > s + rank(D) on both systems (F3 widened to 32 channels: 3 >
+        # 1 + 1), so the paper's inequality rules out every K the rank
+        # pre-check passes.  The report is the one the cut-free pre-checks
+        # give, which send those K to the kernel, and no kernel call is made.
+        path = FIXTURES / "inequality-blocked.json"
+        if width:
+            path = tmp_path / "f3-wide.json"
+            h = [[1] * width, [1, 0] * (width // 2), [0, 1] * (width // 2)]
+            save_system(
+                path,
+                SystemModel(D=np.diag([2.0, 0.0, 0.0]), H=np.array(h, float)),
+                name="f3-wide",
+            )
+        argv = ["oracle", str(path), "-s", "1", *(["--rational"] if rational else [])]
+        calls = []
+
+        def counting(*args):
+            calls.append(args[5])  # K
+            return kernel(*args)
+
+        kernel = oracle._common_independent
+        monkeypatch.setattr(oracle, "_common_independent", counting)
+        code, out, _ = run_cli(capsys, *argv)
+        assert (code, calls) == (0, [])
+        assert json.loads(out)["result"]["k_star"] is None
+
+        def cut_free(blocks, caps, s, l, target, span):
+            return None if oracle._within_reach(blocks, caps, target, span) else "rank"
+
+        monkeypatch.setattr(oracle, "_ruled_out", cut_free)
+        assert run_cli(capsys, *argv)[:2] == (code, out)
+        assert calls
+
+    @pytest.mark.parametrize("rational", [False, True], ids=["float", "rational"])
     def test_witness_needs_no_exhaustive_search(self, capsys, rational):
         # On dfs-slow-8 the first path of supports past the capacity cut has
         # no witness at K* = 6, and a depth-first search over schedules
@@ -401,8 +442,9 @@ class TestCliExitCodes:
         # A kernel set short of N whose cut is not certified (only float rank
         # decisions can leave one) is referred to the sparse test, which
         # passes here: exit 3 at that K, not a search for a witness.  The
-        # capacity pre-check would skip K = 1 and 2, so it is forced too.
-        monkeypatch.setattr(oracle, "_within_reach", lambda *args: True)
+        # capacity pre-check would skip K = 1 and 2, so the pre-checks are
+        # forced to leave every K to the kernel too.
+        monkeypatch.setattr(oracle, "_ruled_out", lambda *args: None)
         monkeypatch.setattr(oracle, "_blocked", lambda *args: False)
         argv = ["oracle", str(FIXTURES / "nilpotent-chain.json"), "-s", "1"]
         code, out, _ = run_cli(capsys, *argv)

@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from sparse_ctrb import (
     BudgetExceededError,
@@ -36,10 +36,16 @@ from sparse_ctrb.oracle import (
     _Counter,
     _descending_blocks,
     _first_schedule,
+    _ruled_out,
     _supports_of,
     _within_reach,
 )
-from tests.conftest import _dense_spectral, small_systems
+from tests.conftest import (
+    _dense_spectral,
+    inequality_blocked_output,
+    kernel_blocked_output,
+    small_systems,
+)
 from tests.reference_search import _best_schedule
 
 SPANS = [lambda sys: _FloatSpan(sys, DEFAULT_TOLERANCE), _ExactSpan]
@@ -189,6 +195,17 @@ class TestExactMinK:
             exact_min_k(sys, 1, budget)
         assert (exc.value.k_reached, exc.value.enumerations) == (3, 0)
 
+    def test_deadline_is_checked_at_every_tick(self, monkeypatch):
+        # K = 1..3 fail the capacity pre-check and K = 4 costs one kernel
+        # tick.  A clock that advances one second per reading passes the
+        # 4.5 s deadline at that tick, before the check at K = 5.
+        clock = itertools.count()
+        monkeypatch.setattr(oracle.time, "monotonic", lambda: float(next(clock)))
+        span, budget = _ExactSpan(kernel_blocked_output()), OracleBudget(deadline_s=4.5)
+        with pytest.raises(BudgetExceededError, match="exceeded deadline") as exc:
+            oracle._min_k(span, 1, budget, output=True)
+        assert (exc.value.k_reached, exc.value.enumerations) == (4, 1)
+
     @pytest.mark.parametrize("deadline", [math.inf, math.nan, 0.0, -1.0])
     def test_deadline_must_be_positive_and_finite(self, deadline):
         with pytest.raises(ValueError, match="deadline_s"):
@@ -284,7 +301,46 @@ class TestCommonIndependent:
                 basis, rank_u = span.extend(basis, block, sup)
             spare = sum(min(s, l - len(sup)) for sup in supports)
             assert rank_u + spare == len(inside)
-            assert _blocked(blocks, s, l, len(inside) + 1, span, inside, cut)
+            dim = sum(1 for x in inside if x in cut)
+            assert _blocked(blocks, s, l, len(inside) + 1, span, dim, supports)
+
+    @pytest.mark.parametrize("span_of", SPANS, ids=["float", "exact"])
+    @pytest.mark.parametrize("output", [False, True], ids=["state", "output"])
+    @given(small_systems(max_n=4, with_output=True), st.integers(1, 3), st.integers(0, 4))
+    @example(inequality_blocked_output(), 1, 4)
+    def test_inequality_cut_is_sound(self, span_of, output, sys, s, kept):
+        # Wherever the paper's inequality rules out a K, the depth-first
+        # search finds no schedule reaching the target at that K.  D keeps
+        # its first ``kept`` rows, so that rank D is often low enough for
+        # the inequality to rule a K out.
+        n, l = sys.n_states, sys.n_inputs
+        d = np.vstack([sys.D[:kept], np.zeros((max(n - kept, 0), n))])
+        sys, s = SystemModel(D=d, H=sys.H, A=sys.A), min(s, l)
+        target = sys.n_outputs if output else sys.n_states
+        supports = list(itertools.combinations(range(l), s))
+        counter = _Counter(OracleBudget(), "test")
+        span = span_of(sys)
+        problems = _descending_blocks(span, s, output, sys.n_states * math.ceil(l / s))
+        for blocks, caps in problems:
+            if _ruled_out(blocks, caps, s, l, target, span) == "inequality":
+                assert _best_schedule(blocks, caps, supports, target, span, counter) is None
+
+    def test_exact_inequality_cut_reads_rank_of_u(self):
+        # From K = 4 on, U (all blocks but H) has output rank 3 = target - s,
+        # so the inequality must leave the K to the kernel, although the
+        # kernel's set holds only 2 columns of U.
+        span = _ExactSpan(kernel_blocked_output())
+        counter = _Counter(OracleBudget(), "test")
+        problems = _descending_blocks(span, 1, True, 10)
+        for k, (blocks, caps) in enumerate(problems, start=1):
+            if k < 4:
+                continue
+            assert span.ranks(blocks) == (3, 4)
+            assert _ruled_out(blocks, caps, 1, 2, 4, span) is None
+            inside, cut = _common_independent(blocks, 1, 2, span, counter, k)
+            assert sum(1 for d, _ in inside if d < k - 1) == 2
+            dim = sum(1 for x in inside if x in cut)
+            assert _blocked(blocks, 1, 2, 4, span, dim, _supports_of(cut, k))
 
     @pytest.mark.parametrize("span_of", SPANS, ids=["float", "exact"])
     def test_exchange_beats_greedy_order(self, span_of):
