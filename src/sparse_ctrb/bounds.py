@@ -98,12 +98,12 @@ def _kstar_bounds(span, variant, s) -> KStarBounds:
         if not span.rank_condition()[0]:
             raise UncontrollableSystemError("K* undefined: system is not controllable")
     elif variant in ("sparse", "relaxed"):
-        holds, _, _, slack = _sparse_test(span, s)
-        if not (holds and slack >= 0):
+        report = _sparse_test(span, s)
+        if not report.verdict:
             raise UncontrollableSystemError(
                 "K* undefined: system is not s-sparse controllable"
             )
-        r_d = slack + sys.n_states - s
+        r_d = report.slack + sys.n_states - s
     elif variant == "common_support":
         if not _common_support(span, s)[0]:
             raise UncontrollableSystemError(

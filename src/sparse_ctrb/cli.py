@@ -81,13 +81,12 @@ def _run_check(span, args, tol):
     s = args.s
     warn = []
     if args.mode == "state":
-        holds, lam, z, slack = _sparse_test(span, s)
+        report = _sparse_test(span, s)
         result = {
-            "verdict": holds and slack >= 0,
-            "rank_condition_holds": holds,
-            "inequality_holds": slack >= 0,
-            "slack": slack,
+            key: getattr(report, key)
+            for key in ("verdict", "rank_condition_holds", "inequality_holds", "slack")
         }
+        lam, z = report.witness_lambda, report.witness_z
         witnesses = None if lam is None else {"lambda": lam, "z": z}
         word = "is" if result["verdict"] else "is NOT"
         summary = f"{word} {s}-sparse controllable"

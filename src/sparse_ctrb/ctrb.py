@@ -31,7 +31,6 @@ from .linalg import (
     DEFAULT_TOLERANCE,
     Tolerance,
     _as_matrix,
-    _independent_columns,
     _integer,
     _powers,
     _scheduled,
@@ -157,11 +156,11 @@ class _FloatSpan:
     witness loop in ``oracle`` also uses the incremental span (``empty``,
     ``extend``, ``leaf_rank``), its pre-checks ``ranks``, and for matroid
     intersection and its cuts ``circuits`` and ``cut_rank``.  This span
-    decides ranks at ``tol`` and reads one spectrum of D;
-    ``exact._ExactSpan`` answers the same questions in rationals.
-    The running span of the witness loop is an orthonormal basis whose
-    dependence threshold leans to independence, so no cut drops a viable
-    support; a leaf counts only with the full SVD rank of its columns.
+    decides ranks at ``tol``, which its reports carry, and reads one
+    spectrum of D; ``exact._ExactSpan`` answers the same in rationals.
+    The running span ``extend`` grows an orthonormal basis by Gram-Schmidt,
+    its dependence threshold leaning to independence, so no cut drops a
+    viable support; a leaf counts only with the full SVD rank of its columns.
     Matroid intersection takes its circuits from least squares on unit
     columns, which only guides it: a float cut of a K rests on ``cut_rank``,
     an SVD rank that no leaf check can exceed.
@@ -225,7 +224,18 @@ class _FloatSpan:
 
     @staticmethod
     def extend(basis, block, support):
-        basis, _ = _independent_columns(basis, block[:, list(support)])
+        """``basis`` and its size after Gram-Schmidt, run twice, on the
+        columns ``support`` of ``block``: a zero column is skipped, and one
+        whose residual is within 1e-13 of its length is dependent."""
+        for col in block[:, list(support)].T:
+            length = np.linalg.norm(col)
+            if length == 0.0:
+                continue
+            v = col - basis @ (basis.T @ col)
+            v = v - basis @ (basis.T @ v)
+            residual = np.linalg.norm(v)
+            if residual > 1e-13 * length:
+                basis = np.column_stack([basis, v / residual])
         return basis, basis.shape[1]
 
     def leaf_rank(self, dim, blocks, chosen):
@@ -301,11 +311,12 @@ def kalman_test(sys: SystemModel, tol: Tolerance = DEFAULT_TOLERANCE) -> bool:
 
 
 def _sparse_test(span, s):
-    """The rank condition ``(holds, witness_lambda, witness_z)`` and the
-    slack ``s + rank(D) - N`` of the sparse test, in the span's arithmetic."""
+    """The report of the sparse test in the span's arithmetic: the rank
+    condition and the slack ``s + rank(D) - N``."""
     s = _check_sparsity(span.sys, s)
     holds, lam, z = span.rank_condition()
-    return holds, lam, z, s + span.rank([span.d]) - span.sys.n_states
+    slack = s + span.rank([span.d]) - span.sys.n_states
+    return _report(holds, lam, z, slack, span.tol)
 
 
 def sparse_pbh_test(
@@ -315,7 +326,7 @@ def sparse_pbh_test(
 
     Combines the eigenvalue rank condition with ``N <= s + rank(D)``.
     """
-    return _report(*_sparse_test(_FloatSpan(sys, tol), s), tol)
+    return _sparse_test(_FloatSpan(sys, tol), s)
 
 
 def _first_controllable_support(span, sizes, max_subsets=None):

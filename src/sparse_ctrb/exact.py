@@ -121,6 +121,7 @@ class _ExactSpan:
 
     what = "exact schedule search"
     matmul = staticmethod(_matmul)
+    tol = None
 
     def __init__(self, sys: SystemModel):
         self.sys, self.d, self.h = sys, _integers(sys.D), _integers(sys.H)
@@ -213,8 +214,8 @@ def controllable_exact(sys: SystemModel) -> bool:
 
 def sparse_controllable_exact(sys: SystemModel, s: int):
     """Returns (verdict, rank_condition_holds, slack) with exact arithmetic."""
-    holds, _, _, slack = _sparse_test(_ExactSpan(sys), s)
-    return holds and slack >= 0, holds, slack
+    report = _sparse_test(_ExactSpan(sys), s)
+    return report.verdict, report.rank_condition_holds, report.slack
 
 
 def common_support_exact(sys: SystemModel, s: int):

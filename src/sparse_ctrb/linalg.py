@@ -15,6 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import InconclusiveError
+
 __all__ = [
     "Tolerance",
     "DEFAULT_TOLERANCE",
@@ -299,7 +301,8 @@ def core_nilpotent(m, tol: Tolerance = DEFAULT_TOLERANCE) -> CoreNilpotent:
 
     Core eigenvalues below roughly ``|M| * (n * rank_rel)^(1/n)`` are folded
     into the nilpotent part; they are indistinguishable from zero at the
-    working tolerance.
+    working tolerance.  When the two bases do not span at that tolerance
+    the split is undecided and ``InconclusiveError`` is raised.
     """
     a = _square(m, "M")
     n = a.shape[0]
@@ -317,32 +320,9 @@ def core_nilpotent(m, tol: Tolerance = DEFAULT_TOLERANCE) -> CoreNilpotent:
     r = int(np.count_nonzero(sigma > threshold))
     v = np.hstack([u[:, :r], vt[r:, :].T])
     if rank(v, tol) != n:
-        raise ArithmeticError(
+        raise InconclusiveError(
             "core-nilpotent split failed: range and null bases do not span"
         )
     matrix_rank = rank(a, tol)
     return CoreNilpotent(v=v, r=r, matrix_rank=matrix_rank, mismatch=matrix_rank != r)
 
-
-def _independent_columns(q, block, dep_eps=1e-13):
-    """Extend the orthonormal column set ``q`` with the columns of ``block``.
-
-    Returns (q_new, accepted_indices).  The dependence threshold is biased
-    toward independence: over-counting here is safe because accepting callers
-    re-verify with a full SVD rank, while under-counting could prune a viable
-    branch of the schedule search.
-    """
-    accepted = []
-    current = q
-    for j in range(block.shape[1]):
-        col = block[:, j]
-        norm0 = np.linalg.norm(col)
-        if norm0 == 0.0:
-            continue
-        v = col - current @ (current.T @ col) if current.shape[1] else col.copy()
-        v = v - current @ (current.T @ v) if current.shape[1] else v
-        nv = np.linalg.norm(v)
-        if nv > dep_eps * norm0:
-            current = np.column_stack([current, v / nv])
-            accepted.append(j)
-    return current, accepted

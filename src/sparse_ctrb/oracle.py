@@ -10,14 +10,14 @@ independent set of two matroids on the columns ``D^p h_j``: the linear
 matroid, and the partition matroid with capacity s per power.
 ``_common_independent`` finds one in polynomial time: a greedy fill from the
 last power back, then shortest augmenting paths (Edmonds 1970; Cunningham,
-SIAM J. Comput. 1986).  ``_min_k`` goes through K = 1, 2, ... up to the
-horizon N * ceil(L/s) (the horizon rule is stated at ``_min_k``), and its
-pre-checks of a K run in order: the capacities, the rank of all blocks, and
-the paper's rank inequality as a cut (``_ruled_out``).  A K that passes
-them goes to the kernel, warm-started from the previous K's set, and is
-skipped when the kernel's weak-duality bound rules it out.  The same kernel
-certifies the witness, the lexicographically
-first schedule reaching the target rank, one position at a time
+SIAM J. Comput. 1986).  ``_walk`` is the one loop over K = 1, 2, ...,
+warm-starting each K's kernel from the previous K's set; ``rstar_sequence``
+reads r*(K) off it, and ``_min_k`` walks up to the horizon N * ceil(L/s)
+(stated at ``_min_k``), skipping a K that its pre-checks rule out, in
+order: the capacities, the rank of all blocks, and the paper's rank
+inequality as a cut (``_ruled_out``), or the kernel's weak-duality bound.
+The same kernel certifies the witness, the lexicographically first
+schedule reaching the target rank, one position at a time
 (``_first_schedule``).  State and output targets, float and exact
 arithmetic all go through these; the arithmetic is a *span* object that
 holds the system, ``ctrb._FloatSpan`` or ``exact._ExactSpan``.  Budgets
@@ -331,6 +331,21 @@ def _first_schedule(blocks, caps, s, l, target, span, counter, inside, referee):
     return None
 
 
+def _walk(span, s, output, k_max, counter, skip=None):
+    """``(k, blocks, caps, inside, cut)`` of ``_common_independent`` at each
+    K = 1..k_max that ``skip(k, blocks, caps)`` does not name, checking the
+    deadline at every K; the last set, one block down, seeds the next."""
+    l, inside = span.sys.n_inputs, []
+    problems = _descending_blocks(span, s, output, k_max)
+    for k, (blocks, caps) in enumerate(problems, start=1):
+        counter.check(k)
+        inside = [(d + 1, j) for d, j in inside]
+        if skip is not None and skip(k, blocks, caps):
+            continue
+        inside, cut = _common_independent(blocks, s, l, span, counter, k, inside)
+        yield k, blocks, caps, inside, cut
+
+
 def _partition_horizon(sys, s):
     return sys.n_states * math.ceil(sys.n_inputs / s)
 
@@ -338,12 +353,12 @@ def _partition_horizon(sys, s):
 def _min_k(span, s, budget, output=False, first_k=1):
     """Smallest K in ``first_k..max_k`` at which a schedule reaches full state
     (or output) rank, as ``(K, supports, max_k)``; ``(None, None, max_k)``
-    when none does.  One budget covers every K, and the deadline is also
-    checked once at every K.  The pre-checks of ``_ruled_out`` run first, in
-    order: the capacities, the rank of all blocks, and the paper's rank
-    inequality; a K they rule out costs no tick.  A K that passes them goes
-    to the kernel, warm-started from the previous K's set; a cut certified
-    by ``_blocked`` skips it, and a set reaching the target gets its witness
+    when none does.  One budget covers every K of the ``_walk``, which also
+    checks the deadline once at every K.  The pre-checks of ``_ruled_out``
+    skip a K first, in order: the capacities, the rank of all blocks, and the
+    paper's rank inequality; a K they rule out costs no tick.  A K that
+    passes them goes to the warm-started kernel; a cut certified by
+    ``_blocked`` skips it, and a set reaching the target gets its witness
     from ``_first_schedule``.
 
     The horizon rule: ``max_k`` defaults to N * ceil(L/s), which decides the
@@ -361,12 +376,11 @@ def _min_k(span, s, budget, output=False, first_k=1):
     s = _check_sparsity(sys, s)
     max_k = budget.max_k or _partition_horizon(sys, s)
     counter = _Counter(budget, span.what)
-    target = sys.n_outputs if output else sys.n_states
+    target, l = sys.n_outputs if output else sys.n_states, sys.n_inputs
 
     @functools.cache
     def sparse_test_passes():
-        holds, _, _, slack = _sparse_test(span, s)
-        return holds and slack >= 0
+        return _sparse_test(span, s).verdict
 
     def referee(k, reason):
         if budget.max_k is None and not output and sparse_test_passes():
@@ -374,15 +388,10 @@ def _min_k(span, s, budget, output=False, first_k=1):
                 f"{span.what} {reason}", enumerations=counter.used, k_reached=k
             )
 
-    l = sys.n_inputs
-    problems = _descending_blocks(span, s, output, max_k)
-    inside = []
-    for k, (blocks, caps) in enumerate(problems, start=1):
-        counter.check(k)
-        inside = [(d + 1, j) for d, j in inside]
-        if k < first_k or _ruled_out(blocks, caps, s, l, target, span):
-            continue
-        inside, cut = _common_independent(blocks, s, l, span, counter, k, inside)
+    def skip(k, blocks, caps):
+        return k < first_k or _ruled_out(blocks, caps, s, l, target, span)
+
+    for k, blocks, caps, inside, cut in _walk(span, s, output, max_k, counter, skip):
         if len(inside) < target:
             dim = sum(1 for x in inside if x in cut)
             if not _blocked(blocks, s, l, target, span, dim, _supports_of(cut, k)):
@@ -462,21 +471,18 @@ def rstar_sequence(
     r*(K) never falls, as a schedule for K is one for K + 1; that it rises
     strictly until the minimal steering time and stays constant afterwards
     (the stall rule) is unproven.  Each entry is the SVD rank of the columns
-    of a largest common independent set, grown from the previous K's set
-    (moved one block down behind the new top power); the budget counts
-    augmentations.
+    of a largest common independent set, from the oracle's warm-started walk
+    over K (``_walk``); the budget counts augmentations, and ``deadline_s``
+    is checked at every K.
     """
     s = _check_sparsity(sys, s)
     k_max = _integer(k_max, f"k_max must be a positive integer, got {k_max!r}")
     span = _FloatSpan(sys, tol)
     counter = _Counter(budget or OracleBudget(), span.what)
-    problems = _descending_blocks(span, s, False, k_max)
-    l, inside, sequence = sys.n_inputs, [], []
-    for k, (blocks, _) in enumerate(problems, start=1):
-        inside = [(d + 1, j) for d, j in inside]
-        inside, _ = _common_independent(blocks, s, l, span, counter, k, inside)
-        sequence.append(span.leaf_rank(len(inside), blocks, _supports_of(inside, k)))
-    return sequence
+    return [
+        span.leaf_rank(len(inside), blocks, _supports_of(inside, k))
+        for k, blocks, _, inside, _ in _walk(span, s, False, k_max, counter)
+    ]
 
 
 def output_kalman_type_rank_test(

@@ -16,6 +16,13 @@ settings.register_profile(
 )
 settings.load_profile("suite")
 
+
+@pytest.fixture(autouse=True)
+def _default_tolerance(monkeypatch):
+    """No test inherits a tolerance from the shell; the tests of the
+    variable set it themselves."""
+    monkeypatch.delenv("SPARSE_CTRB_TOL", raising=False)
+
 FIXTURES = pathlib.Path(__file__).resolve().parent.parent / "fixtures"
 DATA = pathlib.Path(__file__).resolve().parent / "data"
 
@@ -67,6 +74,13 @@ def output_reachable():
 @pytest.fixture(scope="session")
 def standard_form_reference():
     return load_fixture("standard-form-reference")
+
+
+def core_split_undecided():
+    """N = 3 system whose core-nilpotent split of ``standard_form`` does not
+    span at ``rank_rel = 0.1``: the decomposition is inconclusive there."""
+    d = np.array([[0, 0, 2], [-2, -2, 0], [-2, 0, 0]], float)
+    return SystemModel(D=d, H=np.eye(3))
 
 
 def inequality_blocked_output():

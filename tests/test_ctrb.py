@@ -316,6 +316,41 @@ def _blocked_system(rng, n, l, complex_pair):
     return p @ d0 @ np.linalg.inv(p), p @ h0
 
 
+class TestFloatSpanExtend:
+    """The running span of the float witness loop: Gram-Schmidt, run twice,
+    whose dependence threshold leans to independence."""
+
+    extend = staticmethod(ctrb._FloatSpan.extend)
+    empty = staticmethod(ctrb._FloatSpan.empty)
+
+    def test_zero_column_is_skipped(self):
+        block = np.array([[0.0, 2.0], [0.0, 0.0], [0.0, 0.0]])
+        basis, dim = self.extend(self.empty(block), block, (0, 1))
+        assert dim == 1
+        assert np.array_equal(basis, [[1.0], [0.0], [0.0]])
+
+    def test_dependence_threshold_is_1e_13_of_the_length(self):
+        # Beside e1, a residual of 1e-14 of the column's length is dependent
+        # and one of 1e-12 is not, though the SVD rank rule calls it dependent.
+        block = np.array([[1.0, 1.0, 1.0], [0.0, 1e-14, 1e-12], [0.0, 0.0, 0.0]])
+        _, dim = self.extend(self.empty(block), block, (0, 1))
+        assert dim == 1
+        basis, dim = self.extend(self.empty(block), block, (0, 2))
+        assert dim == 2
+        assert rank(block[:, [0, 2]]) == 1
+        assert np.allclose(basis[:, 1], [0.0, 1.0, 0.0])
+
+    @given(int_matrix(4, 6, -2, 2))
+    def test_accepted_columns_are_orthonormal_and_span_the_block(self, block):
+        basis, dim = self.empty(block), 0
+        for j in range(block.shape[1]):  # column by column, as the kernel grows it
+            basis, dim = self.extend(basis, block, (j,))
+        assert basis.shape == (4, dim)
+        assert np.allclose(basis.T @ basis, np.eye(dim), atol=1e-12)
+        assert np.allclose(basis @ (basis.T @ block), block, atol=1e-10)
+        assert dim == rank(block)
+
+
 class TestProbeScreen:
     """The Cholesky screen of ``ctrb._probe_sweep`` only ever skips an SVD:
     the sweep's verdict, witness eigenvalue and witness z are those of the

@@ -8,13 +8,20 @@ from sparse_ctrb import (
     CLASS_SPARSE,
     CLASS_SPARSE_UNCONTROLLABLE,
     CLASS_UNCONTROLLABLE,
+    InconclusiveError,
     SystemModel,
+    Tolerance,
     sparse_pbh_test,
     standard_form,
     transform_system,
     verify_standard_form,
 )
-from tests.conftest import _dense_spectral, invertible_matrices, small_systems
+from tests.conftest import (
+    _dense_spectral,
+    core_split_undecided,
+    invertible_matrices,
+    small_systems,
+)
 
 
 class TestStandardFormFixture:
@@ -77,6 +84,10 @@ class TestStandardFormEdgeCases:
         assert dec.core_rank_mismatch
         assert dec.R_s < nilpotent_chain.n_states
         assert sparse_pbh_test(nilpotent_chain, 1).verdict  # decisive test wins
+
+    def test_undecided_core_split_is_inconclusive(self):
+        with pytest.raises(InconclusiveError, match="core-nilpotent split failed"):
+            standard_form(core_split_undecided(), 1, Tolerance(rank_rel=0.1))
 
     def test_tampered_result_fails_verification(self, standard_form_reference):
         dec = standard_form(standard_form_reference, 1)

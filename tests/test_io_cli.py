@@ -34,6 +34,7 @@ from sparse_ctrb.io import (
 from tests.conftest import (
     DATA,
     FIXTURES,
+    core_split_undecided,
     inequality_blocked_output,
     kernel_blocked_output,
 )
@@ -315,6 +316,23 @@ class TestCliExitCodes:
         assert report["tolerance"]["rank_rel"] == 1e-9
         assert report["arguments"]["tol"] == 1e-9
         assert report["elapsed_ms"] >= 0
+
+    def test_undecided_core_split_is_inconclusive(self, capsys, tmp_path):
+        path = tmp_path / "split.json"
+        save_system(path, core_split_undecided(), name="split")
+        argv = ["decompose", str(path), "-s", "1", "--tol", "0.1"]
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 3
+        report = json.loads(out)
+        jsonschema.validate(report, REPORT_SCHEMA)
+        assert report["system"] == "split"
+        assert report["tolerance"]["rank_rel"] == 0.1
+        assert report["result"] == {
+            "inconclusive": True,
+            "reason": "core-nilpotent split failed: range and null bases do not span",
+            "enumerations": None,
+            "k_reached": None,
+        }
 
     def test_output_budget_covers_every_k(self, capsys, tmp_path):
         # Output rank 4 is out of reach, and only the kernel's cut shows it.

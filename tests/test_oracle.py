@@ -227,6 +227,19 @@ class TestRstarSequence:
     def test_fixture_growth(self, nilpotent_chain):
         assert rstar_sequence(nilpotent_chain, 1, 4) == [1, 2, 3, 3]
 
+    def test_deadline_is_checked_at_every_k(self, monkeypatch):
+        # The kernel ticks once at K = 1 and at K = 2; from K = 3 on its
+        # greedy fill spans the space and it never ticks again.  A clock
+        # that advances one second per reading passes the 4.5 s deadline at
+        # the check of K = 3, not at a tick.
+        sys = SystemModel(D=np.diag([1.0, -1.0, 0.5]), H=[[1, 0], [1, 1], [0, 1]])
+        clock = itertools.count()
+        monkeypatch.setattr(oracle.time, "monotonic", lambda: float(next(clock)))
+        budget = OracleBudget(deadline_s=4.5)
+        with pytest.raises(BudgetExceededError, match="exceeded deadline") as exc:
+            rstar_sequence(sys, 1, 3000, budget)
+        assert (exc.value.k_reached, exc.value.enumerations) == (3, 2)
+
     def test_blocked_fixture_plateaus_below_dimension(self, inequality_blocked):
         seq = rstar_sequence(inequality_blocked, 1, 5)
         assert max(seq) == 2

@@ -13,8 +13,13 @@ ROOT = FIXTURES.parent
 
 
 def _python(*args, hash_seed=None):
-    # No PYTHONPATH: each script finds the package as it is run from a shell.
-    env = {key: value for key, value in os.environ.items() if key != "PYTHONPATH"}
+    # No PYTHONPATH: each script finds the package as it is run from a shell,
+    # and no SPARSE_CTRB_TOL: the scripts run at the default tolerance.
+    env = {
+        key: value
+        for key, value in os.environ.items()
+        if key not in ("PYTHONPATH", "SPARSE_CTRB_TOL")
+    }
     env["PYTHONDONTWRITEBYTECODE"] = "1"
     if hash_seed is not None:
         env["PYTHONHASHSEED"] = hash_seed
