@@ -17,8 +17,7 @@ condition and slack) must agree as well, and so, once per system, must the
 float and exact minimal-polynomial degrees of D.  For every K up to N*ceil(L/s), in both
 arithmetics, the matroid-intersection r*(K) must be the best rank of the
 depth-first search alone: it reaches r*(K) and not r*(K)+1 (on the sparse
-sample, unless that search runs out of its budget or the float rank is
-ill-posed at K, see ``rstar_mismatches``; both are counted); and the
+sample, unless that search runs out of its budget; counted); and the
 schedule of ``greedy_support_schedule`` must have exact rank r*(K).  The
 summary counts the (arithmetic, K) pairs that the oracle's pre-check by the
 paper's rank inequality rules out, and those that the kernel's cut does.
@@ -154,16 +153,9 @@ def rstar_mismatches(sys_, s, sparse, unchecked, cuts):
     disagreement, running out included, is a mismatch.  ``cuts`` counts the
     (arithmetic, K) that the oracle's inequality cut rules out and those
     that pass its pre-checks and the kernel's cut rules out; the search's
-    own pre-check stays the cut-free ``_within_reach``.
-
-    On the ``sparse`` sample two kinds of K go to ``unchecked`` instead: a
-    K where the search runs out of ``SEARCH_BUDGET`` extensions, and a float
-    K whose rank is ill-posed.  The SVD threshold grows with the largest
-    column, so across powers whose norms spread far apart the float rank of
-    a set can fall when a column joins it.  That shows as a search that
-    reaches neither r* nor r*+1 (each leaf holds s channels per step, more
-    than the kernel's set), or as a kernel's set whose exact rank is above
-    its float r*."""
+    own pre-check stays the cut-free ``_within_reach``.  On the ``sparse``
+    sample a K where the search runs out of ``SEARCH_BUDGET`` extensions
+    goes to ``unchecked`` instead."""
     l, n = sys_.n_inputs, sys_.n_states
     supports = list(itertools.combinations(range(l), s))
     horizon = n * math.ceil(l / s)
@@ -189,8 +181,7 @@ def rstar_mismatches(sys_, s, sparse, unchecked, cuts):
             elif ruling is None and len(inside) < n:
                 dim = sum(1 for x in inside if x in cut)
                 cuts["kernel"] += _blocked(blocks, s, l, n, span, dim, _supports_of(cut, k))
-            chosen = _supports_of(inside, k)
-            r_star = span.leaf_rank(len(inside), blocks, chosen)
+            r_star = span.leaf_rank(len(inside), blocks, _supports_of(inside, k))
             if name == "exact":
                 exact_r_star = r_star
             try:
@@ -204,13 +195,7 @@ def rstar_mismatches(sys_, s, sparse, unchecked, cuts):
                 else:
                     found.append(f"{name} K={k}: the reference search ran out of budget")
                 continue
-            if reached == [True, False]:
-                continue
-            if sparse and name == "float" and (
-                reached == [False, False] or exact_rank(exact_blocks, chosen) > r_star
-            ):
-                unchecked["float"] += 1
-            else:
+            if reached != [True, False]:
                 found.append(f"{name} K={k}: r*={r_star}, search reaches r*, r*+1: {reached}")
         steer = exact_rank(exact_blocks, greedy_support_schedule(sys_, s, k).supports)
         if steer != exact_r_star:
@@ -285,9 +270,8 @@ def main(argv=None):
         f"{len(systems)} systems, {pairs} (system, s) pairs, "
         f"{controllable} sparse-controllable, {elapsed:.1f}s; r*(K) left "
         f"unchecked: {unchecked['budget']} sparse (arithmetic, K) pairs where "
-        f"the reference search ran out of {SEARCH_BUDGET} extensions, "
-        f"{unchecked['float']} float K with an ill-posed rank; witnesses left "
-        f"unchecked: {unchecked['witness']} sparse (arithmetic, K*) pairs "
+        f"the reference search ran out of {SEARCH_BUDGET} extensions; witnesses "
+        f"left unchecked: {unchecked['witness']} sparse (arithmetic, K*) pairs "
         f"where the reference search ran out; (arithmetic, K) pairs ruled out: "
         f"{cuts['inequality']} by the inequality cut, {cuts['kernel']} by the "
         "kernel's cut"

@@ -144,6 +144,12 @@ def input_restriction(sys: SystemModel, support) -> SystemModel:
     return SystemModel(D=sys.D, H=sys.H[:, list(cols)], A=sys.A)
 
 
+def _unit(m):
+    """``m`` with each nonzero column scaled to unit length."""
+    lengths = np.sqrt((m * m).sum(0))
+    return m / np.where(lengths > 0, lengths, 1.0)
+
+
 class _FloatSpan:
     """A system in the floating-point arithmetic of every rank question.
 
@@ -158,12 +164,17 @@ class _FloatSpan:
     intersection and its cuts ``circuits`` and ``cut_rank``.  This span
     decides ranks at ``tol``, which its reports carry, and reads one
     spectrum of D; ``exact._ExactSpan`` answers the same in rationals.
-    The running span ``extend`` grows an orthonormal basis by Gram-Schmidt,
-    its dependence threshold leaning to independence, so no cut drops a
-    viable support; a leaf counts only with the full SVD rank of its columns.
-    Matroid intersection takes its circuits from least squares on unit
-    columns, which only guides it: a float cut of a K rests on ``cut_rank``,
-    an SVD rank that no leaf check can exceed.
+    ``rank`` keeps the package's rule for the paper's own quantities.  The
+    oracle ranks unit columns (``_unit``), as ``|D^p h|`` grows like
+    ``|lambda|^p``, so ``matmul`` zeroes a product column that is rounding
+    residue.  ``extend`` grows an orthonormal basis by Gram-Schmidt, leaning
+    to independence so that no cut drops a viable support, and a leaf counts
+    only with ``leaf_rank``, the ``rank`` rule on its unit columns.  Every
+    rank that bounds a leaf (``ranks``, the capacities, ``cut_rank``) counts
+    singular values of unit columns above ``rank_rel * rows``: a leaf with a
+    nonzero column has sigma_1 >= 1, so by interlacing that count on any
+    superset of its columns is never below its rank.  ``circuits`` (least
+    squares on unit columns) only guides matroid intersection.
     """
 
     what = "schedule search"
@@ -179,17 +190,22 @@ class _FloatSpan:
     def _spectrum(self):
         return _Spectrum(self.d, self.tol)
 
-    @staticmethod
-    def matmul(a, b):
-        return a @ b
+    def matmul(self, a, b):
+        """``a @ b``, zero in each column shorter than ``rank_rel * len(b)``
+        times that column of ``|a| |b|``, a bound on its rounding error."""
+        product, bound = a @ b, abs(a) @ abs(b)
+        cut = (self.tol.rank_rel * len(b)) ** 2 * (bound * bound).sum(0)
+        residue = (product * product).sum(0) < cut
+        return np.where(residue & np.isfinite(cut), 0.0, product)
 
     def rank(self, blocks):
         return rank(np.hstack(blocks), self.tol)
 
     def ranks(self, blocks):
-        """``(None, rank of all blocks)``: the rank of all blocks but the
-        last is left to ``cut_rank``, which counts a float cut itself."""
-        return None, self.rank(blocks)
+        """``(None, count)``: the count on unit columns (see above) of all
+        blocks; ``cut_rank`` counts the rank of a float cut itself."""
+        sigma = np.linalg.svd(_unit(np.hstack(blocks)), compute_uv=False)
+        return None, int(np.count_nonzero(sigma > self.tol.rank_rel * len(blocks[0])))
 
     def rank_condition(self, support=None):
         """``(holds, lambda, z)`` of (D, H), or of (D, H_S) for a support S.
@@ -239,7 +255,7 @@ class _FloatSpan:
         return basis, basis.shape[1]
 
     def leaf_rank(self, dim, blocks, chosen):
-        return rank(_scheduled(blocks, chosen, blocks[0].shape[0]), self.tol)
+        return rank(_unit(_scheduled(blocks, chosen, blocks[0].shape[0])), self.tol)
 
     def circuits(self, blocks, inside, outside):
         """For each column ``(d, j)`` of ``outside``: None when it is
@@ -252,9 +268,7 @@ class _FloatSpan:
             return []
 
         def unit(columns):
-            m = np.column_stack([blocks[d][:, j] for d, j in columns])
-            lengths = np.linalg.norm(m, axis=0)
-            return m / np.where(lengths > 0, lengths, 1.0)
+            return _unit(np.column_stack([blocks[d][:, j] for d, j in columns]))
 
         y = unit(outside)
         cut = self.tol.rank_rel * y.shape[0]
@@ -271,24 +285,9 @@ class _FloatSpan:
             for i in range(len(outside))
         ]
 
-    def cut_rank(self, dim, blocks, s, chosen):
-        """SVD rank of the columns ``chosen`` picks from ``blocks``, counted
-        at a threshold no leaf check of a nonzero rank exceeds.  Such a leaf
-        holds s columns of every block and a nonzero column, so its largest
-        singular value is at least the s-th shortest column of each block
-        and the shortest nonzero column of all, and its threshold at least
-        ``rank_rel * rows`` times the largest of those lengths; by
-        interlacing, no leaf's rank on these columns is then above the
-        count."""
-        n = blocks[0].shape[0]
-        m = _scheduled(blocks, chosen, n)
-        if m.shape[1] == 0:
-            return 0
-        lengths = [np.sort(np.linalg.norm(b, axis=0)) for b in blocks]
-        nonzero = np.concatenate(lengths)
-        floor = max(max(c[s - 1] for c in lengths), nonzero[nonzero > 0].min())
-        sigma = np.linalg.svd(m, compute_uv=False)
-        return int(np.count_nonzero(sigma > self.tol.rank_rel * n * floor))
+    def cut_rank(self, dim, blocks, chosen):
+        """The count of ``ranks`` on the columns ``chosen`` picks."""
+        return self.ranks([_scheduled(blocks, chosen, len(blocks[0]))])[1]
 
 
 def _report(holds, lam, z, slack, tol):

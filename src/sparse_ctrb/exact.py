@@ -197,7 +197,7 @@ class _ExactSpan:
         return found
 
     @staticmethod
-    def cut_rank(dim, blocks, s, chosen):
+    def cut_rank(dim, blocks, chosen):
         """The exact rank of the columns ``chosen`` picks, which the caller
         has counted (see ``oracle._blocked``)."""
         return dim

@@ -158,21 +158,21 @@ class _Counter:
 def _descending_blocks(span, s, output, k_max):
     """For K = 1..k_max, the blocks ``[M D^(K-1) H, ..., M H]`` (M = A for
     output questions, else I) and their capacities ``min(s, rank)``, each
-    power built and ranked once."""
+    power built and ranked once (by ``span.ranks``)."""
     a = span.a if output else None
     powers = _powers(span.d, span.h, span.matmul)
     blocks, caps = [], []
     for power in itertools.islice(powers, k_max):
         block = power if a is None else span.matmul(a, power)
         blocks.insert(0, block)
-        caps.insert(0, min(s, span.rank([block])))
+        caps.insert(0, min(s, span.ranks([block])[1]))
         yield blocks, caps
 
 
 def _within_reach(blocks, caps, target, span):
-    """The capacities and the rank of all blocks reach ``target``: the
+    """The capacities and ``span.ranks`` of all blocks reach ``target``: the
     cut-free pre-checks, which the reference search keeps."""
-    return sum(caps) >= target and span.rank(blocks) >= target
+    return sum(caps) >= target and span.ranks(blocks)[1] >= target
 
 
 def _ruled_out(blocks, caps, s, l, target, span):
@@ -276,9 +276,9 @@ def _blocked(blocks, s, l, target, span, dim, cut):
     is rank(U) where the caller has counted it: the size of the kernel's
     set inside its own cut, which exact arithmetic makes rank(U), or the
     exact rank of a fixed U.  The exact span takes it; the float span counts
-    rank(U) itself, so that no leaf check counts more on U's columns."""
+    rank(U) itself, a count no leaf check on U's columns exceeds."""
     spare = sum(min(s, l - len(sup)) for sup in cut)
-    return span.cut_rank(dim, blocks, s, cut) + spare < target
+    return span.cut_rank(dim, blocks, cut) + spare < target
 
 
 def _first_schedule(blocks, caps, s, l, target, span, counter, inside, referee):
@@ -363,13 +363,15 @@ def _min_k(span, s, budget, output=False, first_k=1):
 
     The horizon rule: ``max_k`` defaults to N * ceil(L/s), which decides the
     question.  A passed sparse test gives K* <= q * ceil(S*/s) <= N * ceil(L/s)
-    by the steering bound, as q <= N and S* <= L; a failed one rules out every
-    K.  (Output questions stop there too, above their bound
-    q * ceil(rank H/s).)  Under that default and a state target, when the
-    span's sparse test (run at most once) passes, a search that finds nothing
-    is inconclusive, and so, at once, is an ill-posed K: a leaf whose span
-    reaches N but not its ``leaf_rank`` (a witness past it is not robust), a
-    certified prefix without a witness, or a short set with an uncertified cut."""
+    by the steering bound, as q <= N and S* <= L; a failed one rules out
+    every K in exact arithmetic, not always in float (D = diag(1e11, 1),
+    H = I fails it at s = 1, yet K* = 2).  (Output questions stop there
+    too, above their bound q * ceil(rank H/s).)  Under that default and a
+    state target, when the span's sparse test (run at most once) passes, a
+    search that finds nothing is inconclusive, and so, at once, is an
+    ill-posed K: a leaf whose span reaches N but not its ``leaf_rank`` (a
+    witness past it is not robust), a certified prefix without a witness,
+    or a short set with an uncertified cut."""
     sys = span.sys
     if output:
         _require_output_map(sys)
@@ -433,7 +435,7 @@ def kalman_type_rank_test(
 def decision_horizon(sys: SystemModel, s: int, tol: Tolerance = DEFAULT_TOLERANCE) -> int:
     """Schedule length that decides s-sparse controllability outright: the
     steering-time upper bound when the sparse test passes, else N * ceil(L/s),
-    since a failed test rules out every K (the horizon rule of ``_min_k``)."""
+    the oracle's own horizon (see the horizon rule of ``_min_k``)."""
     try:
         return _kstar_bounds(_FloatSpan(sys, tol), "sparse", s).upper
     except UncontrollableSystemError:
@@ -449,11 +451,10 @@ def exact_min_k(
     """Smallest K admitting a rank-N schedule, with its witness.
 
     Searches K = 1..max_k (N * ceil(L/s) by default) and returns
-    ``(None, None)`` when no schedule exists within that range, which is
-    definitive under the default horizon.  Under that default,
+    ``(None, None)`` when none exists there.  Under the default horizon,
     ``InconclusiveError`` is raised when a passed sparse test contradicts a
-    null, or at the first K whose float rank is ill-posed; see the horizon
-    rule of ``oracle._min_k``.
+    null, or at the first K whose float rank is ill-posed; a failed test is
+    not checked against a K* (see the horizon rule of ``oracle._min_k``).
     """
     k, witness, _ = _min_k(_FloatSpan(sys, tol), s, budget or OracleBudget())
     return (k, SupportSchedule(witness, int(s))) if witness else (None, None)
@@ -470,10 +471,10 @@ def rstar_sequence(
 
     r*(K) never falls, as a schedule for K is one for K + 1; that it rises
     strictly until the minimal steering time and stays constant afterwards
-    (the stall rule) is unproven.  Each entry is the SVD rank of the columns
-    of a largest common independent set, from the oracle's warm-started walk
-    over K (``_walk``); the budget counts augmentations, and ``deadline_s``
-    is checked at every K.
+    (the stall rule) is unproven.  Each entry is the ``leaf_rank`` (the SVD
+    rank of the unit columns) of a largest common independent set, from the
+    oracle's warm-started walk over K (``_walk``); the budget counts
+    augmentations, and ``deadline_s`` is checked at every K.
     """
     s = _check_sparsity(sys, s)
     k_max = _integer(k_max, f"k_max must be a positive integer, got {k_max!r}")

@@ -260,6 +260,59 @@ class TestCliExitCodes:
         assert (code, out) == (2, "")
         assert "deadline_s must be positive and finite" in err
 
+    @pytest.mark.parametrize(
+        "system, argv, message",
+        [
+            ('{"D": [[1]], ', ["check", "-s", "1"], "is not valid JSON"),
+            ("[[1]]", ["check", "-s", "1"], "must contain a JSON object"),
+            (
+                '{"name": 3, "D": [[1]], "H": [[1]]}',
+                ["check", "-s", "1"],
+                "name must be a string",
+            ),
+            ('{"D": [], "H": [[1]]}', ["check", "-s", "1"], "D must be a non-empty list"),
+            ('{"D": [[]], "H": [[1]]}', ["check", "-s", "1"], "D rows must be non-empty"),
+            (
+                '{"D": [[1, 0], [0, 2]], "H": [[1]]}',
+                ["check", "-s", "1"],
+                "system.json: H must have 2 rows to match D, got 1",
+            ),
+            (
+                '{"D": [[1, 0], [0, 2]], "H": [[1], [1]]}',
+                ["steer", "-s", "1", "--k", "2", "--x-final", "TARGET"],
+                "--x-final file must contain a flat JSON array of numbers",
+            ),
+            (
+                '{"D": [[1, 0], [0, 2]], "H": [[1], [1]]}',
+                ["bounds", "--variant", "sparse"],
+                "--variant sparse requires -s",
+            ),
+            (
+                '{"D": [[1, 0], [0, 2]], "H": [[1], [1]]}',
+                ["steer", "-s", "1", "--k", "2", "--x-final", "TARGET", "--output-target"],
+                "--output-target requires an output map A",
+            ),
+        ],
+        ids=[
+            "invalid-json", "top-level-array", "name-not-string", "empty-d",
+            "empty-d-row", "h-short-of-rows", "x-final-object", "bounds-without-s",
+            "output-target-without-a",
+        ],
+    )
+    def test_malformed_input_is_input_error(self, capsys, tmp_path, system, argv, message):
+        # Each input error exits 2, writes nothing to stdout and names its
+        # cause on stderr.  TARGET is a --x-final file holding an object.
+        path, target = tmp_path / "system.json", tmp_path / "target.json"
+        path.write_text(system)
+        target.write_text('{"x": [1, 1]}')
+        code, out, err = run_cli(
+            capsys, argv[0], str(path),
+            *(str(target) if a == "TARGET" else a for a in argv[1:]),
+        )
+        assert (code, out) == (2, "")
+        assert err.startswith(f"sparse-ctrb {argv[0]}: error: ")
+        assert message in err
+
     def test_bounds_undefined_is_input_error(self, capsys):
         code, _, err = run_cli(
             capsys, "bounds", str(FIXTURES / "uncontrollable.json"), "-s", "1"

@@ -162,6 +162,25 @@ class TestExactMinK:
         sys = SystemModel(D=np.diag([1.0, 2.0]), H=np.eye(2))
         assert exact_min_k(sys, 2)[0] == 1
 
+    def test_spread_norms_match_exact_search(self):
+        # The columns D^p h_j spread over eleven decades at K = 2; ranked on
+        # unit columns, the float search finds the exact K* and witness.
+        sys = SystemModel(D=np.diag([1e11, 1.0]), H=np.eye(2))
+        k, sched = exact_min_k(sys, 1)
+        assert (k, sched.supports) == min_k_exact(sys, 1, 4) == (2, ((0,), (1,)))
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_cancelled_powers_stay_zero(self, seed):
+        # D = P J P^-1 with J nilpotent of index 2 and a float P: D^2 h is
+        # zero, but comes out of float products as residue near 1e-16.
+        # Scaled to unit length it would count as a third direction.
+        p = np.random.default_rng(seed).standard_normal((3, 3))
+        d = p @ np.diag([1.0, 0.0], k=1) @ np.linalg.inv(p)
+        sys = SystemModel(D=d, H=p @ np.array([[0.3], [1.7], [0.0]]))
+        assert not sparse_pbh_test(sys, 1).verdict
+        assert exact_min_k(sys, 1) == (None, None)
+        assert kalman_type_rank_test(sys, 1, 3) == (False, None)
+
     def test_uncontrollable_returns_none(self, inequality_blocked):
         k, sched = exact_min_k(inequality_blocked, 1)
         assert k is None and sched is None
@@ -321,11 +340,17 @@ class TestCommonIndependent:
     @pytest.mark.parametrize("output", [False, True], ids=["state", "output"])
     @given(small_systems(max_n=4, with_output=True), st.integers(1, 3), st.integers(0, 4))
     @example(inequality_blocked_output(), 1, 4)
+    @example(
+        SystemModel(D=np.diag([1e11, 1.0]), H=np.eye(2), A=np.array([[1.0, 0.0]])), 1, 2
+    )
     def test_inequality_cut_is_sound(self, span_of, output, sys, s, kept):
-        # Wherever the paper's inequality rules out a K, the depth-first
-        # search finds no schedule reaching the target at that K.  D keeps
-        # its first ``kept`` rows, so that rank D is often low enough for
-        # the inequality to rule a K out.
+        # Wherever a pre-check (the capacities, the rank of all blocks or
+        # the paper's inequality) rules out a K, the depth-first search finds
+        # no schedule reaching the target at that K.  D keeps its first
+        # ``kept`` rows, so that rank D is often low enough for the
+        # inequality to rule a K out.  On D = diag(1e11, 1) the columns'
+        # norms spread over eleven decades, and the float rank of all blocks
+        # must still count every rank a leaf reaches (K = 2 reaches 2).
         n, l = sys.n_states, sys.n_inputs
         d = np.vstack([sys.D[:kept], np.zeros((max(n - kept, 0), n))])
         sys, s = SystemModel(D=d, H=sys.H, A=sys.A), min(s, l)
@@ -335,8 +360,29 @@ class TestCommonIndependent:
         span = span_of(sys)
         problems = _descending_blocks(span, s, output, sys.n_states * math.ceil(l / s))
         for blocks, caps in problems:
-            if _ruled_out(blocks, caps, s, l, target, span) == "inequality":
+            if _ruled_out(blocks, caps, s, l, target, span) is not None:
                 assert _best_schedule(blocks, caps, supports, target, span, counter) is None
+
+    def test_spread_powers_keep_exact_rstar(self):
+        # System 1650 of the equivalence sweep: at K = 19 the cold kernel's
+        # set holds D^18 h_0 (norm 4.1e7) and four columns of norm at most
+        # 50.  Ranked on unit columns, float r*(K) is exact r*(K) at every K.
+        sys = SystemModel(
+            D=np.array([[0, 0, -1, 1, 1], [0, 0, 0, -1, 1], [0, 0, 0, 0, 0],
+                        [2, 0, 2, -2, 0], [-1, 0, 0, 0, -2]], float),
+            H=np.array([[1, 0, 0, 0], [0, -1, 0, 0], [0, 0, -1, -2],
+                        [-2, 1, 0, 0], [0, -2, -2, 0]], float),
+        )
+
+        def rstar(span):
+            counter = _Counter(OracleBudget(), "test")
+            problems = _descending_blocks(span, 1, False, 20)
+            for k, (blocks, _) in enumerate(problems, start=1):
+                inside, _ = _common_independent(blocks, 1, 4, span, counter, k)
+                yield span.leaf_rank(len(inside), blocks, _supports_of(inside, k))
+
+        float_rstar, exact_rstar = (list(rstar(span_of(sys))) for span_of in SPANS)
+        assert float_rstar == exact_rstar == [1, 2, 3, 4] + [5] * 16
 
     def test_exact_inequality_cut_reads_rank_of_u(self):
         # From K = 4 on, U (all blocks but H) has output rank 3 = target - s,
