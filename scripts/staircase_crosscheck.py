@@ -30,9 +30,10 @@ mismatch:
 
 On every system of both sets the reference sweep also asks, at each probe
 it ranks, whether the Cholesky screen of ``ctrb._probe_sweep`` certifies the
-pencil full.  Each size reports how many probes the screen certified and how
-many it left to the SVD; a certified probe whose SVD rank is below N is a
-mismatch.
+pencil full, through the Gram it assembles from the products of D and H
+made once per system, as the sweep does.  Each size reports how many probes
+the screen certified and how many it left to the SVD; a certified probe
+whose SVD rank is below N is a mismatch.
 
 Usage:
     python scripts/staircase_crosscheck.py
@@ -64,7 +65,7 @@ from sparse_ctrb import (  # noqa: E402
     pbh_test,
     rank,
 )
-from sparse_ctrb.ctrb import _full_row_rank_screen  # noqa: E402
+from sparse_ctrb.ctrb import _full_row_rank_screen, _Pencils  # noqa: E402
 from sparse_ctrb.exact import min_poly_degree_exact  # noqa: E402
 from sparse_ctrb.linalg import _staircase  # noqa: E402
 
@@ -79,13 +80,11 @@ def probe_sweep(sys, screen, problems, name):
     (certified, left to the SVD) adds up what the Cholesky screen says of
     each probe ranked; a certified probe of SVD rank below N goes into
     ``problems``."""
-    n = sys.n_states
+    n, pencils = sys.n_states, _Pencils(None, sys.D, sys.H)
     for lam in eigenvalue_probes(sys.D):
         pencil = np.hstack([lam * np.eye(n) - sys.D, sys.H.astype(complex)])
         full = rank(pencil) == n
-        certified = _full_row_rank_screen(
-            pencil.real if lam.imag == 0 else pencil, DEFAULT_TOLERANCE
-        )
+        certified = _full_row_rank_screen(pencils, lam, DEFAULT_TOLERANCE)
         screen[0 if certified else 1] += 1
         if certified and not full:
             problems.append(f"{name}: screen certified rank-deficient probe {lam}")

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 import warnings
 from dataclasses import dataclass
 from typing import Optional
@@ -163,7 +164,8 @@ class _FloatSpan:
     ``extend``, ``leaf_rank``), its pre-checks ``ranks``, and for matroid
     intersection and its cuts ``circuits`` and ``cut_rank``.  This span
     decides ranks at ``tol``, which its reports carry, and reads one
-    spectrum of D; ``exact._ExactSpan`` answers the same in rationals.
+    spectrum of D and one set of D's products for the probe sweep's Grams;
+    ``exact._ExactSpan`` answers the same in rationals.
     ``rank`` keeps the package's rule for the paper's own quantities.  The
     oracle ranks unit columns (``_unit``), as ``|D^p h|`` grows like
     ``|lambda|^p``, so ``matmul`` zeroes a product column that is rounding
@@ -189,6 +191,11 @@ class _FloatSpan:
     @functools.cached_property
     def _spectrum(self):
         return _Spectrum(self.d, self.tol)
+
+    @functools.cached_property
+    def _d_products(self):
+        """D's share of every state pencil's Gram (E = I, F = D), made once."""
+        return _pencil_products(None, self.d)
 
     def matmul(self, a, b):
         """``a @ b``, zero in each column shorter than ``rank_rel * len(b)``
@@ -216,12 +223,13 @@ class _FloatSpan:
         exact system is uncontrollable."""
         d, n = self.d, len(self.d)
         h = self.h if support is None else self.h[:, list(support)]
-        q, big_r, rest = _staircase(d, h, self.tol)
+        q, big_r, rest = _staircase(d, h, self.tol, self._spectrum.norm)
         if big_r < n:
             w, v = np.linalg.eig(rest.T)
             i = np.lexsort((w.imag, w.real))[0]
             return False, complex(w[i]), (q[:, big_r:] @ v[:, i]).astype(complex)
-        return _probe_sweep(np.eye(n), d, h, self._spectrum.probes(), self.tol)
+        pencils = _Pencils(None, d, h, self._d_products)
+        return _probe_sweep(pencils, self._spectrum.probes(), self.tol)
 
     def min_poly_degree(self):
         return self._spectrum.min_poly_degree()
@@ -411,81 +419,166 @@ def output_pbh_necessary(sys: SystemModel, tol: Tolerance = DEFAULT_TOLERANCE) -
     a = _require_output_map(sys)
     probes = eigenvalue_probes(sys.D, tol)
     off = complex(1.0 + max((abs(p) for p in probes), default=0.0))
-    return _probe_sweep(a, a @ sys.D, a @ sys.H, probes + [off], tol)[0]
+    return _probe_sweep(_Pencils(a, a @ sys.D, a @ sys.H), probes + [off], tol)[0]
 
 
-def _probe_sweep(e, f, g, probes, tol):
-    """``(holds, lambda, z)``: does ``[lambda*E - F, G]`` keep full row rank at
-    every probe, else the first probe where it drops and a left null vector z
-    of its complex pencil.  E, F, G are real, so the pencil at conj(lambda) has
-    the same singular values: it is skipped, and a real probe ranked in reals.
-    A pencil that passes :func:`_full_row_rank_screen` needs no SVD; every
-    other one is ranked by :func:`linalg.rank`, which alone decides a drop."""
+def _pencil_products(e, f):
+    """The parts of E and F in the Gram of ``[lambda E - F, G]`` (see
+    :class:`_Pencils`): ``(EE^T, T + T^T, T^T - T, FF^T, |E|_F^2, |F|_F^2)``
+    with T = EF^T, the norms as traces.  ``e=None`` stands for E = I, whose
+    EE^T (None here) and T = F^T are exact and need no product."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        if e is None:
+            ee, t, e2 = None, f.T, float(len(f))
+        else:
+            ee, t = e @ e.T, e @ f.T
+            e2 = float(np.trace(ee))
+        ff = f @ f.T
+        return ee, t + t.T, t.T - t, ff, e2, float(np.trace(ff))
+
+
+class _Pencils:
+    """The pencils ``M = [lambda E - F, G]`` of one sweep, for real E and F
+    (n x N) and G (n x L), with ``e=None`` for E = I (the state test).  Their
+    Grams are assembled at each probe lambda = a + ib from real products
+    made once:
+
+        M M^H = FF^T + GG^T + |lambda|^2 EE^T - a (T + T^T) + ib (T^T - T),
+
+    with T = EF^T.  ``products`` hands in :func:`_pencil_products` of E and
+    F where several G meet one E and F: a float span keeps D's, so each
+    support it tries adds only H_S H_S^T."""
+
+    def __init__(self, e, f, g, products=None):
+        if products is None:
+            products = _pencil_products(e, f)
+        self.ee, self.sym, self.skew, ff, self.e2, self.f2 = products
+        self.e = np.eye(len(f)) if e is None else e
+        self.f, self.g, self.shape = f, g, (len(f), f.shape[1] + g.shape[1])
+        with np.errstate(over="ignore", invalid="ignore"):
+            gg = g @ g.T
+            self.base, self.g2 = ff + gg, float(np.trace(gg))
+
+    def at(self, lam):
+        """M at lambda, real for a real lambda."""
+        return np.hstack([(lam.real if lam.imag == 0 else lam) * self.e - self.f, self.g])
+
+
+def _probe_sweep(pencils, probes, tol):
+    """``(holds, lambda, z)``: does ``[lambda*E - F, G]`` (a
+    :class:`_Pencils`) keep full row rank at every probe, else the first
+    probe where it drops and a left null vector z of its complex pencil.  E,
+    F, G are real, so the pencil at conj(lambda) has the same singular
+    values: it is skipped, and a real probe ranked in reals.  A probe that
+    passes :func:`_full_row_rank_screen` needs no pencil and no SVD; every
+    other pencil is ranked by :func:`linalg.rank`, which alone decides a
+    drop."""
     ranked = set()
     for lam in probes:
         if lam.conjugate() in ranked:
             continue
         ranked.add(lam)
-        pencil = np.hstack([(lam.real if lam.imag == 0 else lam) * e - f, g])
-        if _full_row_rank_screen(pencil, tol):
+        if _full_row_rank_screen(pencils, lam, tol):
             continue
-        if rank(pencil, tol) < len(e):
+        pencil = pencils.at(lam)
+        if rank(pencil, tol) < pencils.shape[0]:
             z = np.linalg.svd(pencil.astype(complex))[0][:, -1]
             return False, lam, np.conj(z)
     return True, None, None
 
 
-# Unit roundoff of float64, and the smallest Gram trace the screen trusts:
-# below it, underflow in the Gram product is no longer a relative error.
+# Unit roundoff of float64, and the window of screened Gram traces: below
+# tiny / u, underflow is no longer a relative error; above max / 4, the
+# assembly's few terms could overflow.
 _U = np.finfo(np.float64).eps / 2
 _SCREEN_MIN_TRACE = np.finfo(np.float64).tiny / _U
+_SCREEN_MAX_TRACE = np.finfo(np.float64).max / 4
 
 
-def _full_row_rank_screen(m, tol):
-    """True only if ``m`` (n x w, real or complex) has full row rank under the
-    rule of :func:`linalg.rank`, ``sigma_n > rank_rel * c * sigma_1`` with
+def _full_row_rank_screen(pencils, lam, tol):
+    """True only if ``M = [lam E - F, G]`` (n x w, w = N + L, from the
+    :class:`_Pencils` ``pencils``) has full row rank under the rule of
+    :func:`linalg.rank`, ``sigma_n > rank_rel * c * sigma_1`` with
     ``c = max(n, w)``.  False says nothing; the caller then takes the SVD.
 
-    The screen forms ``G = M M^H``, subtracts ``tau I`` and tries Cholesky,
-    with ``f = trace(G)`` (``|M|_F^2`` up to rounding), u the unit roundoff
-    and ``tau = ((rank_rel * c)^2 + 8u (w + n + 1)) * f``.  Why success
-    certifies the rule, with ``gamma_k = k u / (1 - k u)`` (Higham, *Accuracy
-    and Stability of Numerical Algorithms*, 2nd ed.):
+    The screen assembles the Gram ``M M^H`` from the sweep's products (see
+    :class:`_Pencils`), subtracts ``tau I`` and tries Cholesky, with u the
+    unit roundoff,
 
-    * Gram product (section 3.1): each entry is an inner product of length
-      w, so whatever order the BLAS sums in, ``|dG| <= gamma_w |M| |M|^H``
-      entrywise and ``|dG|_2 <= |dG|_F <= gamma_w |M|_F^2``.
+        f' = (|lam| |E|_F + |F|_F)^2 + |G|_F^2 >= |M|_F^2   and
+        tau = ((rank_rel * c)^2 + 8u (w + n + 1)) * f'.
+
+    Why success certifies the rule, with ``gamma_k = k u / (1 - k u)``
+    (Higham, *Accuracy and Stability of Numerical Algorithms*, 2nd ed.) and
+    lam = a + ib, so that ``|a| + |b| <= sqrt(2) |lam|``:
+
+    * Products (section 3.1): each entry of EE^T, T = EF^T and FF^T is an
+      inner product of length N, and of GG^T one of length L, so whatever
+      order the BLAS sums in, ``|d(XY^T)| <= gamma_N |X| |Y|^T`` entrywise
+      and ``|d(XY^T)|_F <= gamma_N |X|_F |Y|_F``.  In the Gram they carry
+      the weights 1, 1, |lam|^2 and 2(|a| + |b|) (T enters as T + T^T and
+      T^T - T), so their errors sum to at most ``gamma_max(N, L)`` times
+      ``|F|^2 + |G|^2 + |lam|^2 |E|^2 + 2 sqrt(2) |lam| |E| |F|
+      <= sqrt(2) f'`` (Frobenius norms).  E = I makes EE^T and T exact.
+    * Assembly: T + T^T, T^T - T, |lam|^2, the scalings by |lam|^2, a and
+      b, the four-term sum and the subtraction of tau round each entry at
+      most six times, so they err by ``gamma_6`` times the same sum of
+      absolute terms, again at most ``sqrt(2) gamma_6 f'``.  The imaginary
+      part is assembled in reals, apart from the real part.
     * Cholesky (Theorem 10.3, for any order of its inner products): if it
-      completes on the computed ``A = G - tau I``, then ``R^H R = A + dA``
-      with ``|dA| <= gamma_(n+1) |R^H| |R|``.  The diagonal of ``|R^H| |R|``
-      is that of ``R^H R``, so ``|dA|_2 <= gamma_(n+1) |R|_F^2`` and
-      ``|R|_F^2 = trace(A + dA) <= f / (1 - gamma_(n+1))``.
-    * In complex arithmetic a product errs by at most ``sqrt(2) gamma_2``
-      (section 3.6), so both bounds hold with ``sqrt(2) gamma_(k+2)`` for
-      ``gamma_k``.  Subtracting tau, and rounding f and tau, cost a few u
-      relative to f.
+      completes on the computed ``A = M M^H - tau I``, then ``R^H R = A + dA``
+      with ``|dA| <= gamma_(n+1) |R^H| |R|``, so ``|dA|_2 <= gamma_(n+1)
+      |R|_F^2`` and ``|R|_F^2 = trace(A + dA) <= f' (1 + O(u w)) / (1 -
+      gamma_(n+1))``.  In complex arithmetic a product errs by at most
+      ``sqrt(2) gamma_2`` (section 3.6), so this holds with
+      ``sqrt(2) gamma_(n+3)`` for ``gamma_(n+1)``.
+    * f' comes from traces of the computed products (relative error at most
+      ``gamma_(max(N, L) + n)``), two square roots and a few operations,
+      and tau from f' in a few more: together a relative error below
+      ``(max(N, L) + n + 8) u``.
     * ``R^H R`` is positive definite, so ``sigma_n(M)^2 = lambda_min(M M^H)
-      > tau - |dG|_2 - |dA|_2 - ...``, and the errors sum to at most about
-      ``sqrt(2) (w + n + 5) u f``, under the ``8u (w + n + 1) f`` in tau.
-      Hence ``sigma_n^2 > (rank_rel * c)^2 |M|_F^2 >= (rank_rel * c *
-      sigma_1)^2``; when n > w the factorisation cannot complete at all.
+      > tau - (sqrt(2) (max(N, L) + n + 9) + max(N, L) + n + 8) u f'``
+      to first order, and ``max(N, L) < w`` puts that sum under the
+      ``8u (w + n + 1) f'`` in tau.  Hence ``sigma_n^2 > (rank_rel * c)^2
+      f' >= (rank_rel * c * sigma_1)^2``; when n > w the factorisation
+      cannot complete at all.
 
-    The rest of the ``8u`` term keeps ``sigma_n`` above
-    ``sqrt(6u (w + n)) |M|_F`` (4e-7 |M|_F at n = 128), orders of magnitude
-    above the SVD's own error of a few ``u * c * sigma_1``, so the SVD could
-    not count a certified pencil short.  Underflow is not a relative error:
-    a Gram trace below ``tiny / u``, or an overflowed one, is not screened
-    (and its overflow raises no warning that would reach a report).
+    The rest of the ``8u`` term, about ``5.5u (w + n) f'`` at the sizes the
+    sweep sees, keeps ``sigma_n`` above about ``sqrt(5u (w + n)) |M|_F``
+    (4e-7 |M|_F at n = 128), orders of magnitude above the SVD's own error
+    of a few ``u * c * sigma_1``, so the SVD could not count a certified
+    pencil short.  ``f' >= |M|_F^2`` only raises tau,
+    so that margin is no smaller than for the Gram of M itself.  Underflow
+    and overflow are not relative errors.  A product's underflow errs by at
+    most ``N u tiny`` an entry; it is negligible against ``u f'`` when f' is
+    above ``tiny / u`` and, for the products that |lam| scales, when
+    ``|E|_F^2`` is too (E = I always is).  So f' below ``tiny / u`` or
+    above ``max / 4``, an overflowed |lam|^2 or a tiny E is not screened;
+    a product that overflowed has an infinite trace, hence f'.
     """
-    n, w = m.shape
-    with np.errstate(over="ignore", invalid="ignore"):
-        gram = m @ m.conj().T
-    f = float(np.trace(gram).real)
-    if not _SCREEN_MIN_TRACE < f < np.inf:
+    n, w = pencils.shape
+    a, b, size = lam.real, lam.imag, abs(lam)
+    root = size * math.sqrt(pencils.e2) + math.sqrt(pencils.f2)
+    f, l2 = root * root + pencils.g2, size * size
+    if not (
+        _SCREEN_MIN_TRACE < f < _SCREEN_MAX_TRACE
+        and l2 < math.inf
+        and pencils.e2 > _SCREEN_MIN_TRACE
+    ):
         return False
     c = max(n, w)
     tau = ((tol.rank_rel * c) ** 2 + 8 * _U * (w + n + 1)) * f
-    gram[np.diag_indices(n)] -= tau
+    real = pencils.base - a * pencils.sym
+    if pencils.ee is None:
+        real[np.diag_indices(n)] += l2 - tau
+    else:
+        real += l2 * pencils.ee
+        real[np.diag_indices(n)] -= tau
+    if b:
+        gram = np.empty((n, n), complex)
+        gram.real, gram.imag = real, b * pencils.skew
+    else:
+        gram = real
     try:
         np.linalg.cholesky(gram)
     except np.linalg.LinAlgError:

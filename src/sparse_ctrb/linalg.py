@@ -118,36 +118,54 @@ def eigenvalues(d) -> np.ndarray:
 
 def _clusters(values, radius):
     """Greedy clustering of complex values at an absolute radius; returns
-    the ``(mean, size)`` of each cluster."""
-    clusters = []  # [sum, count]
+    the ``(mean, size)`` of each cluster, in order of creation.  Each value
+    joins the first cluster whose mean lies within ``radius``, or starts one.
+
+    ``values`` come sorted by real part, and a cluster's mean moves only
+    when a value joins it.  So a cluster whose mean's real part lies more
+    than ``radius`` below the current value can never be joined again
+    (|v - mean| >= |Re v - Re mean|); it leaves the active list, which keeps
+    creation order.  The clusters are those of the scan over all of them,
+    bit for bit, in O(N * active)."""
+    clusters, active = [], []  # [sum, count, mean]
     for v in values:
-        for c in clusters:
-            if abs(v - c[0] / c[1]) <= radius:
+        active = [c for c in active if v.real - c[2].real <= radius]
+        for c in active:
+            if abs(v - c[2]) <= radius:
                 c[0] += v
                 c[1] += 1
+                c[2] = c[0] / c[1]
                 break
         else:
-            clusters.append([v, 1])
+            c = [v, 1, v / 1]
+            clusters.append(c)
+            active.append(c)
     return [(c[0] / c[1], c[1]) for c in clusters]
 
 
 class _Spectrum:
-    """D's sorted eigenvalues, computed once, and their ``(mean, size)``
-    clusters on the probe ladder: radii ``eig_cluster``, then 1e-6, 1e-4 and
-    1e-3 times ``max(1, |D|)``, each rung (and |D|) computed on first use.
-    The probes read every rung, q the second and g_D the first."""
+    """D's spectral norm |D|, its sorted eigenvalues, and their
+    ``(mean, size)`` clusters on the probe ladder: radii ``eig_cluster``,
+    then 1e-6, 1e-4 and 1e-3 times ``max(1, |D|)``.  Each is computed once,
+    on first use.  The probes read every rung, q the second and g_D the
+    first; the staircase's cut reads |D|."""
 
     def __init__(self, d, tol: Tolerance):
-        self.d, self.tol, self.values, self._rungs = d, tol, eigenvalues(d), {}
+        self.d, self.tol, self._rungs = d, tol, {}
 
     @functools.cached_property
-    def _scale(self):
-        return max(1.0, _spectral_norm(self.d))
+    def norm(self):
+        return _spectral_norm(self.d)
+
+    @functools.cached_property
+    def values(self):
+        return eigenvalues(self.d)
 
     def _rung(self, i):
         if i not in self._rungs:
             step = (self.tol.eig_cluster, 1e-6, 1e-4, 1e-3)[i]
-            self._rungs[i] = _clusters(self.values, step * self._scale if i else step)
+            radius = step * max(1.0, self.norm) if i else step
+            self._rungs[i] = _clusters(self.values, radius)
         return self._rungs[i]
 
     def probes(self):
@@ -252,7 +270,7 @@ def extend_to_basis(b, tol: Tolerance = DEFAULT_TOLERANCE) -> np.ndarray:
     return np.linalg.svd(_as_matrix(b, "B"))[0]
 
 
-def _staircase(d, h, tol: Tolerance = DEFAULT_TOLERANCE):
+def _staircase(d, h, tol: Tolerance = DEFAULT_TOLERANCE, d_norm=None):
     """Controllability staircase of (D, H) (Paige 1981; Van Dooren 1981).
 
     Returns ``(Q, R, rest)``: Q orthogonal, its first R columns spanning the
@@ -261,12 +279,15 @@ def _staircase(d, h, tol: Tolerance = DEFAULT_TOLERANCE):
     newest controllable columns) in the remaining coordinates and rotates them,
     until a step adds nothing.  The cut is ``rank_rel * max(|D|, |H|) * N`` at
     every step: one relative to each block would count rounding noise in the
-    late, small blocks.
+    late, small blocks.  ``d_norm`` hands in |D| where a caller has it (a
+    float span's spectrum), so that D's SVD is not taken again.
     """
     a = _square(d, "D")
     n = a.shape[0]
     q = np.eye(n)
-    cut = tol.rank_rel * max(_spectral_norm(a), _spectral_norm(h)) * n
+    if d_norm is None:
+        d_norm = _spectral_norm(a)
+    cut = tol.rank_rel * max(d_norm, _spectral_norm(h)) * n
     big_r, block = 0, h
     while big_r < n:
         u, sigma, _ = np.linalg.svd(q[:, big_r:].T @ block)

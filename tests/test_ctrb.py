@@ -119,15 +119,17 @@ class TestPbhAndKalman:
         screened = []
         screen = ctrb._full_row_rank_screen
 
-        def counting_screen(m, tol):
-            screened.append(m.shape)
-            return screen(m, tol)
+        def counting_screen(pencils, lam, tol):
+            screened.append(lam)
+            return screen(pencils, lam, tol)
 
         monkeypatch.setattr(ctrb, "rank", counting_rank)
         monkeypatch.setattr(ctrb, "_full_row_rank_screen", counting_screen)
         assert pbh_test(sys).verdict
         assert len(ranked) <= 9
-        assert len(screened) <= 9
+        # The sweep screens each probe it ranks: one of each conjugate pair.
+        assert len(screened) == 9
+        assert not any(lam.imag and lam.conjugate() in screened for lam in screened)
 
     @given(small_systems())
     def test_pbh_equals_kalman(self, sys):
@@ -289,7 +291,9 @@ class TestOutputControllability:
 
 def _unscreened_sweep(e, f, g, probes, tol):
     """The probe sweep without the Cholesky screen: an SVD rank at every
-    probe, the reference ``ctrb._probe_sweep`` must agree with."""
+    probe, the reference ``ctrb._probe_sweep`` must agree with.  ``e=None``
+    stands for E = I."""
+    e = np.eye(len(f)) if e is None else e
     ranked = set()
     for lam in probes:
         if lam.conjugate() in ranked:
@@ -351,15 +355,43 @@ class TestFloatSpanExtend:
         assert dim == rank(block)
 
 
+def _designed_pencil(rng, n, w, lam, small, output_map):
+    """``(E, F, G)`` with ``M = [lam E - F, G]`` of n rows and w columns
+    whose smallest singular value is ``small``: E is None (E = I, L = w - n)
+    or has orthonormal rows (N = w - 1, L = 1), and F = B E with B real and
+    normal, so that ``M M^H = (lam I - B)(lam I - B)^H + G G^T``.  In an
+    orthonormal basis B holds a block with eigenvalue lam - small (2 x 2 for
+    a complex lam) and real eigenvalues elsewhere; G lies outside that
+    block, so the block's singular values, ``small`` and for a complex lam
+    ``|lam - conj(lam) + small|``, are exact singular values of M."""
+    q = np.linalg.qr(rng.standard_normal((n, n)))[0]
+    a, b = lam.real, lam.imag
+    k = 2 if b else 1
+    core = np.zeros((n, n))
+    core[:k, :k] = [[a - small, b], [-b, a - small]] if b else [[a - small]]
+    rest = a - rng.choice([-1.0, 1.0], n - k) * np.geomspace(1.0, 0.5, n - k)
+    core[np.arange(k, n), np.arange(k, n)] = rest
+    big_b = q @ core @ q.T
+    if output_map:
+        e = np.linalg.qr(rng.standard_normal((w - 1, w - 1)))[0][:n]
+        f, l = big_b @ e, 1
+    else:
+        e, f, l = None, big_b, w - n
+    g = q[:, k:] @ rng.standard_normal((n - k, l)) * 0.5
+    return e, f, g
+
+
 class TestProbeScreen:
     """The Cholesky screen of ``ctrb._probe_sweep`` only ever skips an SVD:
     the sweep's verdict, witness eigenvalue and witness z are those of the
-    unscreened sweep, and a screened pencil has full SVD rank."""
+    unscreened sweep, and a screened pencil has full SVD rank.  The screen
+    certifies through the Gram assembled from the sweep's products, with
+    E = I for the state test and E = A for the output test."""
 
     tol = DEFAULT_TOLERANCE
 
     def assert_same_sweep(self, e, f, g, probes):
-        got = ctrb._probe_sweep(e, f, g, probes, self.tol)
+        got = ctrb._probe_sweep(ctrb._Pencils(e, f, g), probes, self.tol)
         want = _unscreened_sweep(e, f, g, probes, self.tol)
         assert got[:2] == want[:2]
         if want[2] is None:
@@ -369,8 +401,7 @@ class TestProbeScreen:
         return want[0]
 
     def state_sweep(self, d, h):
-        n = d.shape[0]
-        return self.assert_same_sweep(np.eye(n), d, h, eigenvalue_probes(d))
+        return self.assert_same_sweep(None, d, h, eigenvalue_probes(d))
 
     def output_sweep(self, d, h, a):
         probes = eigenvalue_probes(d)
@@ -407,38 +438,97 @@ class TestProbeScreen:
     def test_near_defective_jordan_systems_match_reference(self, sys):
         assert not self.state_sweep(sys.D, sys.H)
 
+    @pytest.mark.parametrize("scale", [2.0**-20, 2.0**20])
+    @pytest.mark.parametrize("complex_pair", [False, True])
+    def test_badly_scaled_pencils_match_reference(self, scale, complex_pair):
+        # D = scale * (16 I + P), P small, beside an unscaled H: at 2^20 the
+        # probes sit at large eigenvalues where lam I - D cancels, so f' is
+        # far above |M|_F^2 and the assembled Gram is mostly rounding; at
+        # 2^-20 H dominates the pencil, and lam I - D falls under the rank
+        # rule's cut.  A blocked pair, and a random one.
+        rng = np.random.default_rng(17)
+        n, l = 12, 3
+        blocked_d, blocked_h = _blocked_system(rng, n, l, complex_pair)
+        free_d = rng.standard_normal((n, n))
+        for d, h, blocked in ((blocked_d, blocked_h, True),
+                              (free_d, rng.standard_normal((n, l)), False)):
+            d = scale * (16.0 * np.eye(n) + 0.01 * d)
+            holds = self.state_sweep(d, h)
+            assert not (blocked and holds)
+            assert holds or blocked or scale < 1.0
+            self.output_sweep(d, h, rng.standard_normal((n // 2, n)))
+            if scale > 1.0:  # f' against |M|_F^2 at the largest probe
+                lam = eigenvalue_probes(d)[-1]
+                bound = (abs(lam) * np.sqrt(n) + np.linalg.norm(d)) ** 2
+                m = np.hstack([lam * np.eye(n) - d, h])
+                assert bound + np.linalg.norm(h) ** 2 > 1e4 * np.linalg.norm(m) ** 2
+
     @pytest.mark.parametrize("shape", [(2, 3), (16, 20), (64, 68)])
     @pytest.mark.parametrize("dtype", [float, complex])
     def test_screen_is_sound_at_the_rank_threshold(self, shape, dtype):
-        # sigma_1 = 1 and sigma_n at a multiple of the rank rule's cut: the
-        # screen may pass only pencils the SVD ranks full, and it must pass
-        # a well-separated one.
+        # sigma_n at a multiple of the rank rule's cut times sigma_1, for a
+        # real (float) or complex lam, with E = I and E = A: the screen may
+        # pass only pencils the SVD ranks full, and it must pass a
+        # well-separated one.
         n, w = shape
-        rng = np.random.default_rng(n)
-        u = np.linalg.qr(rng.standard_normal((n, n)))[0].astype(dtype)
-        v = np.linalg.qr(rng.standard_normal((w, n)))[0].astype(dtype)
-        if dtype is complex:
-            u = u * np.exp(1j * rng.uniform(0, 2 * np.pi, n))
+        lam = complex(0.7, 0.3 if dtype is complex else 0.0)
         cut = self.tol.rank_rel * w
-        for factor in (0.5, 0.999, 1.001, 2.0, 1e2, 1e4, 1e6):
-            sigma = np.geomspace(1.0, min(1.0, factor * cut), n)
-            m = (u * sigma) @ v.conj().T
-            screened = ctrb._full_row_rank_screen(m, self.tol)
-            if screened:
-                assert rank(m, self.tol) == n
-            if factor <= 1.0:
-                assert not screened
-        assert ctrb._full_row_rank_screen(u @ v.conj().T, self.tol)
+        for output_map in (False, True):
+            rng = np.random.default_rng(n)
+            sigma_1 = np.linalg.svd(
+                ctrb._Pencils(*_designed_pencil(rng, n, w, lam, 0.0, output_map)).at(lam),
+                compute_uv=False,
+            )[0]
+            for factor in (0.5, 0.999, 1.001, 2.0, 1e2, 1e4, 1e6):
+                rng = np.random.default_rng(n)
+                small = min(1.0, factor * cut) * sigma_1
+                pencils = ctrb._Pencils(*_designed_pencil(rng, n, w, lam, small, output_map))
+                m = pencils.at(lam)
+                assert m.shape == shape and np.iscomplexobj(m) == (dtype is complex)
+                sigma = np.linalg.svd(m, compute_uv=False)
+                assert np.isclose(sigma[-1] / sigma[0], min(1.0, factor * cut), rtol=1e-4)
+                screened = ctrb._full_row_rank_screen(pencils, lam, self.tol)
+                if screened:
+                    assert rank(m, self.tol) == n
+                if factor <= 1.0:
+                    assert not screened
+            rng = np.random.default_rng(n)
+            pencils = ctrb._Pencils(*_designed_pencil(rng, n, w, lam, 0.5, output_map))
+            assert ctrb._full_row_rank_screen(pencils, lam, self.tol)
 
     def test_screen_rejects_deficient_and_unscaled_pencils(self):
         rng = np.random.default_rng(7)
+        lam = complex(0.5)
+
+        def pencils(m, e=None):
+            # [lam E - F, G] = m, for E = I or a given E of N columns.
+            cols = len(m) if e is None else e.shape[1]
+            left = lam.real * (np.eye(len(m)) if e is None else e)
+            return ctrb._Pencils(e, left - m[:, :cols], m[:, cols:])
+
         m = rng.standard_normal((12, 15))
-        assert ctrb._full_row_rank_screen(m, self.tol)
+        assert ctrb._full_row_rank_screen(pencils(m), lam, self.tol)
         low = rng.standard_normal((12, 11)) @ rng.standard_normal((11, 15))
         wide = rng.standard_normal((12, 10))
-        for bad in (low, wide, np.zeros((12, 15)), np.vstack([m[:-1], m[:1]])):
-            assert not ctrb._full_row_rank_screen(bad, self.tol)
-        # Underflowing or overflowing Gram products are never screened.
-        assert not ctrb._full_row_rank_screen(m * 1e-160, self.tol)
-        assert not ctrb._full_row_rank_screen(m * 1e160, self.tol)
+        for bad in (low, np.zeros((12, 15)), np.vstack([m[:-1], m[:1]])):
+            assert not ctrb._full_row_rank_screen(pencils(bad), lam, self.tol)
+        assert not ctrb._full_row_rank_screen(
+            pencils(wide, rng.standard_normal((12, 6))), lam, self.tol
+        )
+        # Underflowing or overflowing Gram products are never screened: of
+        # the whole pencil, of an E that a large lam scales back up (the
+        # same pencil, at lam * 1e150), or an overflowing |lam|^2 (the
+        # pencil times 1e15, at lam * 1e160).
+        e = rng.standard_normal((12, 12))
+        f, g = lam.real * e - m[:, :12], m[:, 12:]
+        assert ctrb._full_row_rank_screen(ctrb._Pencils(e, f, g), lam, self.tol)
+        for scale in (1e-160, 1e160):
+            tiny_or_huge = ctrb._Pencils(e * scale, f * scale, g * scale)
+            assert not ctrb._full_row_rank_screen(tiny_or_huge, lam, self.tol)
+        tiny_e = ctrb._Pencils(e * 1e-150, f, g)
+        assert tiny_e.at(lam * 1e150) == pytest.approx(m)
+        assert not ctrb._full_row_rank_screen(tiny_e, lam * 1e150, self.tol)
+        huge_lam = ctrb._Pencils(e * 1e-145, f * 1e15, g * 1e15)
+        assert huge_lam.at(lam * 1e160) == pytest.approx(m * 1e15)
+        assert not ctrb._full_row_rank_screen(huge_lam, lam * 1e160, self.tol)
         assert rank(m * 1e-160, self.tol) == rank(m * 1e160, self.tol) == 12

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings, strategies as st
 
 from sparse_ctrb import (
     DEFAULT_TOLERANCE,
@@ -11,6 +11,7 @@ from sparse_ctrb import (
     rank,
 )
 from sparse_ctrb.linalg import (
+    _clusters,
     core_nilpotent,
     eigenvalues,
     extend_to_basis,
@@ -91,6 +92,60 @@ class TestEigenvalues:
         scale = max(1.0, float(np.linalg.norm(d, 2)))
         for p in eigenvalue_probes(d):
             assert min(abs(p - lam) for lam in w) <= 5e-3 * scale
+
+
+def _greedy_clusters(values, radius):
+    """The greedy clustering that compares each value with every cluster,
+    the reference ``linalg._clusters`` must match bit for bit."""
+    clusters = []  # [sum, count]
+    for v in values:
+        for c in clusters:
+            if abs(v - c[0] / c[1]) <= radius:
+                c[0] += v
+                c[1] += 1
+                break
+        else:
+            clusters.append([v, 1])
+    return [(c[0] / c[1], c[1]) for c in clusters]
+
+
+@st.composite
+def ladder_spectra(draw):
+    """``(values, radius)``: a spectrum sorted as ``eigenvalues`` sorts it,
+    and a radius of the probe ladder.  Values sit near a few centres on a
+    lattice of the radius, at offsets just under, at and just over it, so
+    clusters tie and chain; complex ones come in conjugate pairs, and 0 and
+    the radius itself lie exactly the radius apart."""
+    step = draw(st.sampled_from((1e-8, 1e-6, 1e-4, 1e-3)))
+    radius = step * draw(st.sampled_from((1.0, 3.0, 128.0))) if step > 1e-8 else step
+    origin = draw(st.sampled_from((0.0, 0.3, -5.0, 100.0)))
+    near = st.sampled_from((0.0, 0.5, 1 - 1e-12, 1.0, 1 + 1e-12, 1.5, 2.0))
+    sign = st.sampled_from((-1.0, 1.0))
+    values = [0.0, radius]
+    for _ in range(draw(st.integers(1, 5))):
+        centre = complex(draw(st.integers(-6, 6)), draw(st.integers(0, 3)))
+        for _ in range(draw(st.integers(1, 5))):
+            offset = complex(draw(sign) * draw(near), draw(sign) * draw(near))
+            values.append(origin + radius * (centre + offset))
+    values = np.array(values + [v.conjugate() for v in values if v.imag], complex)
+    return values[np.lexsort((values.imag, values.real))], radius
+
+
+def _bits(clusters):
+    return [(float(m.real).hex(), float(m.imag).hex(), size) for m, size in clusters]
+
+
+class TestClusters:
+    @settings(max_examples=300)
+    @given(ladder_spectra())
+    def test_matches_the_scan_over_every_cluster(self, spectrum):
+        values, radius = spectrum
+        assert _bits(_clusters(values, radius)) == _bits(_greedy_clusters(values, radius))
+
+    def test_value_exactly_the_radius_from_a_mean_joins_it(self):
+        values = np.array([0.0, 1e-4, 2e-4 + 1e-12], complex)
+        assert [size for _, size in _clusters(values, 1e-4)] == [2, 1]
+        assert _bits(_clusters(values, 1e-4)) == _bits(_greedy_clusters(values, 1e-4))
 
 
 class TestMinPolyDegree:
