@@ -23,8 +23,8 @@ mismatch:
   eigenvalues of the largest block) is a mismatch: it would make the
   steering bound q * ceil(S*/s) invalid.  Float q above it only loosens the
   bound; each size reports how many systems it overcounts.  The exact
-  route's q (``min_poly_degree_exact``, integer elimination) must equal the
-  exact q of the Jordan structure on every one of these systems.  The core
+  route's q (``min_poly_degree_exact``, certified modulo a prime) must equal
+  the exact q of the Jordan structure on every one of these systems.  The core
   dimension r of ``decompose`` is not checked: ``linalg.core_nilpotent`` is
   known to fold eigenvalues into its nilpotent part.
 

@@ -8,12 +8,18 @@ holds the system, with D and H converted once when it is built, and the
 decisions and bounds are written once, in ``ctrb``, ``bounds`` and
 ``oracle``, against either span.  Its one elimination is ``extend``, a span
 of pivot-reduced integer vectors grown column by column by fraction-free
-steps; ranks, the rank condition (in exact arithmetic the eigenvalue rank
-condition is equivalent to Kalman rank N, so no algebraic eigenvalues are
-needed) and the minimal-polynomial degree all grow such a span.  The
-``*_exact`` functions run the shared code with this span.  Intended for
-fixture pinning and the CLI ``--rational`` mode; the entries of D^k grow
-with k, so cost grows faster with dimension than on the float route.
+steps; ranks and the rank condition (in exact arithmetic the eigenvalue
+rank condition is equivalent to Kalman rank N, so no algebraic eigenvalues
+are needed) grow such a span.  The minimal-polynomial degree q comes from a
+modular pass certified by one integer identity: the powers I, D, ... that
+are independent modulo a fixed prime are independent over Q, and the monic
+relation found mod p, lifted and checked exactly, bounds q from above (N
+independent powers need no relation, as q <= N).  When the pass cannot
+certify q, the fraction-free elimination of vec(I), vec(D), ... decides it.
+The ``*_exact`` functions run the shared code with this span.  Intended for
+fixture pinning and the CLI ``--rational`` mode; the eliminated vectors and
+their integers grow with N, so cost grows faster with dimension than on the
+float route.
 """
 
 from __future__ import annotations
@@ -22,6 +28,8 @@ import functools
 import math
 import operator
 from fractions import Fraction
+
+import numpy as np
 
 from .bounds import _s_star
 from .ctrb import (
@@ -54,12 +62,20 @@ def to_fractions(arr):
 
 def _integers(arr):
     """``to_fractions(arr)`` times the lcm of its denominators, as int rows:
-    the same ranks and dependences."""
-    rows = to_fractions(arr)
-    scale = math.lcm(*(x.denominator for row in rows for x in row))
-    return tuple(
-        tuple(x.numerator * (scale // x.denominator) for x in row) for row in rows
-    )
+    the same ranks and dependences.  Each entry's ``as_integer_ratio`` is
+    read directly (object dtype keeps Python ints and Fractions exact);
+    entries without one, such as numpy integer scalars in a list, go
+    through ``Fraction``, and their numerators become Python ints."""
+    rows = np.asarray(arr, dtype=object).tolist()
+    try:
+        ratios = [[x.as_integer_ratio() for x in row] for row in rows]
+    except AttributeError:
+        ratios = [
+            [(int(f.numerator), f.denominator) for f in map(Fraction, row)]
+            for row in rows
+        ]
+    scale = math.lcm(*(q for row in ratios for _, q in row))
+    return tuple(tuple(p * (scale // q) for p, q in row) for row in ratios)
 
 
 def _matmul(a, b):
@@ -99,8 +115,82 @@ def _stalled_dim(blocks):
         dim = grown
 
 
+# A prime below 2^31, so that a product of two residues fits in int64.
+_PRIME = 2**31 - 1
+# Bound on every int64 magnitude the identity check forms, sums included.
+_INT64_SAFE = 2**62
+
+
+def _mulmod(a, b):
+    """``a @ b`` mod p for residue matrices; splitting ``b`` at 2^16 keeps
+    every sum of products below 2^63 while N < 2^15."""
+    high, low = np.divmod(b, 1 << 16)
+    return ((a @ high % _PRIME << 16) + a @ low) % _PRIME
+
+
+def _certified_degree(d):
+    """q of the integer matrix ``d`` from one pass modulo ``_PRIME``, or None
+    when the pass cannot certify it.
+
+    vec(D^k) mod p is eliminated against the earlier powers, carrying its
+    coordinates over I, ..., D^k.  Powers independent mod p have a nonzero
+    minor mod p, a nonzero integer, so q >= k while they stay independent,
+    and N of them give q = N (Cayley-Hamilton).  At the first dependent
+    k < N, the coordinates lifted to (-p/2, p/2) are a monic relation of
+    degree k; when it holds exactly, q = k.  D^k is formed exactly in int64
+    while the largest row-abs-sum of D times max|D^(k-1)| is below 2^62,
+    and mod p after that, which only a relation needs.
+    """
+    n = len(d)
+    growth = max(sum(map(abs, row)) for row in d)
+    # D in int64 is used only while growth * max|D^(k-1)| < 2^62
+    d64 = np.array(d, dtype=np.int64) if growth < _INT64_SAFE else None
+    d_mod = np.array([[x % _PRIME for x in row] for row in d], dtype=np.int64)
+    powers, sizes, pivots = [np.eye(n, dtype=np.int64)], [1], []
+    for k in range(n):
+        if not k:
+            residue = powers[0]
+        elif len(powers) == k and growth * sizes[-1] < _INT64_SAFE:
+            powers.append(d64 @ powers[-1])
+            sizes.append(int(np.abs(powers[-1]).max()))
+            residue = powers[-1] % _PRIME
+        else:
+            residue = _mulmod(d_mod, residue)
+        # vec(D^k) mod p, then its coordinates over I, ..., D^(n-1): e_k
+        v = np.concatenate([residue.ravel(), np.arange(n) == k])
+        for idx, p in pivots:
+            if v[idx]:
+                v = (v - v[idx] * p) % _PRIME
+        nonzero = np.flatnonzero(v[: n * n])
+        if not nonzero.size:
+            coords = v[n * n : n * n + k]
+            lifted = np.where(coords > _PRIME // 2, coords - _PRIME, coords)
+            return k if _is_relation(powers, sizes, lifted) else None
+        idx = nonzero[0]
+        pivots.append((idx, v * pow(int(v[idx]), -1, _PRIME) % _PRIME))
+    return n
+
+
+def _is_relation(powers, sizes, coefficients):
+    """Whether D^k + sum_i c_i D^i = 0 for k = len(c), given the exact
+    powers D^0, D^1, ... and their largest magnitudes: False when D^k was
+    not formed or max|D^k| + sum_i |c_i| max|D^i| >= 2^62 (int64 could not
+    hold the sum)."""
+    k = len(coefficients)
+    if len(powers) <= k:
+        return False
+    terms = zip(coefficients.tolist(), sizes)
+    if sizes[k] + sum(abs(c) * size for c, size in terms) >= _INT64_SAFE:
+        return False
+    return not (powers[k] + np.tensordot(coefficients, powers[:k], 1)).any()
+
+
 def _min_poly_degree(d):
-    """Number of powers I, D, D^2, ... before the first dependent one."""
+    """Number of powers I, D, D^2, ... before the first dependent one: the
+    modular pass's certified answer, else the integer elimination's."""
+    q = _certified_degree(d)
+    if q is not None:
+        return q
     n = len(d)
     identity = tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
     return _stalled_dim(
@@ -117,6 +207,8 @@ class _ExactSpan:
     each of them, and each ``matmul``, holds its matrix up to a nonzero
     scale.  The running span is a list of pivot-reduced integer vectors, so
     its dimension is exact and a leaf of the schedule search needs no re-check.
+    ``min_poly_degree`` is certified modulo a prime where it can be, and
+    eliminated otherwise (see ``_min_poly_degree``).
     """
 
     what = "exact schedule search"

@@ -1,3 +1,4 @@
+import math
 import time
 from fractions import Fraction
 from unittest import mock
@@ -29,6 +30,7 @@ from sparse_ctrb import (
     common_support_exact,
 )
 from sparse_ctrb import exact
+from sparse_ctrb.bounds import _kstar_bounds
 from sparse_ctrb.exact import _ExactSpan, _integers, min_poly_degree_exact, to_fractions
 from tests.conftest import (
     NEAR_DEFECTIVE,
@@ -147,12 +149,187 @@ class TestIntegerSpan:
         assert all(type(x) is int for _, v in pivots for x in v)
 
     def test_near_defective_min_poly_degree_is_fast(self):
-        # N = 24, |D| in the thousands: about 0.1 s on a 2-vCPU host, against
-        # 2 s with Fraction elimination.
+        # N = 24, |D| in the thousands: about 3 ms on a 2-vCPU host by the
+        # modular pass, against 0.1 s by the integer elimination and 2 s
+        # with Fraction elimination.
         (sys,) = [s for s in NEAR_DEFECTIVE if s.n_states == 24]
         started = time.monotonic()
         assert min_poly_degree_exact(sys.D) == 22
         assert time.monotonic() - started < 1
+
+
+RATIONALS = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([-0.0, 5e-324, -2.2250738585072014e-308, 1.7976931348623157e308]),
+    st.integers(-(2**80), 2**80),
+    st.fractions(),
+)
+
+
+def _matrices(entries):
+    return st.integers(1, 3).flatmap(
+        lambda n: st.lists(
+            st.lists(entries, min_size=n, max_size=n), min_size=1, max_size=3
+        )
+    )
+
+
+def _lcm_scaled(arr):
+    """The reference: ``to_fractions(arr)`` times the lcm of its
+    denominators."""
+    rows = to_fractions(arr)
+    scale = math.lcm(*(x.denominator for row in rows for x in row))
+    return tuple(
+        tuple(x.numerator * (scale // x.denominator) for x in row) for row in rows
+    )
+
+
+class TestIntegers:
+    @given(_matrices(RATIONALS))
+    def test_mixed_rows_match_fractions(self, rows):
+        got = _integers(rows)
+        assert got == _lcm_scaled(rows)
+        assert all(type(x) is int for row in got for x in row)
+
+    @given(_matrices(st.floats(allow_nan=False, allow_infinity=False)))
+    def test_float_arrays_match_fractions(self, rows):
+        arr = np.array(rows, dtype=float)
+        assert _integers(arr) == _lcm_scaled(arr)
+
+    @given(_matrices(st.integers(-(2**62), 2**62)), st.booleans())
+    def test_numpy_integers_match_fractions(self, rows, scalars):
+        # An int64 array, or a list of numpy integer scalars, which have no
+        # ``as_integer_ratio``.
+        arr = np.array(rows, dtype=np.int64)
+        if scalars:
+            arr = [list(row) for row in arr]
+        got = _integers(arr)
+        assert got == _lcm_scaled(arr)
+        assert all(type(x) is int for row in got for x in row)
+
+    def test_non_finite_raises_as_fraction_does(self):
+        for bad, error in ((float("inf"), OverflowError), (float("nan"), ValueError)):
+            with pytest.raises(error):
+                _integers(np.array([[1.0, bad]]))
+
+
+def _count_calls(monkeypatch, name):
+    """A list that grows by one at each call of ``exact.<name>``."""
+    calls, real = [], getattr(exact, name)
+    monkeypatch.setattr(exact, name, lambda *args: calls.append(args) or real(*args))
+    return calls
+
+
+def _sparse_integer(seed, n, density=0.15):
+    rng = np.random.default_rng(seed)
+    return (rng.integers(-2, 3, (n, n)) * (rng.random((n, n)) < density)).astype(float)
+
+
+class TestCertifiedDegree:
+    """q from the pass modulo a prime (``exact._certified_degree``) against
+    the integer elimination it falls back to."""
+
+    @given(
+        st.one_of(
+            st.integers(1, 6).flatmap(lambda n: int_matrix(n, n, -3, 3)),
+            jordan_systems(max_n=12).map(lambda s: s.D),
+        )
+    )
+    def test_matches_elimination(self, d):
+        d = _integers(d)
+        with mock.patch.object(exact, "_certified_degree", lambda d: None):
+            eliminated = exact._min_poly_degree(d)
+        assert exact._certified_degree(d) == eliminated
+
+    @given(
+        st.integers(1, 4).flatmap(
+            lambda n: st.lists(
+                st.lists(
+                    st.one_of(st.integers(0, exact._PRIME - 1), st.just(exact._PRIME - 1)),
+                    min_size=n,
+                    max_size=n,
+                ),
+                min_size=2 * n,
+                max_size=2 * n,
+            )
+        )
+    )
+    def test_mulmod_matches_integer_product(self, rows):
+        n = len(rows) // 2
+        a, b = rows[:n], rows[n:]
+        want = [
+            [sum(a[i][t] * b[t][j] for t in range(n)) % exact._PRIME for j in range(n)]
+            for i in range(n)
+        ]
+        got = exact._mulmod(np.array(a, dtype=np.int64), np.array(b, dtype=np.int64))
+        assert got.tolist() == want
+
+    def test_relation_declines_a_sum_past_int64(self):
+        # 2^32 * 2^32 wraps to 0 in int64: a false identity without the bound
+        powers = [
+            np.eye(2, dtype=np.int64),
+            2**32 * np.eye(2, dtype=np.int64),
+            np.zeros((2, 2), dtype=np.int64),
+        ]
+        coefficients = np.array([0, 2**32], dtype=np.int64)
+        assert not exact._is_relation(powers, [1, 2**32, 0], coefficients)
+        assert exact._is_relation(powers[:2], [1, 2**32], np.array([-(2**32)]))
+
+    @pytest.mark.parametrize(
+        "d, q",
+        [
+            (NEAR_DEFECTIVE[0].D, 16),
+            (NEAR_DEFECTIVE[1].D, 22),
+            (_sparse_integer(3, 32), 31),
+            # D^k leaves int64 at this size: powers mod p only, and
+            # Cayley-Hamilton in place of the identity
+            (_sparse_integer(5, 48), 48),
+            # q = N needs no identity, so neither the overflow bound nor the
+            # lift past p/2 (constant term 3e9) stops these
+            (np.array([[2.0**35, 1], [0, 3]]), 2),
+            (np.diag([50000.0, 60000.0]), 2),
+        ],
+        ids=[
+            "near-defective-20",
+            "near-defective-24",
+            "sparse-32",
+            "sparse-48",
+            "beyond-int64-full",
+            "past-half-prime-full",
+        ],
+    )
+    def test_certified_without_elimination(self, monkeypatch, d, q):
+        calls = _count_calls(monkeypatch, "_reduce")
+        assert min_poly_degree_exact(d) == q
+        assert not calls
+
+    def test_exact_bounds_at_n48_are_fast(self):
+        # Relaxed bounds of a sparse +-2 system with N = 48 and q = N: about
+        # 0.1 s on a 2-vCPU host, against 8 s when the elimination decided q.
+        d = _sparse_integer(5, 48)
+        h = np.random.default_rng(5).integers(-2, 3, (48, 3)).astype(float)
+        started = time.monotonic()
+        got = _kstar_bounds(_ExactSpan(SystemModel(D=d, H=h)), "relaxed", 1)
+        assert (got.lower, got.upper, got.q) == (48, 48, 48)
+        assert time.monotonic() - started < 2
+
+    @pytest.mark.parametrize(
+        "d",
+        [
+            # D^2 would pass 2^62: no exact identity for q = 2 < N
+            [[2**35, 1, 0], [0, 3, 0], [0, 0, 3]],
+            # the constant term 3e9 of (x - 50000)(x - 60000) exceeds p/2, so
+            # the lifted relation is not an identity
+            [[50000, 0, 0], [0, 60000, 0], [0, 0, 60000]],
+        ],
+        ids=["beyond-int64", "past-half-prime"],
+    )
+    def test_falls_back_to_elimination(self, monkeypatch, d):
+        calls = _count_calls(monkeypatch, "_reduce")
+        assert exact._certified_degree(d) is None
+        assert not calls
+        assert min_poly_degree_exact(np.array(d, dtype=float)) == 2
+        assert calls
 
 
 class TestExactDecisions:

@@ -681,9 +681,9 @@ class TestCliReports:
     def test_rational_run_converts_each_matrix_once(self, capsys, monkeypatch):
         # The exact span converts D and H when the CLI builds it, once per
         # run; the guard, S* and the bounds take them from the span.
-        convert, calls = exact.to_fractions, []
+        convert, calls = exact._integers, []
         monkeypatch.setattr(
-            exact, "to_fractions", lambda arr: calls.append(arr) or convert(arr)
+            exact, "_integers", lambda arr: calls.append(arr) or convert(arr)
         )
         path = str(FIXTURES / "no-common-support.json")
         run_cli(capsys, "bounds", path, "--variant", "sparse", "-s", "1", "--rational")
