@@ -18,9 +18,12 @@ float and exact minimal-polynomial degrees of D.  For every K up to N*ceil(L/s),
 arithmetics, the matroid-intersection r*(K) must be the best rank of the
 depth-first search alone: it reaches r*(K) and not r*(K)+1 (on the sparse
 sample, unless that search runs out of its budget; counted); and the
-schedule of ``greedy_support_schedule`` must have exact rank r*(K).  The
-summary counts the (arithmetic, K) pairs that the oracle's pre-check by the
-paper's rank inequality rules out, and those that the kernel's cut does.
+schedule of ``greedy_support_schedule`` must have exact rank r*(K).  In
+each arithmetic, once a K > N is ruled out by the rank of all blocks or by
+the paper's inequality (where the oracle's walk closes), every later K must
+be ruled out by one of the two, with r*(K) below N.  The summary counts the
+(arithmetic, K) pairs that the oracle's pre-check by the paper's rank
+inequality rules out, and those that the kernel's cut does.
 Exits non-zero when a mismatch is found.
 
 Usage:
@@ -62,6 +65,7 @@ from sparse_ctrb.oracle import (
     _Counter,
     _descending_blocks,
     _ruled_out,
+    _SETTLED,
     _supports_of,
     _within_reach,
 )
@@ -155,11 +159,13 @@ def rstar_mismatches(sys_, s, sparse, unchecked, cuts):
     that pass its pre-checks and the kernel's cut rules out; the search's
     own pre-check stays the cut-free ``_within_reach``.  On the ``sparse``
     sample a K where the search runs out of ``SEARCH_BUDGET`` extensions
-    goes to ``unchecked`` instead."""
+    goes to ``unchecked`` instead.  After an arithmetic's closing K, the
+    first K > N that the rank of all blocks or the inequality rules out, a
+    K with r*(K) = N or ruled otherwise is a mismatch too."""
     l, n = sys_.n_inputs, sys_.n_states
     supports = list(itertools.combinations(range(l), s))
     horizon = n * math.ceil(l / s)
-    found = []
+    found, closing = [], {}
     budget = OracleBudget(max_enumerations=SEARCH_BUDGET) if sparse else OracleBudget()
     float_span, exact_span = _FloatSpan(sys_, DEFAULT_TOLERANCE), _ExactSpan(sys_)
     problems = zip(
@@ -184,6 +190,13 @@ def rstar_mismatches(sys_, s, sparse, unchecked, cuts):
             r_star = span.leaf_rank(len(inside), blocks, _supports_of(inside, k))
             if name == "exact":
                 exact_r_star = r_star
+            if name in closing and (r_star >= n or ruling not in _SETTLED):
+                found.append(
+                    f"{name} K={k}: past the closing K={closing[name]}, "
+                    f"r*={r_star} and ruled out by {ruling}"
+                )
+            if k > n and ruling in _SETTLED:
+                closing.setdefault(name, k)
             try:
                 reached = [
                     reaches(blocks, caps, supports, t, span, budget)
@@ -287,8 +300,9 @@ def main(argv=None):
     print(
         "float and exact decision tests, q, float oracle and exact oracle "
         "agree on every pair, every witness checked is the search's first "
-        "schedule at K*, and r*(K) is the search's best rank and the "
-        "steering schedule's rank at every K checked"
+        "schedule at K*, r*(K) is the search's best rank and the "
+        "steering schedule's rank at every K checked, and every K past a "
+        "closing K is ruled out by the rank or the inequality pre-check"
     )
     return 0
 

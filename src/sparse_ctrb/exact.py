@@ -55,25 +55,34 @@ __all__ = [
 ]
 
 
+def _ratios(arr):
+    """The rows of a 2-D array as ``(p, q)`` pairs, each entry being p/q.
+    Object dtype turns the scalars of a numpy array into Python numbers.
+    Entries without ``as_integer_ratio``, such as numpy integer scalars in a
+    list, are integers, and ``int`` converts them, as numpy integer
+    arithmetic wraps."""
+    rows = np.asarray(arr, dtype=object).tolist()
+    try:
+        return [[x.as_integer_ratio() for x in row] for row in rows]
+    except AttributeError:
+        return [
+            [x.as_integer_ratio() if hasattr(x, "as_integer_ratio") else (int(x), 1)
+             for x in row]
+            for row in rows
+        ]
+
+
 def to_fractions(arr):
-    """Exact conversion of a 2-D array of finite floats/ints to Fractions."""
-    return tuple(tuple(Fraction(x) for x in row) for row in arr)
+    """Exact conversion of a 2-D array of finite numbers to Fractions whose
+    numerators and denominators are Python ints, whatever the input type."""
+    rows = _ratios(arr)
+    return tuple(tuple(Fraction(int(p), int(q)) for p, q in row) for row in rows)
 
 
 def _integers(arr):
     """``to_fractions(arr)`` times the lcm of its denominators, as int rows:
-    the same ranks and dependences.  Each entry's ``as_integer_ratio`` is
-    read directly (object dtype keeps Python ints and Fractions exact);
-    entries without one, such as numpy integer scalars in a list, go
-    through ``Fraction``, and their numerators become Python ints."""
-    rows = np.asarray(arr, dtype=object).tolist()
-    try:
-        ratios = [[x.as_integer_ratio() for x in row] for row in rows]
-    except AttributeError:
-        ratios = [
-            [(int(f.numerator), f.denominator) for f in map(Fraction, row)]
-            for row in rows
-        ]
+    the same ranks and dependences."""
+    ratios = _ratios(arr)
     scale = math.lcm(*(q for row in ratios for _, q in row))
     return tuple(tuple(p * (scale // q) for p, q in row) for row in ratios)
 

@@ -16,6 +16,9 @@ reads r*(K) off it, and ``_min_k`` walks up to the horizon N * ceil(L/s)
 (stated at ``_min_k``), skipping a K that its pre-checks rule out, in
 order: the capacities, the rank of all blocks, and the paper's rank
 inequality as a cut (``_ruled_out``), or the kernel's weak-duality bound.
+The walk closes early: past K = N the last two pre-checks no longer change
+(Cayley-Hamilton), so the first K > N that one of them rules out settles
+every later K, and the search ends there with a null.
 The same kernel certifies the witness, the lexicographically first
 schedule reaching the target rank, one position at a time
 (``_first_schedule``).  State and output targets, float and exact
@@ -175,6 +178,10 @@ def _within_reach(blocks, caps, target, span):
     return sum(caps) >= target and span.ranks(blocks)[1] >= target
 
 
+# The pre-checks of ``_ruled_out`` that, past K = N, rule out every later K.
+_SETTLED = ("rank", "inequality")
+
+
 def _ruled_out(blocks, caps, s, l, target, span):
     """The pre-check that rules out a K before the kernel runs, or None.
 
@@ -184,7 +191,14 @@ def _ruled_out(blocks, caps, s, l, target, span):
     lies in range(D) (in A range(D) for output targets), so a schedule
     reaches at most rank(U) + s with U those columns: the bound of
     ``_blocked`` on this fixed U.  ``span.ranks`` reads rank(U) and the
-    rank of all blocks off one elimination."""
+    rank of all blocks off one elimination.
+
+    The closure rule (``_SETTLED``): by Cayley-Hamilton the blocks span the
+    whole Krylov space of (D, H) once K >= N (times A for output targets),
+    and U, which is D (or A D) times the first K - 1 powers' span, is fixed
+    once K >= N + 1.  The capacities only grow.  So in exact arithmetic a
+    K > N ruled out by ``"rank"`` or ``"inequality"`` has every later K
+    ruled out by the same pre-check."""
     if sum(caps) < target:
         return "capacity"
     below, rank = span.ranks(blocks)
@@ -334,13 +348,19 @@ def _first_schedule(blocks, caps, s, l, target, span, counter, inside, referee):
 def _walk(span, s, output, k_max, counter, skip=None):
     """``(k, blocks, caps, inside, cut)`` of ``_common_independent`` at each
     K = 1..k_max that ``skip(k, blocks, caps)`` does not name, checking the
-    deadline at every K; the last set, one block down, seeds the next."""
-    l, inside = span.sys.n_inputs, []
+    deadline at every K; the last set, one block down, seeds the next.  The
+    walk ends at the first K > N that ``skip`` names a ``_SETTLED``
+    pre-check (``"rank"`` or ``"inequality"``): by the closure rule of
+    ``_ruled_out`` it would name one at every later K as well."""
+    l, n, inside = span.sys.n_inputs, span.sys.n_states, []
     problems = _descending_blocks(span, s, output, k_max)
     for k, (blocks, caps) in enumerate(problems, start=1):
         counter.check(k)
         inside = [(d + 1, j) for d, j in inside]
-        if skip is not None and skip(k, blocks, caps):
+        ruling = skip and skip(k, blocks, caps)
+        if k > n and ruling in _SETTLED:
+            return
+        if ruling:
             continue
         inside, cut = _common_independent(blocks, s, l, span, counter, k, inside)
         yield k, blocks, caps, inside, cut
@@ -371,7 +391,19 @@ def _min_k(span, s, budget, output=False, first_k=1):
     search that finds nothing is inconclusive, and so, at once, is an
     ill-posed K: a leaf whose span reaches N but not its ``leaf_rank`` (a
     witness past it is not robust), a certified prefix without a witness,
-    or a short set with an uncertified cut."""
+    or a short set with an uncertified cut.
+
+    The walk may close before ``max_k``: at the first K > N that the rank
+    of all blocks or the paper's inequality rules out, every later K up to
+    ``max_k`` is ruled out the same way (the closure rule of
+    ``_ruled_out``), so the search goes on as after ``max_k`` itself: the
+    closing referee call runs, and the result is ``(None, None, max_k)``.
+    The argument is exact.  Past K = N, new columns add nothing in exact
+    arithmetic, so a later rise in the float span's unit-column count is
+    rounding.  In float, the search therefore no longer looks for a witness
+    at a K whose columns exact arithmetic puts in the closed space; under
+    the default horizon and a state target, a float null that contradicts
+    a passed sparse test still goes to the referee."""
     sys = span.sys
     if output:
         _require_output_map(sys)

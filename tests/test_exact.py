@@ -80,6 +80,22 @@ class TestRankExact:
         assert arr[0][1] == Fraction(1, 4)
         assert arr[1][1] == Fraction(-2)
 
+    @pytest.mark.parametrize("scalars", [False, True], ids=["int64-array", "numpy-scalars"])
+    def test_to_fractions_holds_python_ints(self, scalars):
+        # Fraction keeps a numpy integer as its numerator, and numpy integer
+        # arithmetic wraps: 2**62 * 4 would be 0.
+        arr = np.array([[2**62, -3], [7, 0]], dtype=np.int64)
+        if scalars:
+            arr = [list(row) + [np.float32(0.5)] for row in arr]
+        got = to_fractions(arr)
+        assert got[0][0] * 4 == 2**64
+        assert [[int(x) for x in row[:2]] for row in got] == [[2**62, -3], [7, 0]]
+        assert all(
+            type(x.numerator) is int and type(x.denominator) is int
+            for row in got
+            for x in row
+        )
+
 
 def _fraction_reduce(pivots, v):
     """The rational elimination that the integer one must match: ``v`` less

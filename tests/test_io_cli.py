@@ -459,6 +459,42 @@ class TestCliExitCodes:
         assert report["result"]["max_k_searched"] == 12
 
     @pytest.mark.parametrize("rational", [False, True], ids=["float", "rational"])
+    @pytest.mark.parametrize(
+        "a, mode",
+        [(None, "state"), ([[1, 0, 0], [0, 0, 1]], "output")],
+        ids=["state", "output"],
+    )
+    def test_blocked_walk_closes_past_n(
+        self, capsys, tmp_path, monkeypatch, a, mode, rational
+    ):
+        # The blocks' rank stalls at 2 of 3 from K = 2 (output rank 1 of 2),
+        # so the first K > N = 3 that the rank pre-check rules out settles
+        # every later K: the walk ends at K = 4, not at --max-k 3000.
+        path = tmp_path / "stalled.json"
+        sys = SystemModel(
+            D=np.diag([1.0, -1.0, 0.5]),
+            H=np.array([[1.0], [1.0], [0.0]]),
+            A=None if a is None else np.array(a, float),
+        )
+        save_system(path, sys, name="stalled")
+        rulings = []
+
+        def counting(*args):
+            rulings.append(ruled_out(*args))
+            return rulings[-1]
+
+        ruled_out = oracle._ruled_out
+        monkeypatch.setattr(oracle, "_ruled_out", counting)
+        argv = ["oracle", str(path), "-s", "1", "--max-k", "3000", "--mode", mode]
+        code, out, err = run_cli(capsys, *argv, *(["--rational"] if rational else []))
+        assert code == 0, err
+        report = json.loads(out)
+        assert report["result"]["k_star"] is None
+        assert report["result"]["max_k_searched"] == 3000
+        assert len(rulings) <= sys.n_states + 1
+        assert rulings[-1] == "rank"
+
+    @pytest.mark.parametrize("rational", [False, True], ids=["float", "rational"])
     @pytest.mark.parametrize("width", [None, 32], ids=["fixture", "f3-wide"])
     def test_inequality_cut_skips_the_kernel(
         self, capsys, tmp_path, monkeypatch, width, rational

@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import example, given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from sparse_ctrb import (
     BudgetExceededError,
@@ -37,6 +37,7 @@ from sparse_ctrb.oracle import (
     _descending_blocks,
     _first_schedule,
     _ruled_out,
+    _SETTLED,
     _supports_of,
     _within_reach,
 )
@@ -362,6 +363,35 @@ class TestCommonIndependent:
         for blocks, caps in problems:
             if _ruled_out(blocks, caps, s, l, target, span) is not None:
                 assert _best_schedule(blocks, caps, supports, target, span, counter) is None
+
+    @pytest.mark.parametrize("span_of", SPANS, ids=["float", "exact"])
+    @pytest.mark.parametrize("output", [False, True], ids=["state", "output"])
+    @settings(max_examples=100)
+    @given(small_systems(max_n=6, with_output=True), st.integers(1, 2), st.integers(0, 6))
+    @example(inequality_blocked_output(), 1, 4)
+    @example(
+        SystemModel(
+            D=np.diag([1.0, -1.0, 0.5]), H=np.array([[1.0], [1.0], [0.0]]), A=np.eye(3)[[0, 2]]
+        ),
+        1,
+        3,
+    )
+    def test_settled_precheck_rules_out_every_later_k(self, span_of, output, sys, s, kept):
+        # The closure rule of _ruled_out, which ends the oracle's walk: after
+        # the first K > N that the rank of all blocks or the paper's
+        # inequality rules out, every K up to twice the horizon is ruled out
+        # by one of the two.  D keeps its first ``kept`` rows, as above.
+        n, l = sys.n_states, sys.n_inputs
+        d = np.vstack([sys.D[:kept], np.zeros((max(n - kept, 0), n))])
+        sys, s = SystemModel(D=d, H=sys.H, A=sys.A), min(s, l)
+        target = sys.n_outputs if output else n
+        span = span_of(sys)
+        problems = _descending_blocks(span, s, output, 2 * n * math.ceil(l / s))
+        closed = False
+        for k, (blocks, caps) in enumerate(problems, start=1):
+            ruling = _ruled_out(blocks, caps, s, l, target, span)
+            assert not closed or ruling in _SETTLED, (k, ruling)
+            closed = closed or (k > n and ruling in _SETTLED)
 
     def test_spread_powers_keep_exact_rstar(self):
         # System 1650 of the equivalence sweep: at K = 19 the cold kernel's
