@@ -14,7 +14,10 @@ first schedule at its K* of the exhaustive depth-first search kept in
 runs out of its budget; counted).  The float and exact decision tests
 (``sparse_pbh_test`` against ``sparse_controllable_exact``: verdict, rank
 condition and slack) must agree as well, and so, once per system, must the
-float and exact minimal-polynomial degrees of D.  For every K up to N*ceil(L/s), in both
+float and exact minimal-polynomial degrees of D.  In each arithmetic the
+verdict-only test (``ctrb._sparse_verdict``) must give the report's verdict,
+and the span's witness-free ``holds`` its rank condition.  For every K up
+to N*ceil(L/s), in both
 arithmetics, the matroid-intersection r*(K) must be the best rank of the
 depth-first search alone: it reaches r*(K) and not r*(K)+1 (on the sparse
 sample, unless that search runs out of its budget; counted); and the
@@ -56,7 +59,7 @@ from sparse_ctrb import (
     sparse_controllable_exact,
     sparse_pbh_test,
 )
-from sparse_ctrb.ctrb import _FloatSpan
+from sparse_ctrb.ctrb import _FloatSpan, _sparse_verdict
 from sparse_ctrb.exact import _ExactSpan, min_poly_degree_exact
 from sparse_ctrb.linalg import DEFAULT_TOLERANCE
 from sparse_ctrb.oracle import (
@@ -98,6 +101,22 @@ def sample_systems(count, seed, max_n, max_l, magnitude, sparse=False):
         seen.add(key)
         systems.append(SystemModel(D=d.astype(float), H=h.astype(float)))
     return systems
+
+
+def witness_free_mismatches(sys_, s, reports):
+    """One line for each arithmetic whose verdict-only test or witness-free
+    ``holds`` differs from its report; ``reports`` maps ``"float"`` and
+    ``"exact"`` to the report's (verdict, rank condition)."""
+    found = []
+    for name, span in (
+        ("float", _FloatSpan(sys_, DEFAULT_TOLERANCE)), ("exact", _ExactSpan(sys_))
+    ):
+        got = (_sparse_verdict(span, s), span.holds())
+        if got != reports[name]:
+            found.append(
+                f"{name} verdict-only test and holds {got}, report {reports[name]}"
+            )
+    return found
 
 
 def witness_mismatches(sys_, s, witnesses, sparse, unchecked):
@@ -252,6 +271,9 @@ def main(argv=None):
                 mismatches.append(
                     (idx, s, f"decision={float_test}, exact decision={exact_test}")
                 )
+            reports = {"float": float_test[:2], "exact": exact_test[:2]}
+            for what in witness_free_mismatches(sys_, s, reports):
+                mismatches.append((idx, s, what))
             verdict = rep.verdict
             horizon = sys_.n_states * math.ceil(sys_.n_inputs / s)
             sparse = idx >= args.count
@@ -299,8 +321,9 @@ def main(argv=None):
         return 1
     print(
         "float and exact decision tests, q, float oracle and exact oracle "
-        "agree on every pair, every witness checked is the search's first "
-        "schedule at K*, r*(K) is the search's best rank and the "
+        "agree on every pair, the verdict-only test and the witness-free "
+        "rank condition agree with each report, every witness checked is "
+        "the search's first schedule at K*, r*(K) is the search's best rank and the "
         "steering schedule's rank at every K checked, and every K past a "
         "closing K is ruled out by the rank or the inequality pre-check"
     )

@@ -69,7 +69,7 @@ def _ceil_frac(num: int, den: int) -> int:
 
 def _s_star(span, max_size=None, max_subsets=None):
     """S* in the span's arithmetic; see :func:`s_star`."""
-    if not span.rank_condition()[0]:
+    if not span.holds():
         raise UncontrollableSystemError("S* undefined: system is not controllable")
     l = span.sys.n_inputs
     cap = l if max_size is None else min(int(max_size), l)
@@ -95,7 +95,7 @@ def _kstar_bounds(span, variant, s) -> KStarBounds:
     if variant != "unconstrained":
         s = _check_sparsity(sys, s)
     if variant == "unconstrained":
-        if not span.rank_condition()[0]:
+        if not span.holds():
             raise UncontrollableSystemError("K* undefined: system is not controllable")
     elif variant in ("sparse", "relaxed"):
         report = _sparse_test(span, s)

@@ -145,9 +145,16 @@ def input_restriction(sys: SystemModel, support) -> SystemModel:
     return SystemModel(D=sys.D, H=sys.H[:, list(cols)], A=sys.A)
 
 
-def _unit(m):
-    """``m`` with each nonzero column scaled to unit length."""
-    lengths = np.sqrt((m * m).sum(0))
+def _lengths(m):
+    """The length of each column of ``m``, as ``_unit`` measures it."""
+    return np.sqrt((m * m).sum(0))
+
+
+def _unit(m, lengths=None):
+    """``m`` with each nonzero column scaled to unit length; ``lengths``
+    hands in ``_lengths(m)`` where the caller has it."""
+    if lengths is None:
+        lengths = _lengths(m)
     return m / np.where(lengths > 0, lengths, 1.0)
 
 
@@ -157,12 +164,14 @@ class _FloatSpan:
     Decisions and bounds are written once against a span: it holds ``sys``
     and, in its arithmetic, ``d``, ``h`` and ``a`` (on demand; it raises
     when the system has no A), and answers ``rank`` (of a list of blocks),
-    ``matmul``, ``rank_condition`` (of H or of a support's columns),
-    ``min_poly_degree`` (q of its D) and ``support_screen`` (the necessary
-    screen of the common-support test, None where the span has none); the
-    witness loop in ``oracle`` also uses the incremental span (``empty``,
-    ``extend``, ``leaf_rank``), its pre-checks ``ranks``, and for matroid
-    intersection and its cuts ``circuits`` and ``cut_rank``.  This span
+    ``matmul``, ``rank_condition`` (of H or of a support's columns, with a
+    witness of a failure), ``holds`` (the same verdict without the witness,
+    for callers that read only the verdict), ``min_poly_degree`` (q of its
+    D) and ``support_screen`` (the necessary screen of the common-support
+    test, None where the span has none); the witness loop in ``oracle``
+    also uses the incremental span (``empty``, ``extend``, ``leaf_rank``),
+    its pre-checks ``ranks`` and ``capacity`` (of one block), and for
+    matroid intersection and its cuts ``circuits`` and ``cut_rank``.  This span
     decides ranks at ``tol``, which its reports carry, and reads one
     spectrum of D and one set of D's products for the probe sweep's Grams;
     ``exact._ExactSpan`` answers the same in rationals.
@@ -175,8 +184,10 @@ class _FloatSpan:
     rank that bounds a leaf (``ranks``, the capacities, ``cut_rank``) counts
     singular values of unit columns above ``rank_rel * rows``: a leaf with a
     nonzero column has sigma_1 >= 1, so by interlacing that count on any
-    superset of its columns is never below its rank.  ``circuits`` (least
-    squares on unit columns) only guides matroid intersection.
+    superset of its columns is never below its rank.  At s = 1 the same
+    count decides a capacity without an SVD (see ``capacity``).
+    ``circuits`` (least squares on unit columns) only guides matroid
+    intersection.
     """
 
     what = "schedule search"
@@ -208,11 +219,42 @@ class _FloatSpan:
     def rank(self, blocks):
         return rank(np.hstack(blocks), self.tol)
 
+    def _count(self, units):
+        """The count of singular values of unit columns above ``rank_rel * rows``."""
+        sigma = np.linalg.svd(units, compute_uv=False)
+        return int(np.count_nonzero(sigma > self.tol.rank_rel * len(units)))
+
     def ranks(self, blocks):
         """``(None, count)``: the count on unit columns (see above) of all
         blocks; ``cut_rank`` counts the rank of a float cut itself."""
-        sigma = np.linalg.svd(_unit(np.hstack(blocks)), compute_uv=False)
-        return None, int(np.count_nonzero(sigma > self.tol.rank_rel * len(blocks[0])))
+        return None, self._count(_unit(np.hstack(blocks)))
+
+    def capacity(self, block, s):
+        """``min(s, ranks([block])[1])``, the capacity of one block.  At
+        s = 1 with ``rank_rel * rows <= 1/2``, a block whose column lengths
+        are all finite, one of them nonzero, has capacity 1 without an SVD:
+        ``_unit`` scales that column to length 1 up to rounding (to at least
+        1/sqrt(2) when its squares are subnormal), so sigma_1 exceeds the
+        cut and the count is at least 1.  Any other block is ranked; so is
+        one with an infinite length (an overflowed square, or an infinite
+        entry, which the SVD rejects) or a nan, as the largest length is
+        then not below inf.  The lengths are measured once, so an overflow
+        warns once, as in ``ranks``: the CLI writes each warning into its
+        report."""
+        lengths = _lengths(block)
+        unit_fits = self.tol.rank_rel * len(block) <= 0.5
+        if s == 1 and unit_fits and 0 < lengths.max() < math.inf:
+            return 1
+        return min(s, self._count(_unit(block, lengths)))
+
+    def _staircase_of(self, support):
+        """``(H_S, Q, R, rest)``: the columns and the staircase of a support."""
+        h = self.h if support is None else self.h[:, list(support)]
+        return h, *_staircase(self.d, h, self.tol, self._spectrum.norm)
+
+    def _sweep(self, h):
+        """The probe sweep's pencils of (D, ``h``) and D's probes."""
+        return _Pencils(None, self.d, h, self._d_products), self._spectrum.probes()
 
     def rank_condition(self, support=None):
         """``(holds, lambda, z)`` of (D, H), or of (D, H_S) for a support S.
@@ -221,15 +263,19 @@ class _FloatSpan:
         has to pass the eigenvalue probe sweep: a staircase step of a
         near-defective D can exceed the cut by orders of magnitude where the
         exact system is uncontrollable."""
-        d, n = self.d, len(self.d)
-        h = self.h if support is None else self.h[:, list(support)]
-        q, big_r, rest = _staircase(d, h, self.tol, self._spectrum.norm)
-        if big_r < n:
+        h, q, big_r, rest = self._staircase_of(support)
+        if big_r < len(self.d):
             w, v = np.linalg.eig(rest.T)
             i = np.lexsort((w.imag, w.real))[0]
             return False, complex(w[i]), (q[:, big_r:] @ v[:, i]).astype(complex)
-        pencils = _Pencils(None, d, h, self._d_products)
-        return _probe_sweep(pencils, self._spectrum.probes(), self.tol)
+        return _probe_sweep(*self._sweep(h), self.tol)
+
+    def holds(self, support=None):
+        """``rank_condition(support)[0]`` without the witness: a short
+        staircase needs no eigenvectors, and a probe that drops no null
+        vector."""
+        h, _, big_r, _ = self._staircase_of(support)
+        return big_r == len(self.d) and _first_drop(*self._sweep(h), self.tol) is None
 
     def min_poly_degree(self):
         return self._spectrum.min_poly_degree()
@@ -326,6 +372,14 @@ def _sparse_test(span, s):
     return _report(holds, lam, z, slack, span.tol)
 
 
+def _sparse_verdict(span, s):
+    """``_sparse_test(span, s).verdict`` without the report: the paper's
+    inequality ``N <= s + rank(D)`` first, from one rank of D, and the rank
+    condition, without a witness (``span.holds``), only where it holds."""
+    s = _check_sparsity(span.sys, s)
+    return s + span.rank([span.d]) >= span.sys.n_states and span.holds()
+
+
 def sparse_pbh_test(
     sys: SystemModel, s: int, tol: Tolerance = DEFAULT_TOLERANCE
 ) -> ControllabilityReport:
@@ -339,8 +393,9 @@ def sparse_pbh_test(
 def _first_controllable_support(span, sizes, max_subsets=None):
     """The first support, by size in ``sizes`` and then lexicographically,
     whose columns pass the span's rank condition, or None; returned with the
-    number of supports tried.  More than ``max_subsets`` tries raise an
-    inconclusive error."""
+    number of supports tried.  Only the verdict is read, so each support is
+    decided by ``span.holds``, which builds no witness of a failure.  More
+    than ``max_subsets`` tries raise an inconclusive error."""
     tried = 0
     for size in sizes:
         for support in itertools.combinations(range(span.sys.n_inputs), size):
@@ -349,7 +404,7 @@ def _first_controllable_support(span, sizes, max_subsets=None):
                 raise BudgetExceededError(
                     "support search exceeded subset budget", enumerations=tried
                 )
-            if span.rank_condition(support)[0]:
+            if span.holds(support):
                 return support, tried
     return None, tried
 
@@ -419,7 +474,7 @@ def output_pbh_necessary(sys: SystemModel, tol: Tolerance = DEFAULT_TOLERANCE) -
     a = _require_output_map(sys)
     probes = eigenvalue_probes(sys.D, tol)
     off = complex(1.0 + max((abs(p) for p in probes), default=0.0))
-    return _probe_sweep(_Pencils(a, a @ sys.D, a @ sys.H), probes + [off], tol)[0]
+    return _first_drop(_Pencils(a, a @ sys.D, a @ sys.H), probes + [off], tol) is None
 
 
 def _pencil_products(e, f):
@@ -464,15 +519,14 @@ class _Pencils:
         return np.hstack([(lam.real if lam.imag == 0 else lam) * self.e - self.f, self.g])
 
 
-def _probe_sweep(pencils, probes, tol):
-    """``(holds, lambda, z)``: does ``[lambda*E - F, G]`` (a
-    :class:`_Pencils`) keep full row rank at every probe, else the first
-    probe where it drops and a left null vector z of its complex pencil.  E,
-    F, G are real, so the pencil at conj(lambda) has the same singular
-    values: it is skipped, and a real probe ranked in reals.  A probe that
-    passes :func:`_full_row_rank_screen` needs no pencil and no SVD; every
-    other pencil is ranked by :func:`linalg.rank`, which alone decides a
-    drop."""
+def _first_drop(pencils, probes, tol):
+    """``(lambda, M)``: the first probe where ``M = [lambda*E - F, G]`` (a
+    :class:`_Pencils`) drops full row rank, and its pencil; None when none
+    does.  E, F, G are real, so the pencil at conj(lambda) has the same
+    singular values: it is skipped, and a real probe ranked in reals.  A
+    probe that passes :func:`_full_row_rank_screen` needs no pencil and no
+    SVD; every other pencil is ranked by :func:`linalg.rank`, which alone
+    decides a drop."""
     ranked = set()
     for lam in probes:
         if lam.conjugate() in ranked:
@@ -482,9 +536,19 @@ def _probe_sweep(pencils, probes, tol):
             continue
         pencil = pencils.at(lam)
         if rank(pencil, tol) < pencils.shape[0]:
-            z = np.linalg.svd(pencil.astype(complex))[0][:, -1]
-            return False, lam, np.conj(z)
-    return True, None, None
+            return lam, pencil
+    return None
+
+
+def _probe_sweep(pencils, probes, tol):
+    """``(holds, lambda, z)``: the :func:`_first_drop` of the pencils, and a
+    left null vector z of its complex pencil."""
+    drop = _first_drop(pencils, probes, tol)
+    if drop is None:
+        return True, None, None
+    lam, pencil = drop
+    z = np.linalg.svd(pencil.astype(complex))[0][:, -1]
+    return False, lam, np.conj(z)
 
 
 # Unit roundoff of float64, and the window of screened Gram traces: below

@@ -217,7 +217,10 @@ class _ExactSpan:
     scale.  The running span is a list of pivot-reduced integer vectors, so
     its dimension is exact and a leaf of the schedule search needs no re-check.
     ``min_poly_degree`` is certified modulo a prime where it can be, and
-    eliminated otherwise (see ``_min_poly_degree``).
+    eliminated otherwise (see ``_min_poly_degree``).  ``holds`` is the rank
+    condition, which ``rank_condition`` reports with no witness, and
+    ``capacity`` needs no elimination at s = 1, where a nonzero block has
+    rank at least 1.
     """
 
     what = "exact schedule search"
@@ -242,12 +245,22 @@ class _ExactSpan:
         dims = [0, 0, *_dims(blocks)]
         return dims[-2], dims[-1]
 
-    def rank_condition(self, support=None):
+    def holds(self, support=None):
         """Kalman rank N of (D, H), or of (D, H_S) for a support S, grown
         block by block until a block adds nothing."""
         h = self.h if support is None else [[row[j] for j in support] for row in self.h]
-        dim = _stalled_dim(_powers(self.d, h, _matmul))
-        return dim == self.sys.n_states, None, None
+        return _stalled_dim(_powers(self.d, h, _matmul)) == self.sys.n_states
+
+    def rank_condition(self, support=None):
+        """``(holds, None, None)``: exact arithmetic needs no witness."""
+        return self.holds(support), None, None
+
+    def capacity(self, block, s):
+        """``min(s, rank(block))``: at s = 1, 1 for a block with a nonzero
+        entry, without an elimination."""
+        if s == 1 and any(map(any, block)):
+            return 1
+        return min(s, self.rank([block]))
 
     def min_poly_degree(self):
         return _min_poly_degree(self.d)
@@ -310,7 +323,7 @@ def rank_exact(m) -> int:
 
 
 def controllable_exact(sys: SystemModel) -> bool:
-    return _ExactSpan(sys).rank_condition()[0]
+    return _ExactSpan(sys).holds()
 
 
 def sparse_controllable_exact(sys: SystemModel, s: int):

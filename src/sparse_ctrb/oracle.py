@@ -46,7 +46,7 @@ from .ctrb import (
     _check_sparsity,
     _FloatSpan,
     _require_output_map,
-    _sparse_test,
+    _sparse_verdict,
 )
 from .errors import BudgetExceededError, InconclusiveError, UncontrollableSystemError
 from .linalg import DEFAULT_TOLERANCE, Tolerance, _integer, _powers, _scheduled
@@ -161,14 +161,17 @@ class _Counter:
 def _descending_blocks(span, s, output, k_max):
     """For K = 1..k_max, the blocks ``[M D^(K-1) H, ..., M H]`` (M = A for
     output questions, else I) and their capacities ``min(s, rank)``, each
-    power built and ranked once (by ``span.ranks``)."""
+    power built once and its capacity taken once, by ``span.capacity``: at
+    s = 1 a nonzero block has capacity 1, which both spans read without an
+    SVD or an elimination where they can (see their ``capacity``), and
+    every other block is ranked by ``span.ranks``."""
     a = span.a if output else None
     powers = _powers(span.d, span.h, span.matmul)
     blocks, caps = [], []
     for power in itertools.islice(powers, k_max):
         block = power if a is None else span.matmul(a, power)
         blocks.insert(0, block)
-        caps.insert(0, min(s, span.ranks([block])[1]))
+        caps.insert(0, span.capacity(block, s))
         yield blocks, caps
 
 
@@ -387,11 +390,14 @@ def _min_k(span, s, budget, output=False, first_k=1):
     every K in exact arithmetic, not always in float (D = diag(1e11, 1),
     H = I fails it at s = 1, yet K* = 2).  (Output questions stop there
     too, above their bound q * ceil(rank H/s).)  Under that default and a
-    state target, when the span's sparse test (run at most once) passes, a
-    search that finds nothing is inconclusive, and so, at once, is an
-    ill-posed K: a leaf whose span reaches N but not its ``leaf_rank`` (a
-    witness past it is not robust), a certified prefix without a witness,
-    or a short set with an uncertified cut.
+    state target, when the span's sparse test passes, a search that finds
+    nothing is inconclusive, and so, at once, is an ill-posed K: a leaf
+    whose span reaches N but not its ``leaf_rank`` (a witness past it is not
+    robust), a certified prefix without a witness, or a short set with an
+    uncertified cut.  This referee reads only the test's verdict, so it runs
+    ``ctrb._sparse_verdict``, at most once: the paper's inequality first,
+    from one rank of D, and the rank condition without a witness only where
+    the inequality holds.
 
     The walk may close before ``max_k``: at the first K > N that the rank
     of all blocks or the paper's inequality rules out, every later K up to
@@ -414,7 +420,7 @@ def _min_k(span, s, budget, output=False, first_k=1):
 
     @functools.cache
     def sparse_test_passes():
-        return _sparse_test(span, s).verdict
+        return _sparse_verdict(span, s)
 
     def referee(k, reason):
         if budget.max_k is None and not output and sparse_test_passes():

@@ -1,8 +1,9 @@
+import itertools
 import warnings
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, strategies as st
+from hypothesis import assume, example, given, strategies as st
 
 from sparse_ctrb import (
     DEFAULT_TOLERANCE,
@@ -18,7 +19,8 @@ from sparse_ctrb import (
     rank,
     sparse_pbh_test,
 )
-from sparse_ctrb import ctrb
+from sparse_ctrb import Tolerance, ctrb
+from sparse_ctrb.exact import _ExactSpan
 from tests.conftest import (
     NEAR_DEFECTIVE,
     NEAR_DEFECTIVE_DATA,
@@ -318,6 +320,89 @@ def _blocked_system(rng, n, l, complex_pair):
     h0[:k] = 0.0
     p = rng.standard_normal((n, n))
     return p @ d0 @ np.linalg.inv(p), p @ h0
+
+
+# Column entries for the capacity test: ordinary values, and values whose
+# squares are subnormal (1e-160, 1.6e-162, which rounds up to the least
+# subnormal), underflow (1e-170) or overflow (1e200).
+_CAPACITY_ENTRIES = st.sampled_from(
+    [0.0, 1.0, -3.0, 0.25, 7e-5, 1e-160, 1.6e-162, -1e-170, 1e200]
+)
+
+
+class TestWitnessFree:
+    """Callers that read only a verdict get it without a witness: ``holds``
+    of both spans, ``ctrb._sparse_verdict`` and the s = 1 ``capacity`` give
+    what the witness-building forms give."""
+
+    @given(
+        small_systems(max_n=4, max_l=3, lo=-2, hi=2),
+        st.integers(-40, 40),
+        st.sampled_from([1e-10, 0.1]),
+    )
+    @example(SystemModel(D=np.diag([1e11, 1.0]), H=np.eye(2)), 0, 1e-10)
+    @example(SystemModel(D=np.diag([1e11, 1.0]), H=np.eye(2)), 0, 0.1)
+    def test_holds_and_verdict_match_the_reports(self, sys, power, rank_rel):
+        sys = SystemModel(D=sys.D * 2.0**power, H=sys.H)
+        l = sys.n_inputs
+        supports = [
+            c for size in range(1, l + 1) for c in itertools.combinations(range(l), size)
+        ]
+        for span in (ctrb._FloatSpan(sys, Tolerance(rank_rel=rank_rel)), _ExactSpan(sys)):
+            assert span.holds() == span.rank_condition()[0]
+            for support in supports:
+                assert span.holds(support) == span.rank_condition(support)[0]
+            for s in range(1, l + 1):
+                assert ctrb._sparse_verdict(span, s) == ctrb._sparse_test(span, s).verdict
+
+    @given(
+        st.integers(1, 12).flatmap(
+            lambda rows: st.lists(
+                st.lists(_CAPACITY_ENTRIES, min_size=rows, max_size=rows),
+                min_size=1,
+                max_size=4,
+            )
+        ),
+        st.integers(1, 3),
+        st.sampled_from([1e-10, 0.1]),
+    )
+    @example([[1e-170] * 4, [0.0] * 4], 1, 1e-10)  # the squared length underflows
+    @example([[1e-170] * 4, [0.0] * 4], 1, 0.1)
+    @example([[1e200] * 4, [0.0] * 4], 1, 1e-10)  # the length overflows
+    @example([[1e200] * 4, [0.0] * 4], 1, 0.1)
+    @example([[0.0] * 4, [0.0] * 4], 1, 1e-10)  # all zero
+    @example([[0.0] * 4, [0.0] * 4], 1, 0.1)
+    @example([[1.6e-162, 0.0, 0.0, 0.0, 0.0]], 1, 0.1)  # its square rounds up
+    @example([[1.0] * 12], 1, 0.1)  # rank_rel * rows = 1.2 > 1/2: ranked, count 0
+    @example([[1.6e-162] + [0.0] * 8], 1, 0.1)  # unit length 0.72, cut 0.9: count 0
+    def test_capacity_matches_the_count(self, columns, s, rank_rel):
+        block = np.array(columns).T
+        sys = SystemModel(D=np.eye(len(block)), H=np.ones((len(block), 1)))
+        span = ctrb._FloatSpan(sys, Tolerance(rank_rel=rank_rel))
+        with np.errstate(over="ignore"):
+            assert span.capacity(block, s) == min(s, span.ranks([block])[1])
+        exact = _ExactSpan(sys)  # on integers with the same zeros
+        block = (np.sign(block) * np.ceil(np.clip(abs(block), 0, 3))).astype(int).tolist()
+        assert exact.capacity(block, s) == min(s, exact.rank([block]))
+
+    @pytest.mark.parametrize("rank_rel", [1e-10, 0.1])
+    @pytest.mark.parametrize("value", [1e-170, 1e200, 0.0])
+    def test_capacity_of_a_block_without_a_unit_column(self, value, rank_rel):
+        # No column of these keeps a finite, nonzero length, so each is
+        # ranked, and none has capacity 1.  The overflowed length warns once,
+        # as it did when each capacity was a ``ranks`` call: the CLI writes
+        # every warning into the report.
+        block = np.zeros((4, 3))
+        block[:, 1] = value
+        span = ctrb._FloatSpan(
+            SystemModel(D=np.eye(4), H=np.ones((4, 1))), Tolerance(rank_rel=rank_rel)
+        )
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert span.capacity(block, 1) == 0
+        assert len(caught) == (value == 1e200)
+        with np.errstate(over="ignore"):
+            assert span.ranks([block])[1] == 0
 
 
 class TestFloatSpanExtend:

@@ -19,7 +19,7 @@ from sparse_ctrb import (
     output_kalman_type_rank_test,
     save_system,
 )
-from sparse_ctrb import cli, exact
+from sparse_ctrb import cli, exact, linalg
 from sparse_ctrb.cli import main
 from sparse_ctrb.ctrb import _FloatSpan
 from sparse_ctrb.exact import _ExactSpan
@@ -595,6 +595,86 @@ class TestCliExitCodes:
                 code, out, _ = run_cli(capsys, *argv, *arithmetic)
                 assert code == 0
                 assert json.loads(out)["result"]["k_star"] == k_star
+
+    @staticmethod
+    def _counting(monkeypatch, owner, name):
+        """Replace ``owner.name`` by a wrapper that records each call's
+        arguments in the returned list."""
+        calls, inner = [], getattr(owner, name)
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return inner(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, counting)
+        return calls
+
+    def test_referee_of_an_inequality_blocked_null_reads_no_spectrum(
+        self, capsys, tmp_path, monkeypatch
+    ):
+        # blockdiag(weighted 3-cycle, 0_2), fed like bench/inputs.ineq_network:
+        # controllable, but N = 5 > s + rank(D) = 1 + 3.  The referee of the
+        # null needs only the sparse test's verdict, which the inequality
+        # settles from one rank of D: no eigenvalues of D are computed.
+        d = np.zeros((5, 5))
+        d[1, 0], d[2, 1], d[0, 2] = 2.0, -1.0, 3.0
+        h = np.zeros((5, 2))
+        h[0, 0], h[1, 1], h[3, 0], h[4, 1] = 1.0, -2.0, 2.0, 1.0
+        path = tmp_path / "ineq-network.json"
+        save_system(path, SystemModel(D=d, H=h), name="ineq-network")
+        calls = self._counting(monkeypatch, linalg, "eigenvalues")
+        code, out, err = run_cli(capsys, "oracle", str(path), "-s", "1")
+        assert code == 0, err
+        assert json.loads(out)["result"]["k_star"] is None
+        assert calls == []
+        # The report's own test still runs the rank condition, witness path
+        # and all, and finds it satisfied: only the inequality fails.
+        code, out, _ = run_cli(capsys, "check", str(path), "-s", "1")
+        result = json.loads(out)["result"]
+        assert (result["rank_condition_holds"], result["inequality_holds"]) == (True, False)
+        assert calls
+
+    def test_common_support_search_builds_no_witness(self, capsys, tmp_path, monkeypatch):
+        # Every column of D sums to 2 and every column of H to 0, so the
+        # all-ones vector blocks each support at the staircase.  The screen
+        # passes (g_D = 1, rank D = 4), so both supports are tried, and
+        # neither needs the eigenvectors of its input-free block.
+        d = [[1, 0, 3, 0], [1, 0, 0, 2], [0, 2, -3, 0], [0, 0, 2, 0]]
+        h = [[0, 0], [1, 0], [0, -1], [-1, 1]]
+        path = tmp_path / "zero-sum.json"
+        save_system(path, SystemModel(D=np.array(d, float), H=np.array(h, float)), name="z")
+        calls = self._counting(monkeypatch, np.linalg, "eig")
+        argv = ["check", str(path), "-s", "1", "--output-mode", "common-support"]
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 0, err
+        report = json.loads(out)
+        assert report["result"]["verdict"] is False
+        assert report["result"]["screen"] == {"g_d": 1, "r_h": 2, "r_d": 4}
+        assert calls == []
+
+    def test_s1_walk_ranks_no_single_block(self, capsys, monkeypatch):
+        # At s = 1 a nonzero block has capacity 1, which the float span reads
+        # off its column lengths: no SVD of a block alone.  Every block of
+        # the walk is recorded, and no ``ranks`` call is on one of them alone.
+        walked, descending = [], oracle._descending_blocks
+
+        def recording(*args):
+            for blocks, caps in descending(*args):
+                walked.append(blocks[0])
+                yield blocks, caps
+
+        monkeypatch.setattr(oracle, "_descending_blocks", recording)
+        calls = self._counting(monkeypatch, _FloatSpan, "ranks")
+        argv = ["oracle", str(FIXTURES / "nilpotent-chain.json"), "-s", "1"]
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 0, err
+        assert json.loads(out)["result"]["k_star"] == 3
+        assert len(walked) == 3 and calls
+        singles = [
+            args for args in calls
+            if len(args[-1]) == 1 and any(args[-1][0] is block for block in walked)
+        ]
+        assert singles == []
 
     def test_missing_required_flag_exits_two(self, capsys):
         with pytest.raises(SystemExit) as exc:
