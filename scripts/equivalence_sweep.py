@@ -70,9 +70,8 @@ from sparse_ctrb.oracle import (
     _ruled_out,
     _SETTLED,
     _supports_of,
-    _within_reach,
 )
-from tests.reference_search import _best_schedule
+from tests.reference_search import _best_schedule, _within_reach
 
 SPARSE_N, SPARSE_L, SPARSE_MAGNITUDE = 5, 4, 2
 SEARCH_BUDGET = 20_000
@@ -199,13 +198,13 @@ def rstar_mismatches(sys_, s, sparse, unchecked, cuts):
             ("float", float_span, float_blocks, float_caps),
         ):
             counter = _Counter(OracleBudget(), "equivalence sweep")
-            inside, cut = _common_independent(blocks, s, l, span, counter, k)
-            ruling = _ruled_out(blocks, caps, s, l, n, span)
+            inside, cut = _common_independent(blocks, s, span, counter)
+            ruling = _ruled_out(blocks, caps, s, n, span)
             if ruling == "inequality":
                 cuts["inequality"] += 1
             elif ruling is None and len(inside) < n:
                 dim = sum(1 for x in inside if x in cut)
-                cuts["kernel"] += _blocked(blocks, s, l, n, span, dim, _supports_of(cut, k))
+                cuts["kernel"] += _blocked(blocks, s, n, span, dim, _supports_of(cut, k))
             r_star = span.leaf_rank(len(inside), blocks, _supports_of(inside, k))
             if name == "exact":
                 exact_r_star = r_star

@@ -65,9 +65,8 @@ from sparse_ctrb import (  # noqa: E402
     pbh_test,
     rank,
 )
-from sparse_ctrb.ctrb import _full_row_rank_screen, _Pencils  # noqa: E402
+from sparse_ctrb.ctrb import _FloatSpan, _full_row_rank_screen, _Pencils  # noqa: E402
 from sparse_ctrb.exact import min_poly_degree_exact  # noqa: E402
-from sparse_ctrb.linalg import _staircase  # noqa: E402
 
 FAMILIES = ("ring-", "rank-blocked-", "spectral-")
 SEEDS = (0, 1, 2)
@@ -168,7 +167,8 @@ def jordan_mismatches():
             got = pbh_test(sys_).verdict
             probe_sweep(sys_, screen, problems, f"N={n} blocks {blocks}")
             uncontrollable += not want
-            overturned += _staircase(sys_.D, sys_.H)[1] == n and not got
+            big_r = _FloatSpan(sys_, DEFAULT_TOLERANCE)._staircase_of(None)[2]
+            overturned += big_r == n and not got
             if got != want:
                 problems.append(
                     f"N={n} blocks {blocks} columns {columns}: "

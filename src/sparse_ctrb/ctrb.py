@@ -440,12 +440,17 @@ def common_support_test(
     return verdict, support
 
 
+def _products(span, output=False):
+    """H, D H, D^2 H, ... without end, by ``span.matmul`` (which in float
+    zeroes rounding residue), and through A as well for output targets."""
+    powers = _powers(span.d, span.h, span.matmul)
+    return (span.matmul(span.a, p) for p in powers) if output else powers
+
+
 def _output_kalman(span):
     """rank(A [D^(N-1) H, ..., H]) = m in the span's arithmetic."""
-    a = span.a
-    powers = _powers(span.d, span.h, span.matmul)
-    blocks = [span.matmul(a, p) for p in itertools.islice(powers, span.sys.n_states)]
-    return span.rank(blocks[::-1]) == len(a)
+    blocks = list(itertools.islice(_products(span, True), span.sys.n_states))
+    return span.rank(blocks[::-1]) == len(span.a)
 
 
 def _output_rank_inequality(span, s):

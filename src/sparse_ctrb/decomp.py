@@ -3,7 +3,7 @@ and uncontrollable coordinates.
 
 Construction, for a system (D, H) with controllable dimension R:
 
-1. U: orthogonal, from the controllability staircase (``linalg._staircase``),
+1. U: orthogonal, the float span's staircase (``_FloatSpan._staircase_of``),
    with first R columns spanning the controllable subspace.
 2. (D, H) -> (U^T D U, U^T H): block-triangular with controllable leading
    R x R block D_1 and zero trailing rows of U^T H.
@@ -25,8 +25,14 @@ from typing import Optional
 
 import numpy as np
 
-from .ctrb import ControllabilityReport, SystemModel, _check_sparsity, sparse_pbh_test
-from .linalg import DEFAULT_TOLERANCE, Tolerance, _staircase, core_nilpotent, rank
+from .ctrb import (
+    ControllabilityReport,
+    SystemModel,
+    _check_sparsity,
+    _FloatSpan,
+    sparse_pbh_test,
+)
+from .linalg import DEFAULT_TOLERANCE, Tolerance, core_nilpotent, rank
 
 __all__ = [
     "DecompositionResult",
@@ -96,7 +102,7 @@ def standard_form(
     """Compute the standard form of ``sys`` at sparsity ``s``."""
     s = _check_sparsity(sys, s)
     n = sys.n_states
-    u, big_r, _ = _staircase(sys.D, sys.H, tol)
+    _, u, big_r, _ = _FloatSpan(sys, tol)._staircase_of(None)
     d_check = u.T @ sys.D @ u
     d_1 = d_check[:big_r, :big_r]
     fitting = core_nilpotent(d_1, tol)
@@ -154,9 +160,7 @@ def verify_standard_form(
         scale = max(1.0, float(np.linalg.norm(middle, 2)) ** max(big_r - r, 1))
         nilpotent_residual = float(np.max(np.abs(nil_power))) / scale if middle.size else 0.0
     else:
-        zero_blocks.append(
-            float(np.max(np.abs(middle))) if middle.size else 0.0
-        )
+        zero_blocks.append(float(np.max(np.abs(middle))) if middle.size else 0.0)
         nilpotent_residual = 0.0
     structure = max(zero_blocks) / scale_d
     tail_rows = dec.H_bar[big_r:, :]
@@ -165,12 +169,9 @@ def verify_standard_form(
         if tail_rows.size
         else 0.0
     )
-    subsystem_report = None
-    subsystem_ok = True
+    subsystem_report, subsystem_ok = None, True
     if r_s > 0:
-        subsystem = SystemModel(
-            D=dec.D_bar[:r_s, :r_s], H=dec.H_bar[:r_s, :]
-        )
+        subsystem = SystemModel(D=dec.D_bar[:r_s, :r_s], H=dec.H_bar[:r_s, :])
         subsystem_report = sparse_pbh_test(subsystem, dec.s, tol)
         if not dec.core_rank_mismatch:
             subsystem_ok = subsystem_report.verdict

@@ -239,7 +239,7 @@ def max_geometric_multiplicity(d, tol: Tolerance = DEFAULT_TOLERANCE) -> int:
 
 def _powers(d, block, matmul=np.matmul):
     """block, d block, d^2 block, ... without end, in the arithmetic of
-    ``matmul`` (a span's, for the exact route)."""
+    ``matmul`` (a span's, in ``ctrb._products`` and the exact route)."""
     while True:
         yield block
         block = matmul(d, block)
@@ -270,7 +270,7 @@ def extend_to_basis(b, tol: Tolerance = DEFAULT_TOLERANCE) -> np.ndarray:
     return np.linalg.svd(_as_matrix(b, "B"))[0]
 
 
-def _staircase(d, h, tol: Tolerance = DEFAULT_TOLERANCE, d_norm=None):
+def _staircase(d, h, tol: Tolerance, d_norm):
     """Controllability staircase of (D, H) (Paige 1981; Van Dooren 1981).
 
     Returns ``(Q, R, rest)``: Q orthogonal, its first R columns spanning the
@@ -279,25 +279,20 @@ def _staircase(d, h, tol: Tolerance = DEFAULT_TOLERANCE, d_norm=None):
     newest controllable columns) in the remaining coordinates and rotates them,
     until a step adds nothing.  The cut is ``rank_rel * max(|D|, |H|) * N`` at
     every step: one relative to each block would count rounding noise in the
-    late, small blocks.  ``d_norm`` hands in |D| where a caller has it (a
-    float span's spectrum), so that D's SVD is not taken again.
+    late, small blocks.  ``d_norm`` is |D|, from the calling span's spectrum.
     """
-    a = _square(d, "D")
-    n = a.shape[0]
-    q = np.eye(n)
-    if d_norm is None:
-        d_norm = _spectral_norm(a)
-    cut = tol.rank_rel * max(d_norm, _spectral_norm(h)) * n
+    q = np.eye(len(d))
+    cut = tol.rank_rel * max(d_norm, _spectral_norm(h)) * len(d)
     big_r, block = 0, h
-    while big_r < n:
+    while big_r < len(d):
         u, sigma, _ = np.linalg.svd(q[:, big_r:].T @ block)
         step = int(np.count_nonzero(sigma > cut))
         if step == 0:
             break
         q[:, big_r:] = q[:, big_r:] @ u
-        block = a @ q[:, big_r : big_r + step]
+        block = d @ q[:, big_r : big_r + step]
         big_r += step
-    return q, big_r, q[:, big_r:].T @ a @ q[:, big_r:]
+    return q, big_r, q[:, big_r:].T @ d @ q[:, big_r:]
 
 
 @dataclass(frozen=True)

@@ -45,6 +45,7 @@ from .ctrb import (
     SystemModel,
     _check_sparsity,
     _FloatSpan,
+    _products,
     _require_output_map,
     _sparse_verdict,
 )
@@ -159,33 +160,24 @@ class _Counter:
 
 
 def _descending_blocks(span, s, output, k_max):
-    """For K = 1..k_max, the blocks ``[M D^(K-1) H, ..., M H]`` (M = A for
-    output questions, else I) and their capacities ``min(s, rank)``, each
-    power built once and its capacity taken once, by ``span.capacity``: at
+    """For K = 1..k_max, the blocks ``[M D^(K-1) H, ..., M H]`` of
+    ``ctrb._products`` (M = A for output questions, else I) and their
+    capacities ``min(s, rank)``, each taken once by ``span.capacity``: at
     s = 1 a nonzero block has capacity 1, which both spans read without an
     SVD or an elimination where they can (see their ``capacity``), and
     every other block is ranked by ``span.ranks``."""
-    a = span.a if output else None
-    powers = _powers(span.d, span.h, span.matmul)
     blocks, caps = [], []
-    for power in itertools.islice(powers, k_max):
-        block = power if a is None else span.matmul(a, power)
+    for block in itertools.islice(_products(span, output), k_max):
         blocks.insert(0, block)
         caps.insert(0, span.capacity(block, s))
         yield blocks, caps
-
-
-def _within_reach(blocks, caps, target, span):
-    """The capacities and ``span.ranks`` of all blocks reach ``target``: the
-    cut-free pre-checks, which the reference search keeps."""
-    return sum(caps) >= target and span.ranks(blocks)[1] >= target
 
 
 # The pre-checks of ``_ruled_out`` that, past K = N, rule out every later K.
 _SETTLED = ("rank", "inequality")
 
 
-def _ruled_out(blocks, caps, s, l, target, span):
+def _ruled_out(blocks, caps, s, target, span):
     """The pre-check that rules out a K before the kernel runs, or None.
 
     In order: ``"capacity"`` when the capacities, ``"rank"`` when the rank
@@ -207,15 +199,15 @@ def _ruled_out(blocks, caps, s, l, target, span):
     below, rank = span.ranks(blocks)
     if rank < target:
         return "rank"
-    u = [range(l)] * (len(blocks) - 1) + [()]
-    if _blocked(blocks, s, l, target, span, below, u):
+    u = [range(span.sys.n_inputs)] * (len(blocks) - 1) + [()]
+    if _blocked(blocks, s, target, span, below, u):
         return "inequality"
     return None
 
 
-def _common_independent(blocks, s, l, span, counter, k, inside=(), allowed=None):
-    """A largest set of columns ``(d, j)`` of ``blocks`` (``l`` columns
-    each), at most ``s`` from each block, independent in the span, grown
+def _common_independent(blocks, s, span, counter, inside=(), allowed=None):
+    """A largest set of columns ``(d, j)`` of ``blocks`` (L columns each),
+    at most ``s`` from each block, independent in the span, grown
     from the common independent set ``inside``; block d may use only the
     channels ``allowed[d]`` (default all), its other columns being loops.
 
@@ -232,8 +224,8 @@ def _common_independent(blocks, s, l, span, counter, k, inside=(), allowed=None)
     span solve per outside column per augmentation, and each augmentation
     ticks ``counter``.
     """
-    members, n = set(inside), len(blocks[0])
-    allowed = allowed or [range(l)] * k
+    members, n, k = set(inside), len(blocks[0]), len(blocks)
+    allowed = allowed or [range(span.sys.n_inputs)] * k
     used = collections.Counter(d for d, _ in members)
     basis, dim = span.empty(blocks[0]), 0
     for d, j in inside:
@@ -284,7 +276,7 @@ def _supports_of(columns, k):
     return [tuple(sorted(j for d, j in columns if d == depth)) for depth in range(k)]
 
 
-def _blocked(blocks, s, l, target, span, dim, cut):
+def _blocked(blocks, s, target, span, dim, cut):
     """True when the column set U that ``cut`` picks from ``blocks`` (the
     channels of U in each block) proves that no schedule of s channels per
     block reaches ``target``: the weak-duality bound rank(U) + sum min(s,
@@ -294,11 +286,11 @@ def _blocked(blocks, s, l, target, span, dim, cut):
     set inside its own cut, which exact arithmetic makes rank(U), or the
     exact rank of a fixed U.  The exact span takes it; the float span counts
     rank(U) itself, a count no leaf check on U's columns exceeds."""
-    spare = sum(min(s, l - len(sup)) for sup in cut)
+    spare = sum(min(s, span.sys.n_inputs - len(sup)) for sup in cut)
     return span.cut_rank(dim, blocks, cut) + spare < target
 
 
-def _first_schedule(blocks, caps, s, l, target, span, counter, inside, referee):
+def _first_schedule(blocks, caps, s, target, span, counter, inside, referee):
     """The lexicographically first schedule of ``blocks`` reaching rank
     ``target``, at a K where the kernel's set ``inside`` reaches it, or None.
 
@@ -313,7 +305,7 @@ def _first_schedule(blocks, caps, s, l, target, span, counter, inside, referee):
     arithmetic a certified prefix has a completion, so this is an exhaustive
     search's first schedule; one that runs out goes to ``referee``.
     """
-    k = len(blocks)
+    k, l = len(blocks), span.sys.n_inputs
     supports = list(itertools.combinations(range(l), s))
     for certify in (False, True):
         chosen, basis, current = [], span.empty(blocks[0]), inside
@@ -334,7 +326,7 @@ def _first_schedule(blocks, caps, s, l, target, span, counter, inside, referee):
                     kept = [(e, j) for e, j in current if e != d or j in sup]
                     allowed = [*chosen, sup] + [range(l)] * (k - d - 1)
                     found, _ = _common_independent(
-                        blocks, s, l, span, counter, k, kept, allowed
+                        blocks, s, span, counter, kept, allowed
                     )
                     if len(found) < target:
                         continue
@@ -355,7 +347,7 @@ def _walk(span, s, output, k_max, counter, skip=None):
     walk ends at the first K > N that ``skip`` names a ``_SETTLED``
     pre-check (``"rank"`` or ``"inequality"``): by the closure rule of
     ``_ruled_out`` it would name one at every later K as well."""
-    l, n, inside = span.sys.n_inputs, span.sys.n_states, []
+    n, inside = span.sys.n_states, []
     problems = _descending_blocks(span, s, output, k_max)
     for k, (blocks, caps) in enumerate(problems, start=1):
         counter.check(k)
@@ -365,7 +357,7 @@ def _walk(span, s, output, k_max, counter, skip=None):
             return
         if ruling:
             continue
-        inside, cut = _common_independent(blocks, s, l, span, counter, k, inside)
+        inside, cut = _common_independent(blocks, s, span, counter, inside)
         yield k, blocks, caps, inside, cut
 
 
@@ -416,7 +408,7 @@ def _min_k(span, s, budget, output=False, first_k=1):
     s = _check_sparsity(sys, s)
     max_k = budget.max_k or _partition_horizon(sys, s)
     counter = _Counter(budget, span.what)
-    target, l = sys.n_outputs if output else sys.n_states, sys.n_inputs
+    target = sys.n_outputs if output else sys.n_states
 
     @functools.cache
     def sparse_test_passes():
@@ -429,17 +421,17 @@ def _min_k(span, s, budget, output=False, first_k=1):
             )
 
     def skip(k, blocks, caps):
-        return k < first_k or _ruled_out(blocks, caps, s, l, target, span)
+        return k < first_k or _ruled_out(blocks, caps, s, target, span)
 
     for k, blocks, caps, inside, cut in _walk(span, s, output, max_k, counter, skip):
         if len(inside) < target:
             dim = sum(1 for x in inside if x in cut)
-            if not _blocked(blocks, s, l, target, span, dim, _supports_of(cut, k)):
+            if not _blocked(blocks, s, target, span, dim, _supports_of(cut, k)):
                 referee(k, f"at K={k}: matroid intersection reaches rank "
                         f"{len(inside)} of {target} without a certified cut; ill-posed")
             continue
         witness = _first_schedule(
-            blocks, caps, s, l, target, span, counter, inside, referee
+            blocks, caps, s, target, span, counter, inside, referee
         )
         if witness is not None:
             return k, witness, max_k

@@ -4,8 +4,9 @@ The endpoint map is linear once the schedule is fixed:
 ``x_K - D^K x_0 = [D^(K-1) H_{S_1}, ..., H_{S_K}] h``, so steering reduces to
 a minimum-norm least-squares solve restricted to the scheduled columns.
 Infeasibility shows up as a nonzero endpoint residual, not an exception.
-The schedule is the oracle's matroid-intersection kernel's, of maximal rank,
-and the scheduled columns are the oracle's ``schedule_submatrix``.
+The schedule is the oracle's matroid-intersection kernel's, of maximal rank
+on the oracle's columns (``ctrb._products``, which zero rounding residue),
+and the solve runs on the raw columns of the oracle's ``schedule_submatrix``.
 """
 
 from __future__ import annotations
@@ -15,8 +16,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ctrb import SystemModel, _check_sparsity, _FloatSpan, _require_output_map
-from .linalg import DEFAULT_TOLERANCE, Tolerance, _integer, _powers
+from .ctrb import (
+    SystemModel,
+    _check_sparsity,
+    _FloatSpan,
+    _products,
+    _require_output_map,
+)
+from .linalg import DEFAULT_TOLERANCE, Tolerance, _integer
 from .oracle import (
     OracleBudget,
     SupportSchedule,
@@ -51,17 +58,17 @@ def greedy_support_schedule(
     sys: SystemModel, s: int, k: int, tol: Tolerance = DEFAULT_TOLERANCE
 ) -> SupportSchedule:
     """A K-step schedule of maximal rank r*(K): the set of the oracle's
-    matroid-intersection kernel, a greedy fill from the last step back
-    completed by augmenting paths.  Steps without columns get empty supports.
-    """
+    matroid-intersection kernel on the oracle's columns, a greedy fill from
+    the last step back completed by augmenting paths.  Steps without columns
+    get empty supports."""
     s = _check_sparsity(sys, s)
     k = _integer(k, f"K must be a non-negative integer, got {k!r}", least=0)
     if k == 0:
         return SupportSchedule(supports=(), s=s)
     span = _FloatSpan(sys, tol)
-    blocks = list(itertools.islice(_powers(sys.D, sys.H), k))[::-1]
+    blocks = list(itertools.islice(_products(span), k))[::-1]
     counter = _Counter(OracleBudget(), span.what)
-    inside, _ = _common_independent(blocks, s, sys.n_inputs, span, counter, k)
+    inside, _ = _common_independent(blocks, s, span, counter)
     return SupportSchedule(supports=tuple(_supports_of(inside, k)), s=s)
 
 

@@ -5,8 +5,15 @@ schedules that the oracle used before its witness came from the
 kernel-certified prefix loop ``oracle._first_schedule``.  It is kept here,
 unchanged, as an independent reference: its first schedule reaching a rank
 must equal the oracle's witness, and the best rank it reaches must equal the
-matroid-intersection r*(K).
+matroid-intersection r*(K).  ``_within_reach`` is the search's cut-free
+pre-check.
 """
+
+
+def _within_reach(blocks, caps, target, span):
+    """The capacities and ``span.ranks`` of all blocks reach ``target``: the
+    cut-free pre-checks, which the reference search keeps."""
+    return sum(caps) >= target and span.ranks(blocks)[1] >= target
 
 
 def _best_schedule(blocks, caps, supports, target, span, counter, fragile=None):

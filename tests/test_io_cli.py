@@ -38,6 +38,7 @@ from tests.conftest import (
     inequality_blocked_output,
     kernel_blocked_output,
 )
+from tests.reference_search import _within_reach
 
 CHECK_1 = [str(FIXTURES / "inequality-blocked.json"), "-s", "2"]
 
@@ -516,7 +517,7 @@ class TestCliExitCodes:
         calls = []
 
         def counting(*args):
-            calls.append(args[5])  # K
+            calls.append(len(args[0]))  # K, the number of blocks
             return kernel(*args)
 
         kernel = oracle._common_independent
@@ -525,8 +526,8 @@ class TestCliExitCodes:
         assert (code, calls) == (0, [])
         assert json.loads(out)["result"]["k_star"] is None
 
-        def cut_free(blocks, caps, s, l, target, span):
-            return None if oracle._within_reach(blocks, caps, target, span) else "rank"
+        def cut_free(blocks, caps, s, target, span):
+            return None if _within_reach(blocks, caps, target, span) else "rank"
 
         monkeypatch.setattr(oracle, "_ruled_out", cut_free)
         assert run_cli(capsys, *argv)[:2] == (code, out)

@@ -39,7 +39,6 @@ from sparse_ctrb.oracle import (
     _ruled_out,
     _SETTLED,
     _supports_of,
-    _within_reach,
 )
 from tests.conftest import (
     _dense_spectral,
@@ -47,7 +46,7 @@ from tests.conftest import (
     kernel_blocked_output,
     small_systems,
 )
-from tests.reference_search import _best_schedule
+from tests.reference_search import _best_schedule, _within_reach
 
 SPANS = [lambda sys: _FloatSpan(sys, DEFAULT_TOLERANCE), _ExactSpan]
 
@@ -301,7 +300,7 @@ class TestCommonIndependent:
         problems = _descending_blocks(span, s, False, horizon)
         first = True
         for k, (blocks, caps) in enumerate(problems, start=1):
-            inside, _ = _common_independent(blocks, s, l, span, counter, k)
+            inside, _ = _common_independent(blocks, s, span, counter)
             assert all(sum(d == depth for d, _ in inside) <= s for depth in range(k))
             r_star = span.leaf_rank(len(inside), blocks, _supports_of(inside, k))
             witness = search(blocks, caps, r_star)
@@ -309,7 +308,7 @@ class TestCommonIndependent:
             assert search(blocks, caps, r_star + 1) is None
             if r_star == n and first:
                 assert witness == _first_schedule(
-                    blocks, caps, s, l, n, span, counter, inside, ignore
+                    blocks, caps, s, n, span, counter, inside, ignore
                 )
                 first = False
 
@@ -325,7 +324,7 @@ class TestCommonIndependent:
         counter = _Counter(OracleBudget(), "test")
         problems = _descending_blocks(span, s, False, n * math.ceil(l / s))
         for k, (blocks, _) in enumerate(problems, start=1):
-            inside, cut = _common_independent(blocks, s, l, span, counter, k)
+            inside, cut = _common_independent(blocks, s, span, counter)
             if len(inside) == n:
                 continue
             supports = _supports_of(cut, k)
@@ -335,7 +334,7 @@ class TestCommonIndependent:
             spare = sum(min(s, l - len(sup)) for sup in supports)
             assert rank_u + spare == len(inside)
             dim = sum(1 for x in inside if x in cut)
-            assert _blocked(blocks, s, l, len(inside) + 1, span, dim, supports)
+            assert _blocked(blocks, s, len(inside) + 1, span, dim, supports)
 
     @pytest.mark.parametrize("span_of", SPANS, ids=["float", "exact"])
     @pytest.mark.parametrize("output", [False, True], ids=["state", "output"])
@@ -361,7 +360,7 @@ class TestCommonIndependent:
         span = span_of(sys)
         problems = _descending_blocks(span, s, output, sys.n_states * math.ceil(l / s))
         for blocks, caps in problems:
-            if _ruled_out(blocks, caps, s, l, target, span) is not None:
+            if _ruled_out(blocks, caps, s, target, span) is not None:
                 assert _best_schedule(blocks, caps, supports, target, span, counter) is None
 
     @pytest.mark.parametrize("span_of", SPANS, ids=["float", "exact"])
@@ -389,7 +388,7 @@ class TestCommonIndependent:
         problems = _descending_blocks(span, s, output, 2 * n * math.ceil(l / s))
         closed = False
         for k, (blocks, caps) in enumerate(problems, start=1):
-            ruling = _ruled_out(blocks, caps, s, l, target, span)
+            ruling = _ruled_out(blocks, caps, s, target, span)
             assert not closed or ruling in _SETTLED, (k, ruling)
             closed = closed or (k > n and ruling in _SETTLED)
 
@@ -408,7 +407,7 @@ class TestCommonIndependent:
             counter = _Counter(OracleBudget(), "test")
             problems = _descending_blocks(span, 1, False, 20)
             for k, (blocks, _) in enumerate(problems, start=1):
-                inside, _ = _common_independent(blocks, 1, 4, span, counter, k)
+                inside, _ = _common_independent(blocks, 1, span, counter)
                 yield span.leaf_rank(len(inside), blocks, _supports_of(inside, k))
 
         float_rstar, exact_rstar = (list(rstar(span_of(sys))) for span_of in SPANS)
@@ -425,11 +424,11 @@ class TestCommonIndependent:
             if k < 4:
                 continue
             assert span.ranks(blocks) == (3, 4)
-            assert _ruled_out(blocks, caps, 1, 2, 4, span) is None
-            inside, cut = _common_independent(blocks, 1, 2, span, counter, k)
+            assert _ruled_out(blocks, caps, 1, 4, span) is None
+            inside, cut = _common_independent(blocks, 1, span, counter)
             assert sum(1 for d, _ in inside if d < k - 1) == 2
             dim = sum(1 for x in inside if x in cut)
-            assert _blocked(blocks, 1, 2, 4, span, dim, _supports_of(cut, k))
+            assert _blocked(blocks, 1, 4, span, dim, _supports_of(cut, k))
 
     @pytest.mark.parametrize("span_of", SPANS, ids=["float", "exact"])
     def test_exchange_beats_greedy_order(self, span_of):
@@ -442,7 +441,7 @@ class TestCommonIndependent:
         span = span_of(sys)
         blocks, _ = list(_descending_blocks(span, 2, False, 2))[-1]
         counter = _Counter(OracleBudget(), "test")
-        inside, _ = _common_independent(blocks, 2, 3, span, counter, 2)
+        inside, _ = _common_independent(blocks, 2, span, counter)
         assert len(inside) == 4
         assert span.leaf_rank(4, blocks, _supports_of(inside, 2)) == 4
         assert exact_min_k(sys, 2)[0] == 2
@@ -469,7 +468,7 @@ class TestCommonIndependent:
         span = span_of(sys)
         blocks, caps = list(_descending_blocks(span, 2, False, 2))[-1]
         counter = _Counter(OracleBudget(), "test")
-        inside, _ = _common_independent(blocks, 2, l, span, counter, 2)
+        inside, _ = _common_independent(blocks, 2, span, counter)
         assert len(inside) == n
         certified = []
 
@@ -479,7 +478,7 @@ class TestCommonIndependent:
 
         monkeypatch.setattr(oracle, "_common_independent", counting)
         witness = _first_schedule(
-            blocks, caps, 2, l, n, span, counter, inside,
+            blocks, caps, 2, n, span, counter, inside,
             lambda k, reason: pytest.fail(reason),
         )
         assert certified
@@ -498,7 +497,7 @@ class TestCommonIndependent:
         blocks, caps = list(_descending_blocks(span, 1, False, 2))[-1]
         reasons = []
         witness = _first_schedule(
-            blocks, caps, 1, 2, 2, span, _Counter(OracleBudget(), "test"),
+            blocks, caps, 1, 2, span, _Counter(OracleBudget(), "test"),
             [(0, 0), (1, 0)], lambda k, reason: reasons.append((k, reason)),
         )
         assert witness is None

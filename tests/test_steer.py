@@ -1,6 +1,8 @@
+import json
+
 import numpy as np
 import pytest
-from hypothesis import example, given, strategies as st
+from hypothesis import assume, example, given, strategies as st
 
 from sparse_ctrb import (
     SupportSchedule,
@@ -15,6 +17,17 @@ from sparse_ctrb import (
     solve_output_inputs,
     sparse_pbh_test,
 )
+from sparse_ctrb.cli import main
+from sparse_ctrb.ctrb import _FloatSpan
+from sparse_ctrb.io import save_system
+from sparse_ctrb.linalg import DEFAULT_TOLERANCE
+from sparse_ctrb.oracle import (
+    OracleBudget,
+    _common_independent,
+    _Counter,
+    _descending_blocks,
+    _supports_of,
+)
 from tests.conftest import load_fixture, small_systems
 
 
@@ -22,6 +35,69 @@ from tests.conftest import load_fixture, small_systems
 def _systems_s_k(draw):
     sys = draw(small_systems())
     return sys, draw(st.integers(1, sys.n_inputs)), draw(st.integers(1, 4))
+
+
+def _chain_and_block(p, chain, block):
+    """D = P J P^-1, with J a nilpotent chain e_(c-1) -> ... -> e_0 -> 0 of
+    length c = ``chain`` followed by the invertible upper-triangular
+    ``block``, and H = P [e_(c-1), e_(N-1)]: the top of the chain and the
+    last coordinate of the block.  D^p h_0 vanishes for p >= c in exact
+    arithmetic and is rounding residue in float."""
+    n = chain + len(block)
+    j = np.zeros((n, n))
+    j[range(chain - 1), range(1, chain)] = 1.0
+    j[chain:, chain:] = block
+    return SystemModel(D=p @ j @ np.linalg.inv(p), H=p[:, [chain - 1, n - 1]])
+
+
+RESIDUE_CHAIN = _chain_and_block(
+    np.random.default_rng(1).normal(size=(5, 5)), 3, [[2.0, 1.0], [0.0, -1.5]]
+)
+
+
+@st.composite
+def _residue_chains(draw):
+    chain, size = draw(st.integers(2, 3)), draw(st.integers(1, 2))
+    n = chain + size
+    p = np.random.default_rng(draw(st.integers(0, 2**32 - 1))).normal(size=(n, n))
+    assume(np.linalg.cond(p) <= 1e3)
+    magnitude = st.floats(0.5, 3.0)
+    diagonal = [draw(magnitude) * draw(st.sampled_from([-1.0, 1.0])) for _ in range(size)]
+    block = np.diag(diagonal)
+    if size == 2:  # a nonzero corner keeps e_(N-1) cyclic for the block
+        block[0, 1] = draw(magnitude)
+    return _chain_and_block(p, chain, block)
+
+
+class TestResidueColumns:
+    # A power column that is rounding residue must not enter the schedule:
+    # ranked on the oracle's columns, where it is zero, the schedule reaches
+    # rank N at K = N.
+
+    def test_seeded_chain_schedule_has_full_rank(self):
+        sched = greedy_support_schedule(RESIDUE_CHAIN, 1, 5)
+        assert sched.supports == ((1,), (1,), (0,), (0,), (0,))
+        assert rank(schedule_submatrix(RESIDUE_CHAIN, sched)) == 5
+
+    def test_seeded_chain_steers_from_cli(self, capsys, tmp_path):
+        system, target = tmp_path / "chain.json", tmp_path / "ones.json"
+        save_system(system, RESIDUE_CHAIN, name="residue-chain")
+        target.write_text(json.dumps([1.0] * 5))
+        argv = ["steer", str(system), "-s", "1", "--k", "5", "--x-final", str(target)]
+        assert main(argv) == 0
+        result = json.loads(capsys.readouterr().out)["result"]
+        assert result["feasible"] is True
+        assert result["schedule"] == [[1], [1], [0], [0], [0]]
+
+    @given(_residue_chains())
+    def test_schedule_is_the_oracle_kernels(self, sys):
+        n = sys.n_states
+        span = _FloatSpan(sys, DEFAULT_TOLERANCE)
+        *_, (blocks, _) = _descending_blocks(span, 1, False, n)
+        inside, _ = _common_independent(blocks, 1, span, _Counter(OracleBudget(), "test"))
+        sched = greedy_support_schedule(sys, 1, n)
+        assert sched.supports == tuple(_supports_of(inside, n))
+        assert rank(schedule_submatrix(sys, sched)) == n
 
 
 class TestGreedySchedule:
