@@ -15,7 +15,10 @@ mismatch:
   ``min_poly_degree`` must return q = N.
 * On integer systems ``(P J P^-1, P H_J)`` with unimodular P and Jordan
   blocks of size up to 6 (``bench/inputs.jordan_system``), N = 4..24, the
-  verdict of ``pbh_test`` against exact Kalman rank (``controllable_exact``).
+  verdict of ``pbh_test`` against exact Kalman rank (``controllable_exact``),
+  and exact Kalman rank against an exact eigenvalue test written here:
+  ``rank_exact([lambda*I - D, H]) == N`` at each distinct eigenvalue lambda
+  of the Jordan structure, all of them integers.
   Each size also reports how many systems the staircase alone would call
   controllable (R = N) where ``pbh_test``'s eigenvalue probe sweep finds a
   rank drop; those are not mismatches, they show why the sweep is kept.
@@ -64,6 +67,7 @@ from sparse_ctrb import (  # noqa: E402
     min_poly_degree,
     pbh_test,
     rank,
+    rank_exact,
 )
 from sparse_ctrb.ctrb import _FloatSpan, _full_row_rank_screen, _Pencils  # noqa: E402
 from sparse_ctrb.exact import min_poly_degree_exact  # noqa: E402
@@ -145,11 +149,22 @@ def exact_q(blocks):
     return sum(largest.values())
 
 
+def exact_pbh(d, h, blocks):
+    """Whether ``rank_exact([lambda*I - D, H]) == N`` at every distinct
+    eigenvalue lambda of the Jordan ``blocks`` of the integer D."""
+    n = len(d)
+    return all(
+        rank_exact(np.hstack([lam * np.eye(n, dtype=d.dtype) - d, h])) == n
+        for lam in {lam for lam, _ in blocks}
+    )
+
+
 def jordan_mismatches():
     """Per N: (N, systems, uncontrollable ones, full staircases overturned by
     the probe sweep, float q above exact, the screen's (certified, left to
     the SVD) probe counts, mismatches) against exact Kalman rank and exact q
-    on integer Jordan systems; the exact route's q must equal exact q."""
+    on integer Jordan systems; the exact route's q must equal exact q, and
+    the exact eigenvalue test must agree with exact Kalman rank."""
     rng = np.random.default_rng(0)
     rows = []
     for n in JORDAN_SIZES:
@@ -173,6 +188,11 @@ def jordan_mismatches():
                 problems.append(
                     f"N={n} blocks {blocks} columns {columns}: "
                     f"float {got}, exact {want}"
+                )
+            if exact_pbh(d, h, blocks) != want:
+                problems.append(
+                    f"N={n} blocks {blocks} columns {columns}: exact eigenvalue "
+                    f"test {not want}, exact Kalman rank {want}"
                 )
             q, q_exact = min_poly_degree(sys_.D), exact_q(blocks)
             q_above += q > q_exact
@@ -212,8 +232,9 @@ def main():
             f"uncontrollable, {overturned} full staircases overturned by the "
             f"sweep, float q above exact on {q_above}; screen certified "
             f"{screen[0]} probes, left {screen[1]} to the SVD), {len(found)} "
-            f"mismatches against exact Kalman rank and exact q (float q "
-            f"below it, or the exact route's q unequal to it) or the screen"
+            f"mismatches against exact Kalman rank (the float verdict, or the "
+            f"exact eigenvalue test, unequal to it) and exact q (float q below "
+            f"it, or the exact route's q unequal to it) or the screen"
         )
     return 1 if problems else 0
 

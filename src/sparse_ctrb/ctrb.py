@@ -167,7 +167,8 @@ class _FloatSpan:
     ``matmul``, ``rank_condition`` (of H or of a support's columns, with a
     witness of a failure), ``holds`` (the same verdict without the witness,
     for callers that read only the verdict), ``min_poly_degree`` (q of its
-    D) and ``support_screen`` (the necessary screen of the common-support
+    D), ``d_rank`` (rank(D), here from the SVD that |D| takes) and
+    ``support_screen`` (the necessary screen of the common-support
     test, None where the span has none); the witness loop in ``oracle``
     also uses the incremental span (``empty``, ``extend``, ``leaf_rank``),
     its pre-checks ``ranks`` and ``capacity`` (of one block), and for
@@ -280,12 +281,15 @@ class _FloatSpan:
     def min_poly_degree(self):
         return self._spectrum.min_poly_degree()
 
+    def d_rank(self):
+        return self._spectrum.rank()
+
     def support_screen(self):
         """g_D, rank(H) and rank(D) for the common-support screen."""
         return {
             "g_d": self._spectrum.max_geometric_multiplicity(),
             "r_h": rank(self.h, self.tol),
-            "r_d": rank(self.d, self.tol),
+            "r_d": self.d_rank(),
         }
 
     @staticmethod
@@ -368,7 +372,7 @@ def _sparse_test(span, s):
     condition and the slack ``s + rank(D) - N``."""
     s = _check_sparsity(span.sys, s)
     holds, lam, z = span.rank_condition()
-    slack = s + span.rank([span.d]) - span.sys.n_states
+    slack = s + span.d_rank() - span.sys.n_states
     return _report(holds, lam, z, slack, span.tol)
 
 
@@ -377,7 +381,7 @@ def _sparse_verdict(span, s):
     inequality ``N <= s + rank(D)`` first, from one rank of D, and the rank
     condition, without a witness (``span.holds``), only where it holds."""
     s = _check_sparsity(span.sys, s)
-    return s + span.rank([span.d]) >= span.sys.n_states and span.holds()
+    return s + span.d_rank() >= span.sys.n_states and span.holds()
 
 
 def sparse_pbh_test(

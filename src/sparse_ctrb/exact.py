@@ -10,7 +10,13 @@ decisions and bounds are written once, in ``ctrb``, ``bounds`` and
 of pivot-reduced integer vectors grown column by column by fraction-free
 steps; ranks and the rank condition (in exact arithmetic the eigenvalue
 rank condition is equivalent to Kalman rank N, so no algebraic eigenvalues
-are needed) grow such a span.  The minimal-polynomial degree q comes from a
+are needed) grow such a span, reducing each Krylov column at most once.
+The Kalman rank (``holds``) multiplies D only into the columns that grew
+the span at the power before: a column that depends on those before it
+has every later power dependent too.  The walk's rank pre-check
+(``ranks``) extends a running span of all blocks but H by the new block
+only, recognising the walk's list by the identity of the blocks it has
+absorbed.  The minimal-polynomial degree q comes from a
 modular pass certified by one integer identity: the powers I, D, ... that
 are independent modulo a fixed prime are independent over Q, and the monic
 relation found mod p, lifted and checked exactly, bounds q from above (N
@@ -106,19 +112,32 @@ def _reduce(pivots, v):
     return v
 
 
-def _dims(blocks):
-    """Dimension of the span after each block has been added to it."""
-    pivots = ()
+def _grows(pivots, v):
+    """Whether ``v`` grows the span of ``pivots``: when it does, its reduced
+    form is appended to them with its first nonzero index as the pivot."""
+    v = _reduce(pivots, v)
+    idx = next((i for i, x in enumerate(v) if x != 0), None)
+    if idx is not None:
+        pivots.append((idx, v))
+    return idx is not None
+
+
+def _columns(block):
+    return range(len(block[0]) if block else 0)
+
+
+def _spanned(pivots, blocks):
+    """``pivots`` extended by every column of ``blocks``, in order."""
     for block in blocks:
-        columns = range(len(block[0]) if block else 0)
-        pivots, dim = _ExactSpan.extend(pivots, block, columns)
-        yield dim
+        pivots, _ = _ExactSpan.extend(pivots, block, _columns(block))
+    return pivots
 
 
 def _stalled_dim(blocks):
     """Dimension of the span at the first of ``blocks`` that adds nothing."""
-    dim = None
-    for grown in _dims(blocks):
+    dim, pivots = None, ()
+    for block in blocks:
+        pivots, grown = _ExactSpan.extend(pivots, block, _columns(block))
         if grown == dim:
             return dim
         dim = grown
@@ -214,8 +233,12 @@ class _ExactSpan:
     ``d`` and ``h`` are converted once, here (q is that of this ``d``), and
     ``a`` on first use.  Only ranks and dependences are asked of a span, so
     each of them, and each ``matmul``, holds its matrix up to a nonzero
-    scale.  The running span is a list of pivot-reduced integer vectors, so
-    its dimension is exact and a leaf of the schedule search needs no re-check.
+    scale.  The span that ``extend`` grows is a list of pivot-reduced
+    integer vectors, so its dimension is exact and a leaf of the schedule
+    search needs no re-check.  No Krylov column is reduced twice: ``holds``
+    drops each channel whose column closed, and ``ranks`` keeps the walk's
+    span between calls, while ``rank`` eliminates from scratch and keeps
+    nothing.
     ``min_poly_degree`` is certified modulo a prime where it can be, and
     eliminated otherwise (see ``_min_poly_degree``).  ``holds`` is the rank
     condition, which ``rank_condition`` reports with no witness, and
@@ -229,6 +252,8 @@ class _ExactSpan:
 
     def __init__(self, sys: SystemModel):
         self.sys, self.d, self.h = sys, _integers(sys.D), _integers(sys.H)
+        # ``ranks``'s running span: the blocks it absorbed and their pivots
+        self._running = (), ()
 
     @functools.cached_property
     def a(self):
@@ -236,20 +261,51 @@ class _ExactSpan:
 
     @staticmethod
     def rank(blocks):
-        return _ExactSpan.ranks(blocks)[1]
+        """Rank of the blocks, eliminated from scratch."""
+        return len(_spanned((), blocks))
 
-    @staticmethod
-    def ranks(blocks):
-        """Rank of all blocks but the last, and of all blocks, from one
-        elimination: the first is its dimension before the last block."""
-        dims = [0, 0, *_dims(blocks)]
-        return dims[-2], dims[-1]
+    def ranks(self, blocks):
+        """Rank of all blocks but the last, and of all blocks.
+
+        The blocks but the last are eliminated from the last of them up
+        (the lowest power of the walk's list ``[D^(K-1) H, ..., H]``, times
+        A for output targets, first) into a running span; all blocks are
+        that span extended by the last block's columns.  The walk hands in
+        its list again grown at the front, so when the blocks absorbed last
+        time are, by identity, the lowest of this call's, only the new ones
+        are eliminated.  Blocks are immutable tuples, and the span keeps a
+        reference to each one it absorbed, so no new block can take over an
+        absorbed one's identity.  Any other list is eliminated from scratch
+        and becomes the running span."""
+        below = blocks[-2::-1]
+        absorbed, pivots = self._running
+        done = len(absorbed)
+        if done > len(below) or any(a is not b for a, b in zip(absorbed, below)):
+            done, pivots = 0, ()
+        pivots = _spanned(pivots, below[done:])
+        self._running = below, pivots
+        return len(pivots), len(_spanned(pivots, blocks[-1:]))
 
     def holds(self, support=None):
-        """Kalman rank N of (D, H), or of (D, H_S) for a support S, grown
-        block by block until a block adds nothing."""
+        """Kalman rank N of (D, H), or of (D, H_S) for a support S.
+
+        The span grows one power at a time, columns in channel order, and D
+        multiplies only the columns that grew it at the power before.  If
+        D^k h_j depends on the columns before it (every lower power, then
+        the lower channels of power k), D^(k+1) h_j depends on D times
+        them, which all come before it too; so a channel whose column closed
+        adds nothing at any later power, and its products would reduce to
+        zero.  The pivots, and so each dimension, are those of eliminating
+        every block, and the loop ends at the first power that adds
+        nothing, or once the span is the whole space."""
+        n = self.sys.n_states
         h = self.h if support is None else [[row[j] for j in support] for row in self.h]
-        return _stalled_dim(_powers(self.d, h, _matmul)) == self.sys.n_states
+        pivots, columns = [], list(zip(*h))
+        while True:
+            grew = [v for v in columns if len(pivots) < n and _grows(pivots, v)]
+            if len(pivots) == n or not grew:
+                return len(pivots) == n
+            columns = [[sum(map(operator.mul, row, v)) for row in self.d] for v in grew]
 
     def rank_condition(self, support=None):
         """``(holds, None, None)``: exact arithmetic needs no witness."""
@@ -265,6 +321,9 @@ class _ExactSpan:
     def min_poly_degree(self):
         return _min_poly_degree(self.d)
 
+    def d_rank(self):
+        return self.rank([self.d])
+
     @staticmethod
     def support_screen():
         return None
@@ -279,10 +338,7 @@ class _ExactSpan:
         for j in support:
             if len(pivots) == len(block):  # the span is the whole space
                 break
-            v = _reduce(pivots, [row[j] for row in block])
-            pivot_idx = next((i for i, x in enumerate(v) if x != 0), None)
-            if pivot_idx is not None:
-                pivots.append((pivot_idx, v))
+            _grows(pivots, [row[j] for row in block])
         return pivots, len(pivots)
 
     @staticmethod

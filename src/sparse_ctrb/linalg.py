@@ -93,19 +93,22 @@ def _square(a, name="matrix", allow_complex=False):
     return arr
 
 
-def _spectral_norm(a):
-    if a.size == 0:
-        return 0.0
-    return float(np.linalg.svd(a, compute_uv=False)[0])
+def _singular_values(a):
+    """The singular values of ``a``, descending; a single 0 when ``a`` is
+    empty, so that its norm and its rank are 0."""
+    return np.linalg.svd(a, compute_uv=False) if a.size else np.zeros(1)
+
+
+def _rank_of(sigma, shape, tol):
+    """The rank of a matrix of ``shape`` with singular values ``sigma``
+    under the rule of :func:`rank`."""
+    return int(np.count_nonzero(sigma > tol.rank_rel * sigma[0] * max(shape)))
 
 
 def rank(m, tol: Tolerance = DEFAULT_TOLERANCE) -> int:
     """Numerical rank of ``m`` under the package-wide singular-value rule."""
     a = _as_matrix(m, allow_complex=True)
-    if a.size == 0:
-        return 0
-    sigma = np.linalg.svd(a, compute_uv=False)
-    return int(np.count_nonzero(sigma > tol.rank_rel * sigma[0] * max(a.shape)))
+    return _rank_of(_singular_values(a), a.shape, tol)
 
 
 def eigenvalues(d) -> np.ndarray:
@@ -144,18 +147,26 @@ def _clusters(values, radius):
 
 
 class _Spectrum:
-    """D's spectral norm |D|, its sorted eigenvalues, and their
-    ``(mean, size)`` clusters on the probe ladder: radii ``eig_cluster``,
-    then 1e-6, 1e-4 and 1e-3 times ``max(1, |D|)``.  Each is computed once,
-    on first use.  The probes read every rung, q the second and g_D the
-    first; the staircase's cut reads |D|."""
+    """D's singular values, its sorted eigenvalues, and their ``(mean,
+    size)`` clusters on the probe ladder: radii ``eig_cluster``, then 1e-6,
+    1e-4 and 1e-3 times ``max(1, |D|)``.  Each is computed once, on first
+    use.  The probes read every rung, q the second and g_D the first; the
+    staircase's cut reads |D|, and the sparse test rank(D), both from the
+    one SVD."""
 
     def __init__(self, d, tol: Tolerance):
         self.d, self.tol, self._rungs = d, tol, {}
 
     @functools.cached_property
+    def _sigma(self):
+        return _singular_values(self.d)
+
+    @functools.cached_property
     def norm(self):
-        return _spectral_norm(self.d)
+        return float(self._sigma[0])
+
+    def rank(self):
+        return _rank_of(self._sigma, self.d.shape, self.tol)
 
     @functools.cached_property
     def values(self):
@@ -282,7 +293,7 @@ def _staircase(d, h, tol: Tolerance, d_norm):
     late, small blocks.  ``d_norm`` is |D|, from the calling span's spectrum.
     """
     q = np.eye(len(d))
-    cut = tol.rank_rel * max(d_norm, _spectral_norm(h)) * len(d)
+    cut = tol.rank_rel * max(d_norm, float(_singular_values(h)[0])) * len(d)
     big_r, block = 0, h
     while big_r < len(d):
         u, sigma, _ = np.linalg.svd(q[:, big_r:].T @ block)
@@ -324,21 +335,22 @@ def core_nilpotent(m, tol: Tolerance = DEFAULT_TOLERANCE) -> CoreNilpotent:
     n = a.shape[0]
     if n == 0:
         return CoreNilpotent(v=np.eye(0), r=0, matrix_rank=0, mismatch=False)
-    nrm = _spectral_norm(a)
+    sigma = _singular_values(a)
+    nrm = float(sigma[0])
     if nrm == 0.0:
         return CoreNilpotent(v=np.eye(n), r=0, matrix_rank=0, mismatch=False)
     power = np.linalg.matrix_power(a / nrm, n)
-    u, sigma, vt = np.linalg.svd(power)
+    u, power_sigma, vt = np.linalg.svd(power)
     # The power is formed at unit spectral scale, so rounding noise sits near
     # n*eps of 1.0 even when every true singular value vanishes; measuring
     # against sigma_max alone would promote that noise to core dimensions.
-    threshold = tol.rank_rel * n * max(float(sigma[0]) if sigma.size else 0.0, 1.0)
-    r = int(np.count_nonzero(sigma > threshold))
+    threshold = tol.rank_rel * n * max(float(power_sigma[0]), 1.0)
+    r = int(np.count_nonzero(power_sigma > threshold))
     v = np.hstack([u[:, :r], vt[r:, :].T])
     if rank(v, tol) != n:
         raise InconclusiveError(
             "core-nilpotent split failed: range and null bases do not span"
         )
-    matrix_rank = rank(a, tol)
+    matrix_rank = _rank_of(sigma, a.shape, tol)
     return CoreNilpotent(v=v, r=r, matrix_rank=matrix_rank, mismatch=matrix_rank != r)
 

@@ -1,3 +1,4 @@
+import itertools
 import math
 import time
 from fractions import Fraction
@@ -29,8 +30,9 @@ from sparse_ctrb import (
     controllable_exact,
     common_support_exact,
 )
-from sparse_ctrb import exact
+from sparse_ctrb import exact, oracle
 from sparse_ctrb.bounds import _kstar_bounds
+from sparse_ctrb.ctrb import _products
 from sparse_ctrb.exact import _ExactSpan, _integers, min_poly_degree_exact, to_fractions
 from tests.conftest import (
     NEAR_DEFECTIVE,
@@ -172,6 +174,130 @@ class TestIntegerSpan:
         started = time.monotonic()
         assert min_poly_degree_exact(sys.D) == 22
         assert time.monotonic() - started < 1
+
+
+@st.composite
+def krylov_systems(draw):
+    """Small integer systems for the Krylov eliminations: D dense or
+    nilpotent (strictly upper triangular, its states permuted), and H with
+    zero, repeated and dependent columns."""
+    n = draw(st.integers(1, 5))
+    d = draw(int_matrix(n, n, -2, 2))
+    if draw(st.booleans()):
+        order = draw(st.permutations(range(n)))
+        d = np.triu(d, 1)[np.ix_(order, order)]
+    columns = []
+    for _ in range(draw(st.integers(1, 4))):
+        kinds = ["new", "zero"] + ["repeat", "sum"] * bool(columns)
+        kind = draw(st.sampled_from(kinds))
+        if kind == "new":
+            column = draw(int_matrix(n, 1, -1, 1))[:, 0]
+        elif kind == "zero":
+            column = np.zeros(n)
+        else:
+            i, j = (draw(st.integers(0, len(columns) - 1)) for _ in range(2))
+            scale = draw(st.sampled_from([-2, 2]))
+            column = scale * columns[i] if kind == "repeat" else columns[i] + columns[j]
+        columns.append(column)
+    return SystemModel(D=d, H=np.column_stack(columns))
+
+
+def _reference_rank(columns):
+    """Rank of the columns by the rational elimination ``_fraction_reduce``."""
+    pivots = []
+    for v in columns:
+        v = _fraction_reduce(pivots, [Fraction(x) for x in v])
+        idx = next((i for i, x in enumerate(v) if x != 0), None)
+        if idx is not None:
+            pivots.append((idx, v))
+    return len(pivots)
+
+
+def _block_columns(blocks):
+    return [column for block in blocks for column in zip(*block)]
+
+
+class TestKrylovEliminations:
+    """``_ExactSpan.holds`` and ``ranks`` against the rational reference, and
+    the work they skip: no product of a channel whose column closed, and no
+    block of the walk's list eliminated twice."""
+
+    @given(krylov_systems())
+    def test_holds_is_kalman_rank_n(self, sys):
+        span, n, l = _ExactSpan(sys), sys.n_states, sys.n_inputs
+        d, h = to_fractions(sys.D), to_fractions(sys.H)
+        subsets = (itertools.combinations(range(l), k) for k in range(1, l + 1))
+        for support in [None, *itertools.chain.from_iterable(subsets)]:
+            krylov = []
+            for j in range(l) if support is None else support:
+                column = [row[j] for row in h]
+                for _ in range(n):
+                    krylov.append(column)
+                    column = [sum(a * b for a, b in zip(row, column)) for row in d]
+            assert span.holds(support) == (_reference_rank(krylov) == n)
+
+    @given(krylov_systems(), st.data())
+    def test_ranks_match_reference_whatever_list_comes(self, sys, data):
+        span, n, l = _ExactSpan(sys), sys.n_states, sys.n_inputs
+
+        def check(blocks):
+            want = (
+                _reference_rank(_block_columns(blocks[:-1])),
+                _reference_rank(_block_columns(blocks)),
+            )
+            assert span.ranks(blocks) == want
+
+        # The walk's list, grown at the front, asked at some K only.
+        blocks = []
+        for block in itertools.islice(_products(span), 2 * n + 2):
+            blocks.insert(0, block)
+            if data.draw(st.booleans()):
+                check(blocks)
+        # Fewer of the same blocks; the list with its lowest block but one
+        # replaced; new blocks equal to the fewer; the walk's list again.
+        shorter = blocks[data.draw(st.integers(0, len(blocks) - 1)):]
+        check(shorter)
+        zero = tuple((0,) * l for _ in range(n))
+        check([*blocks[:-2], zero, blocks[-1]])
+        check([tuple(tuple(row) for row in block) for block in shorter])
+        check(blocks)
+
+    def test_holds_drops_a_closed_channel(self, monkeypatch):
+        # D h_0 = 2 h_0 closes channel 0 at power 1, so D^2 h_0 = 4 e_1 is
+        # never formed or reduced; channel 1 alone goes on to rank 4.
+        h = [[1, 1], [0, 1], [0, 1], [0, 1]]
+        sys = SystemModel(D=np.diag([2.0, 3.0, 5.0, 7.0]), H=h)
+        calls = _count_calls(monkeypatch, "_reduce")
+        assert _ExactSpan(sys).holds()
+        assert [list(v) for _, v in calls] == [
+            [1, 0, 0, 0], [1, 1, 1, 1], [2, 0, 0, 0], [2, 3, 5, 7], [4, 9, 25, 49]
+        ]
+
+    def test_walk_precheck_eliminates_each_block_once(self, monkeypatch):
+        # Exactly uncontrollable (e_6 is never reached), so every K is ruled
+        # out by the rank of all blocks and the walk closes at K = N + 1;
+        # the span never fills, so no elimination stops early.  Each K past
+        # the first asked (K = 3, the first whose capacities reach N) adds
+        # its new block to the running span and ranks H on top of it: 2L
+        # columns, where eliminating every block again would take K·L.
+        n, l = 6, 2
+        h = np.zeros((n, l))
+        h[:5, 0] = h[:2, 1] = 1
+        sys = SystemModel(D=np.diag(np.arange(1.0, n + 1)), H=h)
+        calls = _count_calls(monkeypatch, "_reduce")
+        asked, real = [], oracle._ruled_out
+
+        def ruled_out(blocks, *args):
+            before = len(calls)
+            got = real(blocks, *args)
+            asked.append((len(blocks), got, len(calls) - before))
+            return got
+
+        monkeypatch.setattr(oracle, "_ruled_out", ruled_out)
+        assert min_k_exact(sys, 2, max_k=20) == (None, None)
+        assert asked == [(k, "capacity", 0) for k in (1, 2)] + [(3, "rank", 3 * l)] + [
+            (k, "rank", 2 * l) for k in range(4, n + 2)
+        ]
 
 
 RATIONALS = st.one_of(
