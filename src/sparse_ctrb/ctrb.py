@@ -225,9 +225,10 @@ class _FloatSpan:
         sigma = np.linalg.svd(units, compute_uv=False)
         return int(np.count_nonzero(sigma > self.tol.rank_rel * len(units)))
 
-    def ranks(self, blocks):
+    def ranks(self, blocks, state=False):
         """``(None, count)``: the count on unit columns (see above) of all
-        blocks; ``cut_rank`` counts the rank of a float cut itself."""
+        blocks; ``cut_rank`` counts the rank of a float cut itself.  Whether
+        ``blocks`` is a state list (``state``) changes nothing here."""
         return None, self._count(_unit(np.hstack(blocks)))
 
     def capacity(self, block, s):
@@ -417,7 +418,11 @@ def _common_support(span, s):
     """``(verdict, support, screen)`` of the common-support test.
 
     ``screen`` is the span's necessary screen (None in exact arithmetic);
-    when it fails no support is enumerated.
+    when it fails no support is enumerated.  Supports are tried in
+    lexicographic order by ``span.holds``.  When the first one fails, the
+    whole channel set is tried once: the reachable space of (D, H_S) lies
+    in that of (D, H), so if (D, H) fails, no support can pass, and the
+    search ends there.
     """
     s = _check_sparsity(span.sys, s)
     screen = span.support_screen()
@@ -425,7 +430,13 @@ def _common_support(span, s):
         min(screen["r_h"], s) >= screen["g_d"] >= span.sys.n_states - screen["r_d"]
     ):
         return False, None, screen
-    support, _ = _first_controllable_support(span, (s,))
+    supports = itertools.combinations(range(span.sys.n_inputs), s)
+    first = next(supports)
+    if span.holds(first):
+        return True, first, screen
+    if s == span.sys.n_inputs or not span.holds():
+        return False, None, screen
+    support = next((sup for sup in supports if span.holds(sup)), None)
     return support is not None, support, screen
 
 

@@ -2,26 +2,32 @@
 
 Entries are mapped to ``fractions.Fraction`` exactly (binary floats are
 rationals, so a decimal such as 0.35 is decided at its binary value), and
-each matrix is then scaled once by the lcm of its denominators to Python ints.
-``_ExactSpan(sys)`` is the rational counterpart of ``ctrb._FloatSpan``: it
-holds the system, with D and H converted once when it is built, and the
-decisions and bounds are written once, in ``ctrb``, ``bounds`` and
-``oracle``, against either span.  Its one elimination is ``extend``, a span
-of pivot-reduced integer vectors grown column by column by fraction-free
-steps; ranks and the rank condition (in exact arithmetic the eigenvalue
-rank condition is equivalent to Kalman rank N, so no algebraic eigenvalues
-are needed) grow such a span, reducing each Krylov column at most once.
-The Kalman rank (``holds``) multiplies D only into the columns that grew
-the span at the power before: a column that depends on those before it
-has every later power dependent too.  The walk's rank pre-check
-(``ranks``) extends a running span of all blocks but H by the new block
-only, recognising the walk's list by the identity of the blocks it has
-absorbed.  The minimal-polynomial degree q comes from a
-modular pass certified by one integer identity: the powers I, D, ... that
-are independent modulo a fixed prime are independent over Q, and the monic
-relation found mod p, lifted and checked exactly, bounds q from above (N
-independent powers need no relation, as q <= N).  When the pass cannot
-certify q, the fraction-free elimination of vec(I), vec(D), ... decides it.
+each matrix is then scaled once by the lcm of its denominators to Python ints;
+a float array of integers below 2^53 is read straight through int64 to the
+same ints.  ``_ExactSpan(sys)`` is the rational counterpart of
+``ctrb._FloatSpan``: it holds the system, with D and H converted once when
+it is built, and the decisions and bounds are written once, in ``ctrb``,
+``bounds`` and ``oracle``, against either span.  Its one elimination is
+``extend``, a span of pivot-reduced integer vectors grown column by column
+by fraction-free steps; ranks and the rank condition (in exact arithmetic
+the eigenvalue rank condition is equivalent to Kalman rank N, so no
+algebraic eigenvalues are needed) grow such a span, reducing each Krylov
+column at most once.  The Kalman rank (``holds``) multiplies D only into
+the columns that grew the span at the power before: a column that depends
+on those before it has every later power dependent too.  The walk's rank
+pre-check (``ranks``) extends a running span of all blocks but H by the
+new block only, recognising the walk's list by the identity of the blocks
+it has absorbed, and on a state list skips the channels closed in it by
+the same argument.  Products by D and A are formed in int64 where the
+matrix's largest row-abs-sum times the largest entry of the other factor
+is below 2^62, which bounds every partial sum, and in Python ints
+otherwise; either way they come back as the same Python ints.  The
+minimal-polynomial degree q comes from a modular pass certified by one
+integer identity: the powers I, D, ... that are independent modulo a fixed
+prime are independent over Q, and the monic relation found mod p, lifted
+and checked exactly, bounds q from above (N independent powers need no
+relation, as q <= N).  When the pass cannot certify q, the fraction-free
+elimination of vec(I), vec(D), ... decides it.
 The ``*_exact`` functions run the shared code with this span.  Intended for
 fixture pinning and the CLI ``--rational`` mode; the eliminated vectors and
 their integers grow with N, so cost grows faster with dimension than on the
@@ -31,6 +37,7 @@ float route.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 import operator
 from fractions import Fraction
@@ -85,17 +92,27 @@ def to_fractions(arr):
     return tuple(tuple(Fraction(int(p), int(q)) for p, q in row) for row in rows)
 
 
+# Magnitude below which a float64 array is read straight through int64.
+_FLOAT_INTEGRAL = 2.0**53
+
+
 def _integers(arr):
     """``to_fractions(arr)`` times the lcm of its denominators, as int rows:
-    the same ranks and dependences."""
+    the same ranks and dependences.  A 2-D float64 array whose entries are
+    all integral and below 2^53 in magnitude (so finite, and exact in int64)
+    has the ratios ``(x, 1)`` and the lcm 1, so it is read straight through
+    int64 to the same rows; any other input goes through its ratios."""
+    if (
+        isinstance(arr, np.ndarray)
+        and arr.dtype == np.float64
+        and arr.ndim == 2
+        and (np.abs(arr) < _FLOAT_INTEGRAL).all()
+        and (arr == np.trunc(arr)).all()
+    ):
+        return tuple(map(tuple, arr.astype(np.int64).tolist()))
     ratios = _ratios(arr)
     scale = math.lcm(*(q for row in ratios for _, q in row))
     return tuple(tuple(p * (scale // q) for p, q in row) for row in ratios)
-
-
-def _matmul(a, b):
-    bt = list(zip(*b))
-    return tuple(tuple(sum(map(operator.mul, row, col)) for col in bt) for row in a)
 
 
 def _reduce(pivots, v):
@@ -143,10 +160,36 @@ def _stalled_dim(blocks):
         dim = grown
 
 
+# Bound on every int64 magnitude the exact route forms, sums included.
+_INT64_SAFE = 2**62
+
+
+def _matmul(a, b):
+    bt = list(zip(*b))
+    return tuple(tuple(sum(map(operator.mul, row, col)) for col in bt) for row in a)
+
+
+def _int64(m):
+    """``(m64, growth)`` of the int matrix ``m``: its largest row-abs-sum,
+    and ``m`` in int64 when that is below 2^62 (else None)."""
+    growth = max((sum(map(abs, row)) for row in m), default=0)
+    return (np.array(m, dtype=np.int64) if growth < _INT64_SAFE else None), growth
+
+
+def _product(m, wide, block):
+    """``m @ block`` as rows of Python ints, for ``wide = _int64(m)``.  Each
+    entry of the product, and each partial sum of it, is at most the
+    row-abs-sum of ``m`` times max|block| in magnitude, so while that is
+    below 2^62 int64 forms the product exactly; past it Python ints do."""
+    m64, growth = wide
+    size = max(map(abs, itertools.chain.from_iterable(block)), default=0)
+    if m64 is None or not block or growth * size >= _INT64_SAFE:
+        return _matmul(m, block)
+    return tuple(map(tuple, (m64 @ np.array(block, dtype=np.int64)).tolist()))
+
+
 # A prime below 2^31, so that a product of two residues fits in int64.
 _PRIME = 2**31 - 1
-# Bound on every int64 magnitude the identity check forms, sums included.
-_INT64_SAFE = 2**62
 
 
 def _mulmod(a, b):
@@ -156,9 +199,10 @@ def _mulmod(a, b):
     return ((a @ high % _PRIME << 16) + a @ low) % _PRIME
 
 
-def _certified_degree(d):
+def _certified_degree(d, wide=None):
     """q of the integer matrix ``d`` from one pass modulo ``_PRIME``, or None
-    when the pass cannot certify it.
+    when the pass cannot certify it; ``wide`` hands in ``_int64(d)`` where
+    the caller holds it.
 
     vec(D^k) mod p is eliminated against the earlier powers, carrying its
     coordinates over I, ..., D^k.  Powers independent mod p have a nonzero
@@ -170,9 +214,8 @@ def _certified_degree(d):
     and mod p after that, which only a relation needs.
     """
     n = len(d)
-    growth = max(sum(map(abs, row)) for row in d)
     # D in int64 is used only while growth * max|D^(k-1)| < 2^62
-    d64 = np.array(d, dtype=np.int64) if growth < _INT64_SAFE else None
+    d64, growth = wide or _int64(d)
     d_mod = np.array([[x % _PRIME for x in row] for row in d], dtype=np.int64)
     powers, sizes, pivots = [np.eye(n, dtype=np.int64)], [1], []
     for k in range(n):
@@ -213,10 +256,10 @@ def _is_relation(powers, sizes, coefficients):
     return not (powers[k] + np.tensordot(coefficients, powers[:k], 1)).any()
 
 
-def _min_poly_degree(d):
+def _min_poly_degree(d, wide=None):
     """Number of powers I, D, D^2, ... before the first dependent one: the
     modular pass's certified answer, else the integer elimination's."""
-    q = _certified_degree(d)
+    q = _certified_degree(d, wide)
     if q is not None:
         return q
     n = len(d)
@@ -231,14 +274,16 @@ class _ExactSpan:
     ``bounds`` and ``oracle``: the protocol of ``ctrb._FloatSpan``.
 
     ``d`` and ``h`` are converted once, here (q is that of this ``d``), and
-    ``a`` on first use.  Only ranks and dependences are asked of a span, so
+    ``a`` on first use; D and A are held with their int64 copies and
+    largest row-abs-sums (``_int64``), which ``matmul`` and the modular
+    pass of q read.  Only ranks and dependences are asked of a span, so
     each of them, and each ``matmul``, holds its matrix up to a nonzero
     scale.  The span that ``extend`` grows is a list of pivot-reduced
     integer vectors, so its dimension is exact and a leaf of the schedule
     search needs no re-check.  No Krylov column is reduced twice: ``holds``
     drops each channel whose column closed, and ``ranks`` keeps the walk's
-    span between calls, while ``rank`` eliminates from scratch and keeps
-    nothing.
+    span between calls and, on a state list, drops closed channels too,
+    while ``rank`` eliminates from scratch and keeps nothing.
     ``min_poly_degree`` is certified modulo a prime where it can be, and
     eliminated otherwise (see ``_min_poly_degree``).  ``holds`` is the rank
     condition, which ``rank_condition`` reports with no witness, and
@@ -247,24 +292,37 @@ class _ExactSpan:
     """
 
     what = "exact schedule search"
-    matmul = staticmethod(_matmul)
     tol = None
 
     def __init__(self, sys: SystemModel):
         self.sys, self.d, self.h = sys, _integers(sys.D), _integers(sys.H)
-        # ``ranks``'s running span: the blocks it absorbed and their pivots
-        self._running = (), ()
+        # D (and A, once read) with its int64 copy and largest row-abs-sum
+        self._wide = [(self.d, _int64(self.d))]
+        # ``ranks``'s running span: the blocks it absorbed, their pivots,
+        # the channels closed in it, and whether it holds a state list
+        self._running = (), (), frozenset(), False
 
     @functools.cached_property
     def a(self):
-        return _integers(_require_output_map(self.sys))
+        a = _integers(_require_output_map(self.sys))
+        self._wide.append((a, _int64(a)))
+        return a
+
+    def matmul(self, m, block):
+        """``m @ block`` for ``m`` = D or A, in int64 where ``_product``'s
+        bound proves it exact, else in Python ints; any other ``m`` in
+        Python ints.  Either way the rows are tuples of Python ints."""
+        for held, wide in self._wide:
+            if m is held:
+                return _product(m, wide, block)
+        return _matmul(m, block)
 
     @staticmethod
     def rank(blocks):
         """Rank of the blocks, eliminated from scratch."""
         return len(_spanned((), blocks))
 
-    def ranks(self, blocks):
+    def ranks(self, blocks, state=False):
         """Rank of all blocks but the last, and of all blocks.
 
         The blocks but the last are eliminated from the last of them up
@@ -276,14 +334,36 @@ class _ExactSpan:
         are eliminated.  Blocks are immutable tuples, and the span keeps a
         reference to each one it absorbed, so no new block can take over an
         absorbed one's identity.  Any other list is eliminated from scratch
-        and becomes the running span."""
+        and becomes the running span.
+
+        ``state`` says that the list is a state list, so that the running
+        span absorbs D H, D^2 H, ... in that order.  The argument of
+        ``holds`` then applies: once D^k h_j depends on the columns absorbed
+        before it, D^(k+1) h_j depends on D times them, which were all
+        absorbed before it too.  So a channel whose column closed is skipped
+        at every later power, and the pivots stay those of the full
+        elimination.  An output list A D^k H keeps every column, as A D^k h_j
+        can depend on the columns before it while A D^(k+1) h_j does not; so
+        does a list without the flag.  A span built under the other flag is
+        not extended."""
         below = blocks[-2::-1]
-        absorbed, pivots = self._running
+        absorbed, pivots, closed, was_state = self._running
         done = len(absorbed)
-        if done > len(below) or any(a is not b for a, b in zip(absorbed, below)):
-            done, pivots = 0, ()
-        pivots = _spanned(pivots, below[done:])
-        self._running = below, pivots
+        if (
+            state != was_state
+            or done > len(below)
+            or any(a is not b for a, b in zip(absorbed, below))
+        ):
+            done, pivots, closed = 0, (), frozenset()
+        pivots, closed = list(pivots), set(closed)
+        for block in below[done:]:
+            for j in _columns(block):
+                if len(pivots) == len(block):  # the span is the whole space
+                    break
+                if j not in closed and not _grows(pivots, [row[j] for row in block]):
+                    if state:
+                        closed.add(j)
+        self._running = below, tuple(pivots), frozenset(closed), state
         return len(pivots), len(_spanned(pivots, blocks[-1:]))
 
     def holds(self, support=None):
@@ -297,7 +377,9 @@ class _ExactSpan:
         adds nothing at any later power, and its products would reduce to
         zero.  The pivots, and so each dimension, are those of eliminating
         every block, and the loop ends at the first power that adds
-        nothing, or once the span is the whole space."""
+        nothing, or once the span is the whole space.  Each power's D·v is
+        one ``matmul``: in int64 while the row-abs-sum of D times the
+        largest entry of those columns is below 2^62."""
         n = self.sys.n_states
         h = self.h if support is None else [[row[j] for j in support] for row in self.h]
         pivots, columns = [], list(zip(*h))
@@ -305,7 +387,7 @@ class _ExactSpan:
             grew = [v for v in columns if len(pivots) < n and _grows(pivots, v)]
             if len(pivots) == n or not grew:
                 return len(pivots) == n
-            columns = [[sum(map(operator.mul, row, v)) for row in self.d] for v in grew]
+            columns = list(zip(*self.matmul(self.d, tuple(zip(*grew)))))
 
     def rank_condition(self, support=None):
         """``(holds, None, None)``: exact arithmetic needs no witness."""
@@ -319,7 +401,7 @@ class _ExactSpan:
         return min(s, self.rank([block]))
 
     def min_poly_degree(self):
-        return _min_poly_degree(self.d)
+        return _min_poly_degree(*self._wide[0])
 
     def d_rank(self):
         return self.rank([self.d])

@@ -196,9 +196,24 @@ class _Spectrum:
         return min(q, n)
 
     def max_geometric_multiplicity(self):
+        """The largest first nullity of ``_nullities`` over the first rung's
+        means, from stacked SVDs of ``D - mean*I``, at most
+        ``_STACK_BYTES`` of pencils to a stack: each pencil's singular
+        values are those of its own SVD, bit for bit."""
         n = self._nonempty()
-        means = [mean for mean, _ in self._rung(0)]
-        return max(_nullities(self.d - m * np.eye(n), 1, self.tol)[-1] for m in means)
+        means = np.array([mean for mean, _ in self._rung(0)])
+        pencil_bytes = n * n * np.result_type(self.d, means).itemsize
+        per_stack, eye, g = max(1, _STACK_BYTES // pencil_bytes), np.eye(n), 0
+        for start in range(0, len(means), per_stack):
+            stack = self.d - means[start : start + per_stack, None, None] * eye
+            sigma = np.linalg.svd(stack, compute_uv=False)
+            cut = self.tol.rank_rel * sigma[:, :1] * n
+            g = max(g, n - int(np.count_nonzero(sigma > cut, axis=1).min()))
+        return g
+
+
+# Bytes of the pencils D - mean*I that one stacked SVD of g_D takes.
+_STACK_BYTES = 2**21
 
 
 def eigenvalue_probes(d, tol: Tolerance = DEFAULT_TOLERANCE) -> list[complex]:
@@ -293,10 +308,11 @@ def _staircase(d, h, tol: Tolerance, d_norm):
     late, small blocks.  ``d_norm`` is |D|, from the calling span's spectrum.
     """
     q = np.eye(len(d))
-    cut = tol.rank_rel * max(d_norm, float(_singular_values(h)[0])) * len(d)
-    big_r, block = 0, h
+    big_r, block, cut = 0, h, None
     while big_r < len(d):
         u, sigma, _ = np.linalg.svd(q[:, big_r:].T @ block)
+        if cut is None:  # the first step's block is H itself, as Q = I
+            cut = tol.rank_rel * max(d_norm, float(sigma[0])) * len(d)
         step = int(np.count_nonzero(sigma > cut))
         if step == 0:
             break

@@ -177,7 +177,7 @@ def _descending_blocks(span, s, output, k_max):
 _SETTLED = ("rank", "inequality")
 
 
-def _ruled_out(blocks, caps, s, target, span):
+def _ruled_out(blocks, caps, s, target, span, state=False):
     """The pre-check that rules out a K before the kernel runs, or None.
 
     In order: ``"capacity"`` when the capacities, ``"rank"`` when the rank
@@ -186,7 +186,8 @@ def _ruled_out(blocks, caps, s, target, span):
     lies in range(D) (in A range(D) for output targets), so a schedule
     reaches at most rank(U) + s with U those columns: the bound of
     ``_blocked`` on this fixed U.  ``span.ranks`` reads rank(U) and the
-    rank of all blocks off one elimination.
+    rank of all blocks off one elimination; ``state`` tells it that
+    ``blocks`` is a state list, which the exact span's running span uses.
 
     The closure rule (``_SETTLED``): by Cayley-Hamilton the blocks span the
     whole Krylov space of (D, H) once K >= N (times A for output targets),
@@ -196,7 +197,7 @@ def _ruled_out(blocks, caps, s, target, span):
     ruled out by the same pre-check."""
     if sum(caps) < target:
         return "capacity"
-    below, rank = span.ranks(blocks)
+    below, rank = span.ranks(blocks, state)
     if rank < target:
         return "rank"
     u = [range(span.sys.n_inputs)] * (len(blocks) - 1) + [()]
@@ -421,7 +422,7 @@ def _min_k(span, s, budget, output=False, first_k=1):
             )
 
     def skip(k, blocks, caps):
-        return k < first_k or _ruled_out(blocks, caps, s, target, span)
+        return k < first_k or _ruled_out(blocks, caps, s, target, span, not output)
 
     for k, blocks, caps, inside, cut in _walk(span, s, output, max_k, counter, skip):
         if len(inside) < target:

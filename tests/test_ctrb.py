@@ -20,7 +20,7 @@ from sparse_ctrb import (
     sparse_pbh_test,
 )
 from sparse_ctrb import Tolerance, ctrb
-from sparse_ctrb.exact import _ExactSpan
+from sparse_ctrb.exact import _ExactSpan, common_support_exact
 from tests.conftest import (
     NEAR_DEFECTIVE,
     NEAR_DEFECTIVE_DATA,
@@ -237,6 +237,43 @@ class TestCommonSupport:
             assert len(support) <= s
             assert pbh_test(input_restriction(sys, support)).verdict
             assert sparse_pbh_test(sys, s).verdict
+
+
+    @pytest.mark.parametrize("span_of", [
+        lambda sys: ctrb._FloatSpan(sys, Tolerance()), _ExactSpan
+    ], ids=["float", "exact"])
+    def test_failed_channel_set_ends_the_search(self, monkeypatch, span_of):
+        # e_3 is never reached, yet the screen passes (g_D = 1, rank D = N,
+        # rank H = 3): after the first of the C(10, 5) = 252 supports fails,
+        # the whole channel set fails too, and no other support is tried.
+        rng = np.random.default_rng(7)
+        h = rng.integers(-2, 3, (4, 10)).astype(float)
+        h[3] = 0.0
+        sys = SystemModel(D=np.diag([1.0, 2.0, 3.0, 4.0]), H=h)
+        span = span_of(sys)
+        calls, holds = [], type(span).holds
+
+        def counting(self, *args):
+            calls.append(args)
+            return holds(self, *args)
+
+        monkeypatch.setattr(type(span), "holds", counting)
+        verdict, support, screen = ctrb._common_support(span, 5)
+        assert (verdict, support) == (False, None)
+        assert calls == [((0, 1, 2, 3, 4),), ()]
+        if screen is not None:
+            assert screen == {"g_d": 1, "r_h": 3, "r_d": 4}
+        assert common_support_test(sys, 5) == (False, None)
+        assert common_support_exact(sys, 5) == (False, None)
+
+    @given(small_systems(max_n=4, max_l=4), st.data())
+    def test_search_finds_the_first_controllable_support(self, sys, data):
+        # The early end changes no answer: the support is the first one, in
+        # lexicographic order, that passes the rank condition.
+        s = data.draw(st.integers(1, sys.n_inputs))
+        span = _ExactSpan(sys)
+        first, _ = ctrb._first_controllable_support(span, (s,))
+        assert ctrb._common_support(span, s)[:2] == (first is not None, first)
 
 
 def _with_output(d, h, a):

@@ -262,6 +262,46 @@ class TestKrylovEliminations:
         check([tuple(tuple(row) for row in block) for block in shorter])
         check(blocks)
 
+    @given(krylov_systems(), st.data())
+    def test_state_flag_matches_reference_on_state_lists(self, sys, data):
+        # The walk's state list, asked at some K with the flag and at some
+        # without it (which restarts the running span): the same ranks as a
+        # from-scratch elimination, and with the flag no more reductions.
+        span, n = _ExactSpan(sys), sys.n_states
+        blocks = []
+        for block in itertools.islice(_products(span), 2 * n + 2):
+            blocks.insert(0, block)
+            state = data.draw(st.sampled_from([True, True, False, None]))
+            if state is None:
+                continue
+            want = (
+                _reference_rank(_block_columns(blocks[:-1])),
+                _reference_rank(_block_columns(blocks)),
+            )
+            assert span.ranks(blocks, state) == want
+            with mock.patch.object(exact, "_reduce", _counting_reduce) as counted:
+                counted.calls = 0
+                flagged = _ExactSpan(sys).ranks(blocks, True), counted.calls
+                counted.calls = 0
+                full = _ExactSpan(sys).ranks(blocks), counted.calls
+            assert flagged[0] == full[0] == want
+            assert flagged[1] <= full[1]
+
+    def test_output_list_keeps_a_closed_channel(self, monkeypatch):
+        # D shifts e_0 -> e_1 -> e_2 -> 0 and A reads e_0 and e_2, so A D h
+        # is zero (closed) while A D^2 h = e_1 grows: an output list must
+        # reduce every column, and the walk does not flag it as a state list.
+        d = np.array([[0, 0, 0], [1, 0, 0], [0, 1, 0.0]])
+        a = np.array([[1, 0, 0], [0, 0, 1.0]])
+        sys = SystemModel(D=d, H=np.array([[1.0], [0.0], [0.0]]), A=a)
+        span = _ExactSpan(sys)
+        blocks = list(itertools.islice(_products(span, True), 3))[::-1]
+        assert blocks[1] == ((0,), (0,)) and blocks[0] == ((0,), (1,))
+        calls = _count_calls(monkeypatch, "_reduce")
+        assert span.ranks(blocks) == (1, 2)
+        assert [0, 1] in [list(v) for _, v in calls]
+        assert min_k_exact(sys, 1, max_k=6, output=True) == (3, ((0,),) * 3)
+
     def test_holds_drops_a_closed_channel(self, monkeypatch):
         # D h_0 = 2 h_0 closes channel 0 at power 1, so D^2 h_0 = 4 e_1 is
         # never formed or reduced; channel 1 alone goes on to rank 4.
@@ -278,8 +318,11 @@ class TestKrylovEliminations:
         # out by the rank of all blocks and the walk closes at K = N + 1;
         # the span never fills, so no elimination stops early.  Each K past
         # the first asked (K = 3, the first whose capacities reach N) adds
-        # its new block to the running span and ranks H on top of it: 2L
-        # columns, where eliminating every block again would take K·L.
+        # its new block to the running span and ranks H on top of it, where
+        # eliminating every block again would take K·L columns.  The state
+        # list's closed channels are skipped: h_1 = e_0 + e_1 closes at
+        # D^3 h_1 (K = 4), and h_0 at D^4 h_0 (K = 5), so K = 4 reduces 2 + L
+        # columns, K = 5 reduces 1 + L, and every later K reduces H alone.
         n, l = 6, 2
         h = np.zeros((n, l))
         h[:5, 0] = h[:2, 1] = 1
@@ -295,9 +338,77 @@ class TestKrylovEliminations:
 
         monkeypatch.setattr(oracle, "_ruled_out", ruled_out)
         assert min_k_exact(sys, 2, max_k=20) == (None, None)
-        assert asked == [(k, "capacity", 0) for k in (1, 2)] + [(3, "rank", 3 * l)] + [
-            (k, "rank", 2 * l) for k in range(4, n + 2)
+        assert asked == [(k, "capacity", 0) for k in (1, 2)] + [
+            (3, "rank", 3 * l), (4, "rank", 2 + l), (5, "rank", 1 + l)
+        ] + [(k, "rank", l) for k in range(6, n + 2)]
+
+
+def _counting_reduce(pivots, v):
+    _counting_reduce.calls += 1
+    return _REDUCE(pivots, v)
+
+
+_REDUCE = exact._reduce
+
+
+def _python_product(m, block):
+    return [[sum(x * y for x, y in zip(row, col)) for col in zip(*block)] for row in m]
+
+
+@st.composite
+def int64_products(draw):
+    """An integer matrix and a block whose product sits below, at or just
+    past the int64 bound row-abs-sum(m) * max|block| < 2^62."""
+    n, c = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    m = draw(st.lists(st.lists(st.integers(-3, 3), min_size=n, max_size=n),
+                      min_size=draw(st.integers(1, 3)), max_size=3))
+    m[0][0] = draw(st.sampled_from([1, -1])) * 2**draw(st.integers(0, 40))
+    growth = max(sum(map(abs, row)) for row in m)
+    edge = -(-exact._INT64_SAFE // growth)  # the least max|block| past the bound
+    size = draw(st.sampled_from([1, edge - 1, edge, edge + 1, 2 * edge, 2**40]))
+    block = draw(st.lists(st.lists(st.integers(-size, size), min_size=c, max_size=c),
+                          min_size=n, max_size=n))
+    block[draw(st.integers(0, n - 1))][0] = draw(st.sampled_from([size, -size]))
+    return m, block
+
+
+class TestInt64Products:
+    @given(int64_products())
+    def test_int64_matches_python_ints(self, case):
+        m, block = case
+        got = exact._product(m, exact._int64(m), block)
+        assert [list(row) for row in got] == _python_product(m, block)
+        assert all(type(x) is int for row in got for x in row)
+
+    @pytest.mark.parametrize("size, python", [
+        (2**31 - 1, False), (2**31, True), (2**32, True)
+    ], ids=["below", "at", "past"])
+    def test_bound_picks_the_arithmetic(self, monkeypatch, size, python):
+        # Row-abs-sum 2^31: the product fits in int64 below the bound, and
+        # past it (2^63) it would wrap.
+        m, block = [[2**31, 0], [0, 1]], [[size], [size]]
+        calls = _count_calls(monkeypatch, "_matmul")
+        got = exact._product(m, exact._int64(m), block)
+        assert got == ((2**31 * size,), (size,))
+        assert bool(calls) is python
+
+    def test_span_products_are_python_int_tuples(self):
+        # D D h has entries of 2^64, past int64: the walk's products, the
+        # output list's and holds's all still agree with Python ints.
+        d = np.array([[2.0**32, 0], [1, 3]])
+        sys = SystemModel(D=d, H=np.array([[1.0], [1.0]]), A=np.array([[1.0, 1.0]]))
+        span = _ExactSpan(sys)
+        blocks = list(itertools.islice(_products(span), 4))
+        want = [[[1], [1]]]
+        for _ in range(3):
+            want.append(_python_product(span.d, want[-1]))
+        assert [[list(row) for row in b] for b in blocks] == want
+        outputs = list(itertools.islice(_products(span, True), 4))
+        assert [[list(row) for row in b] for b in outputs] == [
+            _python_product(span.a, b) for b in want
         ]
+        assert all(type(x) is int for b in blocks + outputs for row in b for x in row)
+        assert span.holds() == controllable_exact(sys)
 
 
 RATIONALS = st.one_of(
@@ -349,8 +460,35 @@ class TestIntegers:
         assert got == _lcm_scaled(arr)
         assert all(type(x) is int for row in got for x in row)
 
+    @pytest.mark.parametrize("value, fast", [
+        (3.0, True), (0.5, False), (-0.0, True), (2.0**53 - 1, True),
+        (2.0**53, False), (-(2.0**53), False), (2.0**60, False), (1e300, False),
+        (5e-324, False), (2.2250738585072014e-308, False),
+    ])
+    def test_integral_float_arrays_skip_the_ratios(self, monkeypatch, value, fast):
+        # Integral entries below 2^53 go straight through int64; any other
+        # value takes the ratios and the lcm.  Both give the same rows.
+        arr = np.array([[value, 1.0], [-2.0, -value]])
+        calls = _count_calls(monkeypatch, "_ratios")
+        got = _integers(arr)
+        assert bool(calls) is not fast
+        assert got == _lcm_scaled(arr)
+        assert all(type(x) is int for row in got for x in row)
+
+    @given(_matrices(st.one_of(
+        st.integers(-(2**54), 2**54).map(float),
+        st.sampled_from([-0.0, 2.0**53, 2.0**60, 1e300, 0.5, 5e-324]),
+    )))
+    def test_integral_float_arrays_match_fractions(self, rows):
+        arr = np.array(rows, dtype=float)
+        assert _integers(arr) == _lcm_scaled(arr)
+
     def test_non_finite_raises_as_fraction_does(self):
-        for bad, error in ((float("inf"), OverflowError), (float("nan"), ValueError)):
+        for bad, error in (
+            (float("inf"), OverflowError),
+            (float("-inf"), OverflowError),
+            (float("nan"), ValueError),
+        ):
             with pytest.raises(error):
                 _integers(np.array([[1.0, bad]]))
 
@@ -379,7 +517,7 @@ class TestCertifiedDegree:
     )
     def test_matches_elimination(self, d):
         d = _integers(d)
-        with mock.patch.object(exact, "_certified_degree", lambda d: None):
+        with mock.patch.object(exact, "_certified_degree", lambda *args: None):
             eliminated = exact._min_poly_degree(d)
         assert exact._certified_degree(d) == eliminated
 

@@ -526,7 +526,7 @@ class TestCliExitCodes:
         assert (code, calls) == (0, [])
         assert json.loads(out)["result"]["k_star"] is None
 
-        def cut_free(blocks, caps, s, target, span):
+        def cut_free(blocks, caps, s, target, span, state=False):
             return None if _within_reach(blocks, caps, target, span) else "rank"
 
         monkeypatch.setattr(oracle, "_ruled_out", cut_free)
@@ -673,7 +673,7 @@ class TestCliExitCodes:
         assert len(walked) == 3 and calls
         singles = [
             args for args in calls
-            if len(args[-1]) == 1 and any(args[-1][0] is block for block in walked)
+            if len(args[1]) == 1 and any(args[1][0] is block for block in walked)
         ]
         assert singles == []
 
