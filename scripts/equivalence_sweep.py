@@ -199,7 +199,7 @@ def rstar_mismatches(sys_, s, sparse, unchecked, cuts):
         ):
             counter = _Counter(OracleBudget(), "equivalence sweep")
             inside, cut = _common_independent(blocks, s, span, counter)
-            ruling = _ruled_out(blocks, caps, s, n, span)
+            ruling = _ruled_out(blocks, caps, s, n, span, True)
             if ruling == "inequality":
                 cuts["inequality"] += 1
             elif ruling is None and len(inside) < n:

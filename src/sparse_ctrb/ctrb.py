@@ -227,8 +227,9 @@ class _FloatSpan:
 
     def ranks(self, blocks, state=False):
         """``(None, count)``: the count on unit columns (see above) of all
-        blocks; ``cut_rank`` counts the rank of a float cut itself.  Whether
-        ``blocks`` is a state list (``state``) changes nothing here."""
+        blocks; ``cut_rank`` counts the rank of a float cut itself.
+        ``state`` (whether ``blocks`` is a state list) is read only by the
+        exact span, and taken here for the shared protocol."""
         return None, self._count(_unit(np.hstack(blocks)))
 
     def capacity(self, block, s):
@@ -419,10 +420,12 @@ def _common_support(span, s):
 
     ``screen`` is the span's necessary screen (None in exact arithmetic);
     when it fails no support is enumerated.  Supports are tried in
-    lexicographic order by ``span.holds``.  When the first one fails, the
-    whole channel set is tried once: the reachable space of (D, H_S) lies
-    in that of (D, H), so if (D, H) fails, no support can pass, and the
-    search ends there.
+    lexicographic order by ``span.holds``.  In exact arithmetic, when the
+    first one fails, the whole channel set is tried once: the reachable
+    space of (D, H_S) lies in that of (D, H), so if (D, H) fails, no support
+    can pass, and the search ends there.  The float span's cut grows with
+    |H_S|, so there a support can pass where (D, H) fails, and every
+    support is tried.
     """
     s = _check_sparsity(span.sys, s)
     screen = span.support_screen()
@@ -434,7 +437,7 @@ def _common_support(span, s):
     first = next(supports)
     if span.holds(first):
         return True, first, screen
-    if s == span.sys.n_inputs or not span.holds():
+    if s == span.sys.n_inputs or (span.tol is None and not span.holds()):
         return False, None, screen
     support = next((sup for sup in supports if span.holds(sup)), None)
     return support is not None, support, screen

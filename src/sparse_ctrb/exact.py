@@ -180,10 +180,12 @@ def _product(m, wide, block):
     """``m @ block`` as rows of Python ints, for ``wide = _int64(m)``.  Each
     entry of the product, and each partial sum of it, is at most the
     row-abs-sum of ``m`` times max|block| in magnitude, so while that is
-    below 2^62 int64 forms the product exactly; past it Python ints do."""
+    below 2^62 int64 forms the product exactly; past it Python ints do.
+    The row-abs-sum is taken as at least 1, so that ``block`` itself fits
+    in int64 even when ``m`` is zero."""
     m64, growth = wide
     size = max(map(abs, itertools.chain.from_iterable(block)), default=0)
-    if m64 is None or not block or growth * size >= _INT64_SAFE:
+    if m64 is None or not block or max(growth, 1) * size >= _INT64_SAFE:
         return _matmul(m, block)
     return tuple(map(tuple, (m64 @ np.array(block, dtype=np.int64)).tolist()))
 

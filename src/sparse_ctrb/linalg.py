@@ -196,10 +196,11 @@ class _Spectrum:
         return min(q, n)
 
     def max_geometric_multiplicity(self):
-        """The largest first nullity of ``_nullities`` over the first rung's
-        means, from stacked SVDs of ``D - mean*I``, at most
-        ``_STACK_BYTES`` of pencils to a stack: each pencil's singular
-        values are those of its own SVD, bit for bit."""
+        """The largest nullity of ``D - mean*I`` under the rule of
+        :func:`rank` (the first nullity of ``_nullities``) over the first
+        rung's means, from stacked SVDs, at most ``_STACK_BYTES`` of pencils
+        to a stack: each pencil's singular values are those of its own SVD,
+        bit for bit."""
         n = self._nonempty()
         means = np.array([mean for mean, _ in self._rung(0)])
         pencil_bytes = n * n * np.result_type(self.d, means).itemsize
@@ -207,8 +208,7 @@ class _Spectrum:
         for start in range(0, len(means), per_stack):
             stack = self.d - means[start : start + per_stack, None, None] * eye
             sigma = np.linalg.svd(stack, compute_uv=False)
-            cut = self.tol.rank_rel * sigma[:, :1] * n
-            g = max(g, n - int(np.count_nonzero(sigma > cut, axis=1).min()))
+            g = max(g, n - min(_rank_of(row, (n, n), self.tol) for row in sigma))
         return g
 
 

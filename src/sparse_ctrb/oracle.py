@@ -177,7 +177,7 @@ def _descending_blocks(span, s, output, k_max):
 _SETTLED = ("rank", "inequality")
 
 
-def _ruled_out(blocks, caps, s, target, span, state=False):
+def _ruled_out(blocks, caps, s, target, span, state):
     """The pre-check that rules out a K before the kernel runs, or None.
 
     In order: ``"capacity"`` when the capacities, ``"rank"`` when the rank

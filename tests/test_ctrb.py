@@ -244,8 +244,9 @@ class TestCommonSupport:
     ], ids=["float", "exact"])
     def test_failed_channel_set_ends_the_search(self, monkeypatch, span_of):
         # e_3 is never reached, yet the screen passes (g_D = 1, rank D = N,
-        # rank H = 3): after the first of the C(10, 5) = 252 supports fails,
-        # the whole channel set fails too, and no other support is tried.
+        # rank H = 3).  In exact arithmetic, after the first of the
+        # C(10, 5) = 252 supports fails, the whole channel set fails too, and
+        # no other support is tried; the float span tries every support.
         rng = np.random.default_rng(7)
         h = rng.integers(-2, 3, (4, 10)).astype(float)
         h[3] = 0.0
@@ -260,11 +261,27 @@ class TestCommonSupport:
         monkeypatch.setattr(type(span), "holds", counting)
         verdict, support, screen = ctrb._common_support(span, 5)
         assert (verdict, support) == (False, None)
-        assert calls == [((0, 1, 2, 3, 4),), ()]
-        if screen is not None:
+        supports = list(itertools.combinations(range(10), 5))
+        if screen is None:
+            assert calls == [(supports[0],), ()]
+        else:
+            assert calls == [(sup,) for sup in supports]
             assert screen == {"g_d": 1, "r_h": 3, "r_d": 4}
         assert common_support_test(sys, 5) == (False, None)
         assert common_support_exact(sys, 5) == (False, None)
+
+    def test_float_support_passes_where_channel_set_fails(self):
+        # The float cut is rank_rel * max(|D|, |H_S|) * N: the 1e12 entry
+        # puts the whole channel set's cut at 200, past the second
+        # eigenvalue's reach, while H_(1,2) = I has a cut of 4e-10.  So
+        # the float search must go on past a failed channel set, and its
+        # verdict is the exact one (exact arithmetic passes (0, 2) first).
+        sys = SystemModel(
+            D=np.diag([1.0, 2.0]), H=np.array([[1e12, 1.0, 0.0], [0.0, 0.0, 1.0]])
+        )
+        assert not ctrb._FloatSpan(sys, Tolerance()).holds()
+        assert common_support_test(sys, 2) == (True, (1, 2))
+        assert common_support_exact(sys, 2) == (True, (0, 2))
 
     @given(small_systems(max_n=4, max_l=4), st.data())
     def test_search_finds_the_first_controllable_support(self, sys, data):

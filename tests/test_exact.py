@@ -1,4 +1,5 @@
 import itertools
+import json
 import math
 import time
 from fractions import Fraction
@@ -32,8 +33,10 @@ from sparse_ctrb import (
 )
 from sparse_ctrb import exact, oracle
 from sparse_ctrb.bounds import _kstar_bounds
+from sparse_ctrb.cli import main
 from sparse_ctrb.ctrb import _products
 from sparse_ctrb.exact import _ExactSpan, _integers, min_poly_degree_exact, to_fractions
+from sparse_ctrb.io import save_system
 from tests.conftest import (
     NEAR_DEFECTIVE,
     NEAR_DEFECTIVE_DATA,
@@ -358,14 +361,20 @@ def _python_product(m, block):
 @st.composite
 def int64_products(draw):
     """An integer matrix and a block whose product sits below, at or just
-    past the int64 bound row-abs-sum(m) * max|block| < 2^62."""
+    past the int64 bound row-abs-sum(m) * max|block| < 2^62; a zero matrix
+    with blocks up to and past int64 itself."""
     n, c = draw(st.integers(1, 3)), draw(st.integers(1, 3))
     m = draw(st.lists(st.lists(st.integers(-3, 3), min_size=n, max_size=n),
                       min_size=draw(st.integers(1, 3)), max_size=3))
-    m[0][0] = draw(st.sampled_from([1, -1])) * 2**draw(st.integers(0, 40))
-    growth = max(sum(map(abs, row)) for row in m)
+    if draw(st.booleans()):
+        m[0][0] = draw(st.sampled_from([1, -1])) * 2**draw(st.integers(0, 40))
+    else:
+        m = [[0] * n for _ in m]
+    growth = max(1, max(sum(map(abs, row)) for row in m))
     edge = -(-exact._INT64_SAFE // growth)  # the least max|block| past the bound
-    size = draw(st.sampled_from([1, edge - 1, edge, edge + 1, 2 * edge, 2**40]))
+    size = draw(st.sampled_from(
+        [1, edge - 1, edge, edge + 1, 2 * edge, 2**40, 2**63, 2**119]
+    ))
     block = draw(st.lists(st.lists(st.integers(-size, size), min_size=c, max_size=c),
                           min_size=n, max_size=n))
     block[draw(st.integers(0, n - 1))][0] = draw(st.sampled_from([size, -size]))
@@ -391,6 +400,20 @@ class TestInt64Products:
         got = exact._product(m, exact._int64(m), block)
         assert got == ((2**31 * size,), (size,))
         assert bool(calls) is python
+
+    @pytest.mark.parametrize("h", [[[1e20], [0.0]], [[1e-20], [1.0]]],
+                             ids=["huge", "tiny"])
+    def test_zero_d_with_h_past_int64(self, capsys, tmp_path, h):
+        # D = 0 has row-abs-sum 0, and H's integers (1e20, or 1e-20 and 1
+        # scaled by the lcm to about 2^119) do not fit in int64: the
+        # products go through Python ints, and --rational decides.
+        sys = SystemModel(D=np.zeros((2, 2)), H=np.array(h))
+        assert not _ExactSpan(sys).holds()
+        assert sparse_controllable_exact(sys, 1) == (False, False, -1)
+        path = tmp_path / "zero-d.json"
+        save_system(path, sys, name="zero-d")
+        assert main(["check", str(path), "-s", "1", "--rational"]) == 0
+        assert json.loads(capsys.readouterr().out)["result"]["rank_condition_holds"] is False
 
     def test_span_products_are_python_int_tuples(self):
         # D D h has entries of 2^64, past int64: the walk's products, the

@@ -526,7 +526,7 @@ class TestCliExitCodes:
         assert (code, calls) == (0, [])
         assert json.loads(out)["result"]["k_star"] is None
 
-        def cut_free(blocks, caps, s, target, span, state=False):
+        def cut_free(blocks, caps, s, target, span, state):
             return None if _within_reach(blocks, caps, target, span) else "rank"
 
         monkeypatch.setattr(oracle, "_ruled_out", cut_free)

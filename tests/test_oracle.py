@@ -360,7 +360,7 @@ class TestCommonIndependent:
         span = span_of(sys)
         problems = _descending_blocks(span, s, output, sys.n_states * math.ceil(l / s))
         for blocks, caps in problems:
-            if _ruled_out(blocks, caps, s, target, span) is not None:
+            if _ruled_out(blocks, caps, s, target, span, not output) is not None:
                 assert _best_schedule(blocks, caps, supports, target, span, counter) is None
 
     @pytest.mark.parametrize("span_of", SPANS, ids=["float", "exact"])
@@ -388,7 +388,7 @@ class TestCommonIndependent:
         problems = _descending_blocks(span, s, output, 2 * n * math.ceil(l / s))
         closed = False
         for k, (blocks, caps) in enumerate(problems, start=1):
-            ruling = _ruled_out(blocks, caps, s, target, span)
+            ruling = _ruled_out(blocks, caps, s, target, span, not output)
             assert not closed or ruling in _SETTLED, (k, ruling)
             closed = closed or (k > n and ruling in _SETTLED)
 
@@ -424,7 +424,7 @@ class TestCommonIndependent:
             if k < 4:
                 continue
             assert span.ranks(blocks) == (3, 4)
-            assert _ruled_out(blocks, caps, 1, 4, span) is None
+            assert _ruled_out(blocks, caps, 1, 4, span, False) is None
             inside, cut = _common_independent(blocks, 1, span, counter)
             assert sum(1 for d, _ in inside if d < k - 1) == 2
             dim = sum(1 for x in inside if x in cut)
