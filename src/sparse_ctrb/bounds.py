@@ -88,7 +88,9 @@ def _kstar_bounds(span, variant, s) -> KStarBounds:
     s-sparse controllability, a controllable common support, or (output) a
     valid output map and sparsity; its failure raises.  A passed sparse
     guard has settled the rank condition and rank(D) (in its slack), so
-    neither is decided again.
+    neither is decided again.  The exact span starts the S* search at
+    ceil(N / q) channels; the float span, whose q and rank decisions are
+    each made on their own, starts it at one.
     """
     sys = span.sys
     target = sys.n_states
@@ -127,7 +129,11 @@ def _kstar_bounds(span, variant, s) -> KStarBounds:
         )
     s_star_value = None
     if variant == "sparse":
-        support, _ = _first_controllable_support(span, range(1, sys.n_inputs + 1))
+        # In exact arithmetic each column's Krylov space has dimension at
+        # most q, so no support of fewer than N / q channels is controllable.
+        smallest = 1 if span.tol is not None else _ceil_frac(target, q)
+        sizes = range(smallest, sys.n_inputs + 1)
+        support, _ = _first_controllable_support(span, sizes)
         s_star_value = len(support)
         upper = min(q * _ceil_frac(s_star_value, s), target - r_eff + 1)
     elif variant == "relaxed":

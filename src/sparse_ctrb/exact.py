@@ -195,53 +195,65 @@ _PRIME = 2**31 - 1
 
 
 def _mulmod(a, b):
-    """``a @ b`` mod p for residue matrices; splitting ``b`` at 2^16 keeps
-    every sum of products below 2^63 while N < 2^15."""
+    """``a @ b`` mod p for a residue matrix ``a`` and a residue matrix or
+    vector ``b``; splitting ``b`` at 2^16 keeps every sum of products below
+    2^63 while N < 2^15."""
     high, low = np.divmod(b, 1 << 16)
     return ((a @ high % _PRIME << 16) + a @ low) % _PRIME
 
 
-def _certified_degree(d, wide=None):
-    """q of the integer matrix ``d`` from one pass modulo ``_PRIME``, or None
-    when the pass cannot certify it; ``wide`` hands in ``_int64(d)`` where
-    the caller holds it.
+@functools.cache
+def _start(n):
+    """The fixed vector of residues mod p that starts the Krylov sequence of
+    ``_certified_degree`` at size ``n``, drawn once from a fixed seed."""
+    return np.random.default_rng(n).integers(0, _PRIME, n)
 
-    vec(D^k) mod p is eliminated against the earlier powers, carrying its
-    coordinates over I, ..., D^k.  Powers independent mod p have a nonzero
-    minor mod p, a nonzero integer, so q >= k while they stay independent,
-    and N of them give q = N (Cayley-Hamilton).  At the first dependent
-    k < N, the coordinates lifted to (-p/2, p/2) are a monic relation of
-    degree k; when it holds exactly, q = k.  D^k is formed exactly in int64
-    while the largest row-abs-sum of D times max|D^(k-1)| is below 2^62,
-    and mod p after that, which only a relation needs.
+
+def _certified_degree(d, wide=None):
+    """q of the integer matrix ``d`` from the Krylov sequence of one vector
+    modulo ``_PRIME``, or None when it cannot certify q; ``wide`` hands in
+    ``_int64(d)`` where the caller holds it.
+
+    The columns v, D v, ..., D^N v mod p (v = ``_start(N)``) are eliminated
+    in order, by Gauss-Jordan steps, up to the first one that depends on
+    those before it.  Integer vectors independent mod p have a nonzero minor
+    mod p, a nonzero integer, so D^i v for i < k independent mod p makes
+    I, ..., D^(k-1) independent over Q: q >= k, and N of them give q = N
+    (Cayley-Hamilton).  The first dependent D^k v, k < N, has coordinates
+    over the earlier ones; lifted to (-p/2, p/2) they give a monic relation
+    of degree k, and when it holds exactly for D itself, q = k.  It fails
+    when v misses part of D's minimal polynomial mod p, or a coefficient is
+    past p/2.  D^k is formed exactly in int64 while the largest
+    row-abs-sum of D times max|D^(k-1)| is below 2^62.
     """
     n = len(d)
-    # D in int64 is used only while growth * max|D^(k-1)| < 2^62
-    d64, growth = wide or _int64(d)
     d_mod = np.array([[x % _PRIME for x in row] for row in d], dtype=np.int64)
-    powers, sizes, pivots = [np.eye(n, dtype=np.int64)], [1], []
-    for k in range(n):
-        if not k:
-            residue = powers[0]
-        elif len(powers) == k and growth * sizes[-1] < _INT64_SAFE:
-            powers.append(d64 @ powers[-1])
-            sizes.append(int(np.abs(powers[-1]).max()))
-            residue = powers[-1] % _PRIME
-        else:
-            residue = _mulmod(d_mod, residue)
-        # vec(D^k) mod p, then its coordinates over I, ..., D^(n-1): e_k
-        v = np.concatenate([residue.ravel(), np.arange(n) == k])
-        for idx, p in pivots:
-            if v[idx]:
-                v = (v - v[idx] * p) % _PRIME
-        nonzero = np.flatnonzero(v[: n * n])
+    krylov = [_start(n)]
+    for _ in range(n):
+        krylov.append(_mulmod(d_mod, krylov[-1]))
+    m, rows, free = np.stack(krylov, axis=1), [], np.ones(n, dtype=bool)
+    for k in range(n + 1):
+        nonzero = np.flatnonzero(free & (m[:, k] != 0))
         if not nonzero.size:
-            coords = v[n * n : n * n + k]
-            lifted = np.where(coords > _PRIME // 2, coords - _PRIME, coords)
-            return k if _is_relation(powers, sizes, lifted) else None
-        idx = nonzero[0]
-        pivots.append((idx, v * pow(int(v[idx]), -1, _PRIME) % _PRIME))
-    return n
+            break
+        r = nonzero[0]
+        m[r] = m[r] * pow(int(m[r, k]), -1, _PRIME) % _PRIME
+        column = m[:, k].copy()  # every row but r clears its entry in column k
+        column[r] = 0
+        m = (m - np.outer(column, m[r])) % _PRIME
+        free[r] = False
+        rows.append(r)
+    if k == n:
+        return n
+    # D^k v = sum_i m[rows[i], k] D^i v mod p
+    coefficients = -m[rows, k] % _PRIME
+    lifted = np.where(coefficients > _PRIME // 2, coefficients - _PRIME, coefficients)
+    d64, growth = wide or _int64(d)
+    powers, sizes = [np.eye(n, dtype=np.int64)], [1]
+    while len(powers) <= k and growth * sizes[-1] < _INT64_SAFE:
+        powers.append(d64 @ powers[-1])
+        sizes.append(int(np.abs(powers[-1]).max()))
+    return k if _is_relation(powers, sizes, lifted) else None
 
 
 def _is_relation(powers, sizes, coefficients):

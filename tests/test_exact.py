@@ -31,7 +31,7 @@ from sparse_ctrb import (
     controllable_exact,
     common_support_exact,
 )
-from sparse_ctrb import exact, oracle
+from sparse_ctrb import ctrb, exact, oracle
 from sparse_ctrb.bounds import _kstar_bounds
 from sparse_ctrb.cli import main
 from sparse_ctrb.ctrb import _products
@@ -698,6 +698,34 @@ class TestExactDecisions:
     @given(small_systems(with_output=True))
     def test_output_kalman_matches_float(self, sys):
         assert output_kalman_exact(sys) == output_kalman_test(sys)
+
+    @given(small_systems(max_n=5, max_l=4), st.data())
+    def test_sparse_bounds_s_star_is_the_full_search(self, sys, data):
+        # The exact sparse bounds start the S* search at ceil(N / q): the
+        # supports they skip are never controllable, so S* is the one the
+        # search from a single channel finds.
+        s = data.draw(st.integers(1, sys.n_inputs))
+        span = _ExactSpan(sys)
+        if not sparse_controllable_exact(sys, s)[0]:
+            return
+        support, _ = ctrb._first_controllable_support(span, range(1, sys.n_inputs + 1))
+        assert _kstar_bounds(span, "sparse", s).s_star == len(support)
+
+    def test_sparse_bounds_skip_supports_below_n_over_q(self, monkeypatch):
+        # D = diag(1, 1, 2): q = 2 < N = 3, so no single channel controls it,
+        # and the exact S* search starts at the pairs, of which (0, 1) passes.
+        h = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [1.0, 0.0, 1.0]])
+        sys = SystemModel(D=np.diag([1.0, 1.0, 2.0]), H=h)
+        calls, holds = [], _ExactSpan.holds
+
+        def counting(self, support=None):
+            calls.append(support)
+            return holds(self, support)
+
+        monkeypatch.setattr(_ExactSpan, "holds", counting)
+        got = _kstar_bounds(_ExactSpan(sys), "sparse", 2)
+        assert (got.q, got.s_star) == (2, 2)
+        assert calls == [None, (0, 1)]
 
 
 class TestMinKExact:
