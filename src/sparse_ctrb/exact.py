@@ -23,11 +23,12 @@ matrix's largest row-abs-sum times the largest entry of the other factor
 is below 2^62, which bounds every partial sum, and in Python ints
 otherwise; either way they come back as the same Python ints.  The
 minimal-polynomial degree q comes from a modular pass certified by one
-integer identity: the powers I, D, ... that are independent modulo a fixed
-prime are independent over Q, and the monic relation found mod p, lifted
-and checked exactly, bounds q from above (N independent powers need no
-relation, as q <= N).  When the pass cannot certify q, the fraction-free
-elimination of vec(I), vec(D), ... decides it.
+integer identity: the Krylov vectors v, D v, ... of a fixed vector that are
+independent modulo a fixed prime are independent over Q, and so are I, D,
+...; the monic relation found mod p, lifted and checked exactly on D,
+bounds q from above (N independent vectors need no relation, as q <= N).
+When the pass cannot certify q, the fraction-free elimination of vec(I),
+vec(D), ... decides it.
 The ``*_exact`` functions run the shared code with this span.  Intended for
 fixture pinning and the CLI ``--rational`` mode; the eliminated vectors and
 their integers grow with N, so cost grows faster with dimension than on the
@@ -115,18 +116,34 @@ def _integers(arr):
     return tuple(tuple(p * (scale // q) for p, q in row) for row in ratios)
 
 
+# Magnitude of a step's multipliers from which ``_reduce`` divides out the
+# content at that step, and not only after the last one.
+_CONTENT_AT = 2**64
+
+
+def _primitive(v):
+    content = math.gcd(*v)
+    return [x // content for x in v] if content > 1 else v
+
+
 def _reduce(pivots, v):
     """``v`` with its entries at the pivot indices of the pivot vectors
-    ``(idx, p)`` cleared by fraction-free steps ``p[idx]·v - v[idx]·p``, each
-    divided by its content: a nonzero multiple of the rational elimination."""
+    ``(idx, p)`` cleared by fraction-free steps ``p[idx]·v - v[idx]·p``, and
+    divided by its content: a nonzero multiple of the rational elimination.
+    A step commutes with a positive scale of ``v``, so dividing the content
+    out after the last step gives the same vector as after every step; it is
+    also divided out after a step whose multipliers reach 2^64, which keeps
+    large entries from compounding."""
+    scaled = False
     for idx, p in pivots:
-        if v[idx] != 0:
-            a, b = p[idx], v[idx]
+        b = v[idx]
+        if b:
+            a = p[idx]
             v = [a * x - b * y for x, y in zip(v, p)]
-            content = math.gcd(*v)
-            if content > 1:
-                v = [x // content for x in v]
-    return v
+            scaled = -_CONTENT_AT < a < _CONTENT_AT and -_CONTENT_AT < b < _CONTENT_AT
+            if not scaled:
+                v = _primitive(v)
+    return _primitive(v) if scaled else v
 
 
 def _grows(pivots, v):

@@ -162,6 +162,32 @@ class TestIntegerSpan:
             want = _span_answers([to_fractions(b) for b in blocks])
         assert got == want
 
+    @given(
+        st.integers(1, 5).flatmap(lambda n: st.lists(
+            st.lists(st.one_of(st.integers(-3, 3), st.integers(-(2**70), 2**70)),
+                     min_size=n, max_size=n),
+            min_size=1, max_size=n + 1,
+        ))
+    )
+    def test_reduce_matches_content_at_every_step(self, columns):
+        # Dividing the content out after the last step only (or after a step
+        # whose multipliers reach 2^64) gives the vector that dividing it
+        # out after every step gives, bit for bit.
+        def every_step(pivots, v):
+            for idx, p in pivots:
+                if v[idx] != 0:
+                    v = exact._primitive([p[idx] * x - v[idx] * y for x, y in zip(v, p)])
+            return v
+
+        pivots, reference = [], []
+        for v in columns:
+            got, want = exact._reduce(pivots, v), every_step(reference, v)
+            assert got == want
+            idx = next((i for i, x in enumerate(got) if x != 0), None)
+            if idx is not None:
+                pivots.append((idx, got))
+                reference.append((idx, want))
+
     def test_span_holds_ints(self):
         m = _integers(np.array([[0.5, 0.25], [1.0, -2.0]]))
         pivots, dim = _ExactSpan.extend((), m, (0, 1))
