@@ -555,8 +555,8 @@ def _sparse_integer(seed, n, density=0.15):
 
 
 class TestCertifiedDegree:
-    """q from the pass modulo a prime (``exact._certified_degree``) against
-    the integer elimination it falls back to."""
+    """q from the Krylov pass modulo a prime (``exact._certified_degree``)
+    against the integer elimination it falls back to."""
 
     @given(
         st.one_of(
@@ -641,6 +641,15 @@ class TestCertifiedDegree:
         got = _kstar_bounds(_ExactSpan(SystemModel(D=d, H=h)), "relaxed", 1)
         assert (got.lower, got.upper, got.q) == (48, 48, 48)
         assert time.monotonic() - started < 2
+
+    def test_start_vector_missing_a_factor_is_not_certified(self, monkeypatch):
+        # With v = e_0, an eigenvector of D = diag(1, 2, 3), D v depends on v:
+        # the relation D - I found there does not hold for D, so the pass
+        # certifies nothing, and the elimination finds q = 3.
+        monkeypatch.setattr(exact, "_start", lambda n: np.eye(n, dtype=np.int64)[0])
+        d = ((1, 0, 0), (0, 2, 0), (0, 0, 3))
+        assert exact._certified_degree(d) is None
+        assert exact._min_poly_degree(d) == 3
 
     @pytest.mark.parametrize(
         "d",
