@@ -118,7 +118,7 @@ def _integers(arr):
 
 # Magnitude of a step's multipliers from which ``_reduce`` divides out the
 # content at that step, and not only after the last one.
-_CONTENT_AT = 2**64
+_CONTENT_AT = 2**256
 
 
 def _primitive(v):
@@ -132,7 +132,7 @@ def _reduce(pivots, v):
     divided by its content: a nonzero multiple of the rational elimination.
     A step commutes with a positive scale of ``v``, so dividing the content
     out after the last step gives the same vector as after every step; it is
-    also divided out after a step whose multipliers reach 2^64, which keeps
+    also divided out after a step whose multipliers reach 2^256, which keeps
     large entries from compounding."""
     scaled = False
     for idx, p in pivots:
@@ -248,17 +248,18 @@ def _certified_degree(d, wide=None):
     krylov = [_start(n)]
     for _ in range(n):
         krylov.append(_mulmod(d_mod, krylov[-1]))
-    m, rows, free = np.stack(krylov, axis=1), [], np.ones(n, dtype=bool)
+    m, rows, free = np.stack(krylov, axis=1), [], np.ones(n, dtype=np.int64)
     for k in range(n + 1):
-        nonzero = np.flatnonzero(free & (m[:, k] != 0))
+        column = m[:, k] * free  # zero at the pivot rows
+        nonzero = column.nonzero()[0]
         if not nonzero.size:
             break
         r = nonzero[0]
-        m[r] = m[r] * pow(int(m[r, k]), -1, _PRIME) % _PRIME
-        column = m[:, k].copy()  # every row but r clears its entry in column k
-        column[r] = 0
-        m = (m - np.outer(column, m[r])) % _PRIME
-        free[r] = False
+        pivot = m[r] * pow(int(column[r]), -1, _PRIME) % _PRIME
+        m -= m[:, k, None] * pivot  # clears column k, row r included
+        m %= _PRIME
+        m[r] = pivot
+        free[r] = 0
         rows.append(r)
     if k == n:
         return n

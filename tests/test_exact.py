@@ -164,14 +164,14 @@ class TestIntegerSpan:
 
     @given(
         st.integers(1, 5).flatmap(lambda n: st.lists(
-            st.lists(st.one_of(st.integers(-3, 3), st.integers(-(2**70), 2**70)),
+            st.lists(st.one_of(st.integers(-3, 3), st.integers(-(2**300), 2**300)),
                      min_size=n, max_size=n),
             min_size=1, max_size=n + 1,
         ))
     )
     def test_reduce_matches_content_at_every_step(self, columns):
         # Dividing the content out after the last step only (or after a step
-        # whose multipliers reach 2^64) gives the vector that dividing it
+        # whose multipliers reach 2^256) gives the vector that dividing it
         # out after every step gives, bit for bit.
         def every_step(pivots, v):
             for idx, p in pivots:
