@@ -134,16 +134,16 @@ def _reduce(pivots, v):
     out after the last step gives the same vector as after every step; it is
     also divided out after a step whose multipliers reach 2^256, which keeps
     large entries from compounding."""
-    scaled = False
+    pending = False  # a step since the content was last divided out
     for idx, p in pivots:
         b = v[idx]
         if b:
             a = p[idx]
             v = [a * x - b * y for x, y in zip(v, p)]
-            scaled = -_CONTENT_AT < a < _CONTENT_AT and -_CONTENT_AT < b < _CONTENT_AT
-            if not scaled:
+            pending = -_CONTENT_AT < a < _CONTENT_AT and -_CONTENT_AT < b < _CONTENT_AT
+            if not pending:
                 v = _primitive(v)
-    return _primitive(v) if scaled else v
+    return _primitive(v) if pending else v
 
 
 def _grows(pivots, v):
@@ -223,7 +223,9 @@ def _mulmod(a, b):
 def _start(n):
     """The fixed vector of residues mod p that starts the Krylov sequence of
     ``_certified_degree`` at size ``n``, drawn once from a fixed seed."""
-    return np.random.default_rng(n).integers(0, _PRIME, n)
+    start = np.random.default_rng(n).integers(0, _PRIME, n)
+    start.flags.writeable = False
+    return start
 
 
 def _certified_degree(d, wide=None):

@@ -312,7 +312,8 @@ def _staircase(d, h, tol: Tolerance, d_norm):
     while big_r < len(d):
         u, sigma, _ = np.linalg.svd(q[:, big_r:].T @ block)
         if cut is None:  # the first step's block is H itself, as Q = I
-            cut = tol.rank_rel * max(d_norm, float(sigma[0])) * len(d)
+            h_norm = float(sigma[0]) if sigma.size else 0.0
+            cut = tol.rank_rel * max(d_norm, h_norm) * len(d)
         step = int(np.count_nonzero(sigma > cut))
         if step == 0:
             break

@@ -399,10 +399,11 @@ class TestWitnessFree:
     def test_holds_and_verdict_match_the_reports(self, sys, power, rank_rel):
         sys = SystemModel(D=sys.D * 2.0**power, H=sys.H)
         l = sys.n_inputs
-        supports = [
-            c for size in range(1, l + 1) for c in itertools.combinations(range(l), size)
+        supports = [  # the empty support too: it controls nothing
+            c for size in range(l + 1) for c in itertools.combinations(range(l), size)
         ]
         for span in (ctrb._FloatSpan(sys, Tolerance(rank_rel=rank_rel)), _ExactSpan(sys)):
+            assert not span.holds(())
             assert span.holds() == span.rank_condition()[0]
             for support in supports:
                 assert span.holds(support) == span.rank_condition(support)[0]
