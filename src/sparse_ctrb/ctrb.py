@@ -32,8 +32,10 @@ from .linalg import (
     DEFAULT_TOLERANCE,
     Tolerance,
     _as_matrix,
+    _cut,
     _integer,
     _powers,
+    _rank_of,
     _scheduled,
     _Spectrum,
     _square,
@@ -182,10 +184,10 @@ class _FloatSpan:
     residue.  ``extend`` grows an orthonormal basis by Gram-Schmidt, leaning
     to independence so that no cut drops a viable support, and a leaf counts
     only with ``leaf_rank``, the ``rank`` rule on its unit columns.  Every
-    rank that bounds a leaf (``ranks``, the capacities, ``cut_rank``) counts
-    singular values of unit columns above ``rank_rel * rows``: a leaf with a
-    nonzero column has sigma_1 >= 1, so by interlacing that count on any
-    superset of its columns is never below its rank.  At s = 1 the same
+    rank that bounds a leaf (``ranks``, the capacities, ``cut_rank``) is
+    ``_count`` on unit columns: a leaf with a nonzero column has
+    sigma_1 >= 1, so by interlacing that count on any superset of its
+    columns is never below its rank.  At s = 1 the same
     count decides a capacity without an SVD (see ``capacity``).
     ``circuits`` (least squares on unit columns) only guides matroid
     intersection.
@@ -210,10 +212,10 @@ class _FloatSpan:
         return _pencil_products(None, self.d)
 
     def matmul(self, a, b):
-        """``a @ b``, zero in each column shorter than ``rank_rel * len(b)``
+        """``a @ b``, zero in each column below the cut of size ``len(b)``
         times that column of ``|a| |b|``, a bound on its rounding error."""
         product, bound = a @ b, abs(a) @ abs(b)
-        cut = (self.tol.rank_rel * len(b)) ** 2 * (bound * bound).sum(0)
+        cut = _cut(1, len(b), self.tol) ** 2 * (bound * bound).sum(0)
         residue = (product * product).sum(0) < cut
         return np.where(residue & np.isfinite(cut), 0.0, product)
 
@@ -221,11 +223,11 @@ class _FloatSpan:
         return rank(np.hstack(blocks), self.tol)
 
     def _count(self, units):
-        """The count of singular values of unit columns above ``rank_rel * rows``."""
+        """The rank of unit columns: scale 1, size rows."""
         sigma = np.linalg.svd(units, compute_uv=False)
-        return int(np.count_nonzero(sigma > self.tol.rank_rel * len(units)))
+        return _rank_of(sigma, 1, len(units), self.tol)
 
-    def ranks(self, blocks, state=False):
+    def ranks(self, blocks, state):
         """``(None, count)``: the count on unit columns (see above) of all
         blocks; ``cut_rank`` counts the rank of a float cut itself.
         ``state`` (whether ``blocks`` is a state list) is read only by the
@@ -234,7 +236,7 @@ class _FloatSpan:
 
     def capacity(self, block, s):
         """``min(s, ranks([block])[1])``, the capacity of one block.  At
-        s = 1 with ``rank_rel * rows <= 1/2``, a block whose column lengths
+        s = 1 with ``_count``'s cut at most 1/2, a block whose column lengths
         are all finite, one of them nonzero, has capacity 1 without an SVD:
         ``_unit`` scales that column to length 1 up to rounding (to at least
         1/sqrt(2) when its squares are subnormal), so sigma_1 exceeds the
@@ -245,7 +247,7 @@ class _FloatSpan:
         warns once, as in ``ranks``: the CLI writes each warning into its
         report."""
         lengths = _lengths(block)
-        unit_fits = self.tol.rank_rel * len(block) <= 0.5
+        unit_fits = _cut(1, len(block), self.tol) <= 0.5
         if s == 1 and unit_fits and 0 < lengths.max() < math.inf:
             return 1
         return min(s, self._count(_unit(block, lengths)))
@@ -322,8 +324,8 @@ class _FloatSpan:
         independent of the columns of ``inside``, else the positions in
         ``inside`` of the columns its least-squares coordinates use.  Every
         column is scaled to unit length first, so the residual and the
-        coordinates are measured against ``rank_rel * rows`` whatever the
-        power the column comes from."""
+        coordinates are measured against the cut of scale 1 and size rows
+        whatever the power the column comes from."""
         if not outside:
             return []
 
@@ -331,7 +333,7 @@ class _FloatSpan:
             return _unit(np.column_stack([blocks[d][:, j] for d, j in columns]))
 
         y = unit(outside)
-        cut = self.tol.rank_rel * y.shape[0]
+        cut = _cut(1, y.shape[0], self.tol)
         if inside:
             b = unit(inside)
             coef = np.linalg.lstsq(b, y, rcond=None)[0]
@@ -347,7 +349,7 @@ class _FloatSpan:
 
     def cut_rank(self, dim, blocks, chosen):
         """The count of ``ranks`` on the columns ``chosen`` picks."""
-        return self.ranks([_scheduled(blocks, chosen, len(blocks[0]))])[1]
+        return self._count(_unit(_scheduled(blocks, chosen, len(blocks[0]))))
 
 
 def _report(holds, lam, z, slack, tol):
@@ -585,15 +587,15 @@ _SCREEN_MAX_TRACE = np.finfo(np.float64).max / 4
 def _full_row_rank_screen(pencils, lam, tol):
     """True only if ``M = [lam E - F, G]`` (n x w, w = N + L, from the
     :class:`_Pencils` ``pencils``) has full row rank under the rule of
-    :func:`linalg.rank`, ``sigma_n > rank_rel * c * sigma_1`` with
-    ``c = max(n, w)``.  False says nothing; the caller then takes the SVD.
+    :func:`linalg.rank`, ``sigma_n > cut * sigma_1`` with ``cut`` of scale 1
+    and size max(n, w).  False says nothing; the caller then takes the SVD.
 
     The screen assembles the Gram ``M M^H`` from the sweep's products (see
     :class:`_Pencils`), subtracts ``tau I`` and tries Cholesky, with u the
     unit roundoff,
 
         f' = (|lam| |E|_F + |F|_F)^2 + |G|_F^2 >= |M|_F^2   and
-        tau = ((rank_rel * c)^2 + 8u (w + n + 1)) * f'.
+        tau = (cut^2 + 8u (w + n + 1)) * f'.
 
     Why success certifies the rule, with ``gamma_k = k u / (1 - k u)``
     (Higham, *Accuracy and Stability of Numerical Algorithms*, 2nd ed.) and
@@ -626,8 +628,8 @@ def _full_row_rank_screen(pencils, lam, tol):
     * ``R^H R`` is positive definite, so ``sigma_n(M)^2 = lambda_min(M M^H)
       > tau - (sqrt(2) (max(N, L) + n + 9) + max(N, L) + n + 8) u f'``
       to first order, and ``max(N, L) < w`` puts that sum under the
-      ``8u (w + n + 1) f'`` in tau.  Hence ``sigma_n^2 > (rank_rel * c)^2
-      f' >= (rank_rel * c * sigma_1)^2``; when n > w the factorisation
+      ``8u (w + n + 1) f'`` in tau.  Hence ``sigma_n^2 > cut^2 f' >=
+      (cut * sigma_1)^2``; when n > w the factorisation
       cannot complete at all.
 
     The rest of the ``8u`` term, about ``5.5u (w + n) f'`` at the sizes the
@@ -653,8 +655,7 @@ def _full_row_rank_screen(pencils, lam, tol):
         and pencils.e2 > _SCREEN_MIN_TRACE
     ):
         return False
-    c = max(n, w)
-    tau = ((tol.rank_rel * c) ** 2 + 8 * _U * (w + n + 1)) * f
+    tau = (_cut(1, max(n, w), tol) ** 2 + 8 * _U * (w + n + 1)) * f
     real = pencils.base - a * pencils.sym
     if pencils.ee is None:
         real[np.diag_indices(n)] += l2 - tau

@@ -356,7 +356,7 @@ class _ExactSpan:
         """Rank of the blocks, eliminated from scratch."""
         return len(_spanned((), blocks))
 
-    def ranks(self, blocks, state=False):
+    def ranks(self, blocks, state):
         """Rank of all blocks but the last, and of all blocks.
 
         The blocks but the last are eliminated from the last of them up

@@ -1,10 +1,37 @@
 """Dense linear-algebra kernels shared by the controllability machinery.
 
-Rank decisions follow three rules: :func:`rank` counts a singular value above
-``rank_rel * sigma_max * max(rows, cols)``, the controllability staircase
-(:func:`_staircase`) one above ``rank_rel * max(|D|, |H|) * N``, and the
-nullities of q and g_D (:func:`_nullities`) one of M^k above
-``rank_rel * N * |M|^k``.  All routines here are pure and safe to call concurrently.
+Every float decision that follows ``--tol`` compares against one cut,
+``rank_rel * scale * size`` (:func:`_cut`); a rank is the count of singular
+values above it (:func:`_rank_of`).  Each site names its scale and size:
+
+  site                     decides                          scale          size
+  -----------------------  -------------------------------  -------------  ---------
+  rank                     rank of a matrix as given        sigma_1        max(m, n)
+  _Spectrum.rank           rank(D): d_rank, the slack       |D|            N
+  _Spectrum.max_geometric  g_D                              each pencil's  N
+    _multiplicity                                           sigma_1
+  _nullities               nullity of M^(k+1), formed as    |M|            N
+                           M^(k+1) / |M|^k (q)
+  _staircase               each step's rank, hence R        max(|D|, |H|)  N
+  core_nilpotent           r, from the unit-scaled M^n;     max(sigma_1,   n
+                           rank(M)                          1); |M|
+  _FloatSpan._count        the count on unit columns        1              rows
+                           (ranks, capacity, cut_rank)
+  _FloatSpan.capacity      s = 1 without an SVD while the   1              rows
+                           cut is at most 1/2
+  _FloatSpan.circuits      the residual and coefficients    1              rows
+  _FloatSpan.matmul        residue: a column below the      1              inner
+                           cut times its column of |a||b|                  dimension
+  _full_row_rank_screen    tau, which certifies rank's      1              max(n, w)
+                           rule (f' multiplies it)
+  steer._solve             lstsq's rcond (times sigma_1)    1              max(m, n)
+
+:func:`rank` serves ``_FloatSpan.rank``, ``leaf_rank``, ``_first_drop`` and
+``decomp``.  The fixed scales of ``_nullities`` and ``_staircase`` keep the
+rounding noise of a decayed power or a late, small block below the cut.
+Two rules do not follow ``--tol``: ``_FloatSpan.extend``'s residual of 1e-13
+of a column's length, and the spectrum's rung radii (:class:`_Spectrum`).
+All routines here are pure and safe to call concurrently.
 """
 
 from __future__ import annotations
@@ -39,8 +66,8 @@ class Tolerance:
     Parameters
     ----------
     rank_rel : float
-        Relative singular-value cutoff for rank decisions.  A singular value
-        is counted when it exceeds ``rank_rel * sigma_max * max(rows, cols)``.
+        Scales every float cut: ``rank_rel * scale * size``, with the scale
+        and size of each site in the module's table.
     eig_cluster : float
         Absolute radius for grouping numerically equal eigenvalues before
         multiplicity counting.
@@ -56,7 +83,8 @@ class Tolerance:
     def __post_init__(self):
         for field in ("rank_rel", "eig_cluster", "residual_abs"):
             value = getattr(self, field)
-            if not (isinstance(value, (int, float)) and 0 < value < float("inf")):
+            number = isinstance(value, (int, float)) and not isinstance(value, bool)
+            if not (number and 0 < value < float("inf")):
                 raise ValueError(f"{field} must be finite and positive, got {value!r}")
 
 
@@ -99,16 +127,22 @@ def _singular_values(a):
     return np.linalg.svd(a, compute_uv=False) if a.size else np.zeros(1)
 
 
-def _rank_of(sigma, shape, tol):
-    """The rank of a matrix of ``shape`` with singular values ``sigma``
-    under the rule of :func:`rank`."""
-    return int(np.count_nonzero(sigma > tol.rank_rel * sigma[0] * max(shape)))
+def _cut(scale, size, tol):
+    """The float cut of a site with ``scale`` and ``size`` (module table)."""
+    return tol.rank_rel * scale * size
+
+
+def _rank_of(sigma, scale, size, tol):
+    """The count of the singular values ``sigma`` above ``_cut(scale, size)``."""
+    return int(np.count_nonzero(sigma > _cut(scale, size, tol)))
 
 
 def rank(m, tol: Tolerance = DEFAULT_TOLERANCE) -> int:
-    """Numerical rank of ``m`` under the package-wide singular-value rule."""
+    """Numerical rank of ``m``: its singular values above the cut of scale
+    sigma_1 and size max(rows, cols)."""
     a = _as_matrix(m, allow_complex=True)
-    return _rank_of(_singular_values(a), a.shape, tol)
+    sigma = _singular_values(a)
+    return _rank_of(sigma, sigma[0], max(a.shape), tol)
 
 
 def eigenvalues(d) -> np.ndarray:
@@ -166,7 +200,7 @@ class _Spectrum:
         return float(self._sigma[0])
 
     def rank(self):
-        return _rank_of(self._sigma, self.d.shape, self.tol)
+        return _rank_of(self._sigma, self.norm, len(self.d), self.tol)
 
     @functools.cached_property
     def values(self):
@@ -196,11 +230,10 @@ class _Spectrum:
         return min(q, n)
 
     def max_geometric_multiplicity(self):
-        """The largest nullity of ``D - mean*I`` under the rule of
-        :func:`rank` (the first nullity of ``_nullities``) over the first
-        rung's means, from stacked SVDs, at most ``_STACK_BYTES`` of pencils
-        to a stack: each pencil's singular values are those of its own SVD,
-        bit for bit."""
+        """The largest nullity of ``D - mean*I`` (the first nullity of
+        ``_nullities``) over the first rung's means, from stacked SVDs, at
+        most ``_STACK_BYTES`` of pencils to a stack: each pencil's singular
+        values are those of its own SVD, bit for bit."""
         n = self._nonempty()
         means = np.array([mean for mean, _ in self._rung(0)])
         pencil_bytes = n * n * np.result_type(self.d, means).itemsize
@@ -208,7 +241,7 @@ class _Spectrum:
         for start in range(0, len(means), per_stack):
             stack = self.d - means[start : start + per_stack, None, None] * eye
             sigma = np.linalg.svd(stack, compute_uv=False)
-            g = max(g, n - min(_rank_of(row, (n, n), self.tol) for row in sigma))
+            g = max(g, n - min(_rank_of(row, row[0], n, self.tol) for row in sigma))
         return g
 
 
@@ -232,17 +265,15 @@ def eigenvalue_probes(d, tol: Tolerance = DEFAULT_TOLERANCE) -> list[complex]:
 
 
 def _nullities(m, limit, tol):
-    """Nullities of M^0, M^1, ..., M^limit of a square M while they grow.  A
-    singular value of M^k counts above ``rank_rel * n * |M|^k``: a cut relative
-    to |M^k| would count the rounding noise of a power that has decayed."""
+    """Nullities of M^0, M^1, ..., M^limit of a square M while they grow."""
     n, nulls, power = m.shape[0], [0], m
     sigma = np.linalg.svd(m, compute_uv=False)
-    cut, unit = tol.rank_rel * sigma[0] * n, m / (sigma[0] or 1.0)
+    norm, unit = sigma[0], m / (sigma[0] or 1.0)
     for k in range(limit):
         if k:  # power = M^(k+1) / |M|^k, which cannot overflow
             power = power @ unit
             sigma = np.linalg.svd(power, compute_uv=False)
-        null = n - int(np.count_nonzero(sigma > cut))
+        null = n - _rank_of(sigma, norm, n, tol)
         if null <= nulls[-1]:
             break
         nulls.append(null)
@@ -303,18 +334,16 @@ def _staircase(d, h, tol: Tolerance, d_norm):
     controllable subspace, and ``rest = Q[:, R:]^T D Q[:, R:]`` the input-free
     block.  Each step SVD-compresses the newest block (H, then D times the
     newest controllable columns) in the remaining coordinates and rotates them,
-    until a step adds nothing.  The cut is ``rank_rel * max(|D|, |H|) * N`` at
-    every step: one relative to each block would count rounding noise in the
-    late, small blocks.  ``d_norm`` is |D|, from the calling span's spectrum.
+    until a step adds nothing.  ``d_norm`` is |D|, from the calling span's
+    spectrum.
     """
     q = np.eye(len(d))
-    big_r, block, cut = 0, h, None
+    big_r, block, scale = 0, h, None
     while big_r < len(d):
         u, sigma, _ = np.linalg.svd(q[:, big_r:].T @ block)
-        if cut is None:  # the first step's block is H itself, as Q = I
-            h_norm = float(sigma[0]) if sigma.size else 0.0
-            cut = tol.rank_rel * max(d_norm, h_norm) * len(d)
-        step = int(np.count_nonzero(sigma > cut))
+        if scale is None:  # the first step's block is H itself, as Q = I
+            scale = max(d_norm, float(sigma[0]) if sigma.size else 0.0)
+        step = _rank_of(sigma, scale, len(d), tol)
         if step == 0:
             break
         q[:, big_r:] = q[:, big_r:] @ u
@@ -361,13 +390,12 @@ def core_nilpotent(m, tol: Tolerance = DEFAULT_TOLERANCE) -> CoreNilpotent:
     # The power is formed at unit spectral scale, so rounding noise sits near
     # n*eps of 1.0 even when every true singular value vanishes; measuring
     # against sigma_max alone would promote that noise to core dimensions.
-    threshold = tol.rank_rel * n * max(float(power_sigma[0]), 1.0)
-    r = int(np.count_nonzero(power_sigma > threshold))
+    r = _rank_of(power_sigma, max(float(power_sigma[0]), 1.0), n, tol)
     v = np.hstack([u[:, :r], vt[r:, :].T])
     if rank(v, tol) != n:
         raise InconclusiveError(
             "core-nilpotent split failed: range and null bases do not span"
         )
-    matrix_rank = _rank_of(sigma, a.shape, tol)
+    matrix_rank = _rank_of(sigma, nrm, n, tol)
     return CoreNilpotent(v=v, r=r, matrix_rank=matrix_rank, mismatch=matrix_rank != r)
 

@@ -23,7 +23,7 @@ from .ctrb import (
     _products,
     _require_output_map,
 )
-from .linalg import DEFAULT_TOLERANCE, Tolerance, _integer
+from .linalg import DEFAULT_TOLERANCE, Tolerance, _cut, _integer
 from .oracle import (
     OracleBudget,
     SupportSchedule,
@@ -82,7 +82,7 @@ def _solve(sys, schedule, x_init, target, output_map, tol):
         matrix, drift = output_map @ matrix, output_map @ drift
     inputs = np.zeros((schedule.k, sys.n_inputs))
     if matrix.shape[1]:
-        rcond = tol.rank_rel * max(matrix.shape)
+        rcond = _cut(1, max(matrix.shape), tol)
         coeffs, *_ = np.linalg.lstsq(matrix, target - drift, rcond=rcond)
         slots = [(step, j) for step, sup in enumerate(schedule.supports) for j in sup]
         for value, (step, j) in zip(coeffs, slots):

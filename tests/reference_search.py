@@ -13,7 +13,7 @@ pre-check.
 def _within_reach(blocks, caps, target, span):
     """The capacities and ``span.ranks`` of all blocks reach ``target``: the
     cut-free pre-checks, which the reference search keeps."""
-    return sum(caps) >= target and span.ranks(blocks)[1] >= target
+    return sum(caps) >= target and span.ranks(blocks, False)[1] >= target
 
 
 def _best_schedule(blocks, caps, supports, target, span, counter, fragile=None):

@@ -20,7 +20,11 @@ from sparse_ctrb import (
     sparse_pbh_test,
 )
 from sparse_ctrb import Tolerance, ctrb
-from sparse_ctrb.exact import _ExactSpan, common_support_exact
+from sparse_ctrb.exact import (
+    _ExactSpan,
+    common_support_exact,
+    sparse_controllable_exact,
+)
 from tests.conftest import (
     NEAR_DEFECTIVE,
     NEAR_DEFECTIVE_DATA,
@@ -165,6 +169,18 @@ class TestSparsePbh:
         assert sparse_pbh_test(inequality_blocked, 2).verdict
         assert sparse_pbh_test(no_common_support, 2).verdict
         assert sparse_pbh_test(nilpotent_chain, 1).verdict
+
+    @pytest.mark.xfail(
+        strict=True,
+        reason="ROADMAP item 12: the staircase cut rank_rel * max(|D|, |H|) * N "
+        "= 20 lies above H's singular values of 1",
+    )
+    def test_spread_scales_match_the_exact_verdict(self):
+        # Controllable with s = 1 in exact arithmetic, where rank D = 2; the
+        # float and exact oracles both find K* = 2.
+        sys = SystemModel(D=np.diag([1e11, 1.0]), H=np.eye(2))
+        assert sparse_controllable_exact(sys, 1) == (True, True, 1)
+        assert sparse_pbh_test(sys, 1).verdict
 
     def test_slack_reports_inequality_margin(self, inequality_blocked):
         rep = sparse_pbh_test(inequality_blocked, 1)
@@ -435,7 +451,7 @@ class TestWitnessFree:
         sys = SystemModel(D=np.eye(len(block)), H=np.ones((len(block), 1)))
         span = ctrb._FloatSpan(sys, Tolerance(rank_rel=rank_rel))
         with np.errstate(over="ignore"):
-            assert span.capacity(block, s) == min(s, span.ranks([block])[1])
+            assert span.capacity(block, s) == min(s, span.ranks([block], False)[1])
         exact = _ExactSpan(sys)  # on integers with the same zeros
         block = (np.sign(block) * np.ceil(np.clip(abs(block), 0, 3))).astype(int).tolist()
         assert exact.capacity(block, s) == min(s, exact.rank([block]))
@@ -457,7 +473,7 @@ class TestWitnessFree:
             assert span.capacity(block, 1) == 0
         assert len(caught) == (value == 1e200)
         with np.errstate(over="ignore"):
-            assert span.ranks([block])[1] == 0
+            assert span.ranks([block], False)[1] == 0
 
 
 class TestFloatSpanExtend:

@@ -274,7 +274,7 @@ class TestKrylovEliminations:
                 _reference_rank(_block_columns(blocks[:-1])),
                 _reference_rank(_block_columns(blocks)),
             )
-            assert span.ranks(blocks) == want
+            assert span.ranks(blocks, False) == want
 
         # The walk's list, grown at the front, asked at some K only.
         blocks = []
@@ -312,7 +312,7 @@ class TestKrylovEliminations:
                 counted.calls = 0
                 flagged = _ExactSpan(sys).ranks(blocks, True), counted.calls
                 counted.calls = 0
-                full = _ExactSpan(sys).ranks(blocks), counted.calls
+                full = _ExactSpan(sys).ranks(blocks, False), counted.calls
             assert flagged[0] == full[0] == want
             assert flagged[1] <= full[1]
 
@@ -327,7 +327,7 @@ class TestKrylovEliminations:
         blocks = list(itertools.islice(_products(span, True), 3))[::-1]
         assert blocks[1] == ((0,), (0,)) and blocks[0] == ((0,), (1,))
         calls = _count_calls(monkeypatch, "_reduce")
-        assert span.ranks(blocks) == (1, 2)
+        assert span.ranks(blocks, False) == (1, 2)
         assert [0, 1] in [list(v) for _, v in calls]
         assert min_k_exact(sys, 1, max_k=6, output=True) == (3, ((0,),) * 3)
 

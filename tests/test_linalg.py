@@ -1,7 +1,11 @@
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import sparse_ctrb
 from sparse_ctrb import (
     DEFAULT_TOLERANCE,
     Tolerance,
@@ -58,7 +62,7 @@ class TestRank:
         with pytest.raises(ValueError):
             Tolerance(eig_cluster=0.0)
         for field in ("rank_rel", "eig_cluster", "residual_abs"):
-            for value in (float("inf"), float("nan")):
+            for value in (float("inf"), float("nan"), True):
                 with pytest.raises(ValueError):
                     Tolerance(**{field: value})
 
@@ -307,3 +311,37 @@ def test_default_tolerance_values():
     assert DEFAULT_TOLERANCE.rank_rel == 1e-10
     assert DEFAULT_TOLERANCE.eig_cluster == 1e-8
     assert DEFAULT_TOLERANCE.residual_abs == 1e-8
+
+
+def _uses(name):
+    """``module.function`` of every read of the name or attribute ``name``
+    in ``src/sparse_ctrb``, None as the function at module level."""
+    found = []
+
+    def visit(node, module, where):
+        for child in ast.iter_child_nodes(node):
+            inner = where
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                inner = child.name if where is None else f"{where}.{child.name}"
+            read = isinstance(getattr(child, "ctx", None), ast.Load)
+            if read and name in (getattr(child, "attr", None), getattr(child, "id", None)):
+                found.append(f"{module}.{where}")
+            visit(child, module, inner)
+
+    for path in sorted(Path(sparse_ctrb.__file__).parent.glob("*.py")):
+        visit(ast.parse(path.read_text(encoding="utf-8")), path.stem, None)
+    return found
+
+
+class TestOneCut:
+    """Every float cut that follows ``--tol`` is ``linalg._cut``, and every
+    count of singular values above one is ``linalg._rank_of``: a site with a
+    rule of its own fails here.  Tolerance's fields, its validation (which
+    reads them by ``getattr``), the CLI's keyword and the schema's strings
+    are not reads."""
+
+    def test_rank_rel_is_read_only_in_cut(self):
+        assert _uses("rank_rel") == ["linalg._cut"]
+
+    def test_count_nonzero_is_called_only_in_rank_of(self):
+        assert _uses("count_nonzero") == ["linalg._rank_of"]

@@ -423,7 +423,7 @@ class TestCommonIndependent:
         for k, (blocks, caps) in enumerate(problems, start=1):
             if k < 4:
                 continue
-            assert span.ranks(blocks) == (3, 4)
+            assert span.ranks(blocks, False) == (3, 4)
             assert _ruled_out(blocks, caps, 1, 4, span, False) is None
             inside, cut = _common_independent(blocks, 1, span, counter)
             assert sum(1 for d, _ in inside if d < k - 1) == 2
