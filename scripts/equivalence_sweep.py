@@ -150,21 +150,21 @@ def witness_mismatches(sys_, s, witnesses, sparse, unchecked):
     return found
 
 
-def reaches(blocks, caps, supports, target, span, budget):
+def reaches(blocks, caps, supports, target, span, ranks, budget):
     """Whether the depth-first search alone finds a schedule of rank
-    ``target`` within ``budget``."""
+    ``target`` within ``budget``; ``ranks`` is the walk's rank pre-check."""
     counter = _Counter(budget, "reference search")
-    return _within_reach(blocks, caps, target, span) and (
+    return _within_reach(blocks, caps, target, ranks) and (
         _best_schedule(blocks, caps, supports, target, span, counter) is not None
     )
 
 
 def exact_rank(blocks, supports):
     """Exact rank of the columns that ``supports`` picks from exact ``blocks``."""
-    basis, dim = (), 0
+    basis = _ExactSpan.basis(len(blocks[0]))
     for block, support in zip(blocks, supports):
-        basis, dim = _ExactSpan.extend(basis, block, support)
-    return dim
+        basis.extend(block, support)
+    return basis.dim
 
 
 def rstar_mismatches(sys_, s, sparse, unchecked, cuts):
@@ -186,6 +186,7 @@ def rstar_mismatches(sys_, s, sparse, unchecked, cuts):
     found, closing = [], {}
     budget = OracleBudget(max_enumerations=SEARCH_BUDGET) if sparse else OracleBudget()
     float_span, exact_span = _FloatSpan(sys_, DEFAULT_TOLERANCE), _ExactSpan(sys_)
+    exact_ranks, float_ranks = exact_span.ranks(True), float_span.ranks(True)
     problems = zip(
         _descending_blocks(exact_span, s, False, horizon),
         _descending_blocks(float_span, s, False, horizon),
@@ -193,13 +194,13 @@ def rstar_mismatches(sys_, s, sparse, unchecked, cuts):
     for k, ((exact_blocks, exact_caps), (float_blocks, float_caps)) in enumerate(
         problems, start=1
     ):
-        for name, span, blocks, caps in (
-            ("exact", exact_span, exact_blocks, exact_caps),
-            ("float", float_span, float_blocks, float_caps),
+        for name, span, ranks, blocks, caps in (
+            ("exact", exact_span, exact_ranks, exact_blocks, exact_caps),
+            ("float", float_span, float_ranks, float_blocks, float_caps),
         ):
             counter = _Counter(OracleBudget(), "equivalence sweep")
             inside, cut = _common_independent(blocks, s, span, counter)
-            ruling = _ruled_out(blocks, caps, s, n, span, True)
+            ruling = _ruled_out(blocks, caps, s, n, span, ranks)
             if ruling == "inequality":
                 cuts["inequality"] += 1
             elif ruling is None and len(inside) < n:
@@ -217,7 +218,7 @@ def rstar_mismatches(sys_, s, sparse, unchecked, cuts):
                 closing.setdefault(name, k)
             try:
                 reached = [
-                    reaches(blocks, caps, supports, t, span, budget)
+                    reaches(blocks, caps, supports, t, span, ranks, budget)
                     for t in (r_star, r_star + 1)
                 ]
             except BudgetExceededError:

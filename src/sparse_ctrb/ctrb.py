@@ -160,20 +160,53 @@ def _unit(m, lengths=None):
     return m / np.where(lengths > 0, lengths, 1.0)
 
 
+class _FloatBasis:
+    """An orthonormal basis ``columns`` grown by Gram-Schmidt; ``extend``
+    replaces ``columns`` and never writes into it, so a ``copy`` shares it."""
+
+    def __init__(self, columns):
+        self.columns = columns
+
+    @property
+    def dim(self):
+        return self.columns.shape[1]
+
+    def copy(self):
+        return _FloatBasis(self.columns)
+
+    def extend(self, block, support):
+        """``dim`` after Gram-Schmidt, run twice, on the columns ``support``
+        of ``block``: a zero column is skipped, and one whose residual is
+        within 1e-13 of its length is dependent."""
+        basis = self.columns
+        for col in block[:, list(support)].T:
+            length = np.linalg.norm(col)
+            if length == 0.0:
+                continue
+            v = col - basis @ (basis.T @ col)
+            v = v - basis @ (basis.T @ v)
+            residual = np.linalg.norm(v)
+            if residual > 1e-13 * length:
+                basis = np.column_stack([basis, v / residual])
+        self.columns = basis
+        return basis.shape[1]
+
+
 class _FloatSpan:
     """A system in the floating-point arithmetic of every rank question.
 
     Decisions and bounds are written once against a span: it holds ``sys``
     and, in its arithmetic, ``d``, ``h`` and ``a`` (on demand; it raises
     when the system has no A), and answers ``rank`` (of a list of blocks),
-    ``matmul``, ``rank_condition`` (of H or of a support's columns, with a
-    witness of a failure), ``holds`` (the same verdict without the witness,
-    for callers that read only the verdict), ``min_poly_degree`` (q of its
-    D), ``d_rank`` (rank(D), here from the SVD that |D| takes) and
+    ``matmul``, ``rank_condition`` (of H, with a witness of a failure),
+    ``holds`` (the same verdict without the witness, of H or of a support's
+    columns, for callers that read only the verdict), ``min_poly_degree``
+    (q of its D), ``d_rank`` (rank(D), here from the SVD that |D| takes) and
     ``support_screen`` (the necessary screen of the common-support
     test, None where the span has none); the witness loop in ``oracle``
-    also uses the incremental span (``empty``, ``extend``, ``leaf_rank``),
-    its pre-checks ``ranks`` and ``capacity`` (of one block), and for
+    also grows an incremental basis (``basis``, here a ``_FloatBasis``) and
+    asks ``leaf_rank``, the walk's pre-checks ``ranks`` (a function that the
+    walk feeds its list) and ``capacity`` (of one block), and for
     matroid intersection and its cuts ``circuits`` and ``cut_rank``.  This span
     decides ranks at ``tol``, which its reports carry, and reads one
     spectrum of D and one set of D's products for the probe sweep's Grams;
@@ -181,11 +214,11 @@ class _FloatSpan:
     ``rank`` keeps the package's rule for the paper's own quantities.  The
     oracle ranks unit columns (``_unit``), as ``|D^p h|`` grows like
     ``|lambda|^p``, so ``matmul`` zeroes a product column that is rounding
-    residue.  ``extend`` grows an orthonormal basis by Gram-Schmidt, leaning
-    to independence so that no cut drops a viable support, and a leaf counts
-    only with ``leaf_rank``, the ``rank`` rule on its unit columns.  Every
-    rank that bounds a leaf (``ranks``, the capacities, ``cut_rank``) is
-    ``_count`` on unit columns: a leaf with a nonzero column has
+    residue.  ``_FloatBasis`` grows by Gram-Schmidt, leaning to independence
+    so that no cut drops a viable support, and a leaf counts only with
+    ``leaf_rank``, the ``rank`` rule on its unit columns.  Every rank that
+    bounds a leaf (``ranks``, the capacities, ``cut_rank``) is ``_count`` on
+    unit columns: a leaf with a nonzero column has
     sigma_1 >= 1, so by interlacing that count on any superset of its
     columns is never below its rank.  At s = 1 the same
     count decides a capacity without an SVD (see ``capacity``).
@@ -227,15 +260,15 @@ class _FloatSpan:
         sigma = np.linalg.svd(units, compute_uv=False)
         return _rank_of(sigma, 1, len(units), self.tol)
 
-    def ranks(self, blocks, state):
-        """``(None, count)``: the count on unit columns (see above) of all
-        blocks; ``cut_rank`` counts the rank of a float cut itself.
-        ``state`` (whether ``blocks`` is a state list) is read only by the
-        exact span, and taken here for the shared protocol."""
-        return None, self._count(_unit(np.hstack(blocks)))
+    def ranks(self, state):
+        """The walk's rank pre-check: a function of a list of blocks giving
+        ``(None, count)``, the count on unit columns (see above) of all
+        blocks; ``cut_rank`` counts the rank of a float cut itself.  Only
+        the exact span reads ``state``."""
+        return lambda blocks: (None, self._count(_unit(np.hstack(blocks))))
 
     def capacity(self, block, s):
-        """``min(s, ranks([block])[1])``, the capacity of one block.  At
+        """``min(s, count)`` of one block, its capacity.  At
         s = 1 with ``_count``'s cut at most 1/2, a block whose column lengths
         are all finite, one of them nonzero, has capacity 1 without an SVD:
         ``_unit`` scales that column to length 1 up to rounding (to at least
@@ -261,14 +294,13 @@ class _FloatSpan:
         """The probe sweep's pencils of (D, ``h``) and D's probes."""
         return _Pencils(None, self.d, h, self._d_products), self._spectrum.probes()
 
-    def rank_condition(self, support=None):
-        """``(holds, lambda, z)`` of (D, H), or of (D, H_S) for a support S.
-        R < N in the staircase fails it, with the first eigenvalue of the
-        input-free block and its left eigenvector mapped back.  R = N still
-        has to pass the eigenvalue probe sweep: a staircase step of a
-        near-defective D can exceed the cut by orders of magnitude where the
-        exact system is uncontrollable."""
-        h, q, big_r, rest = self._staircase_of(support)
+    def rank_condition(self):
+        """``(holds, lambda, z)`` of (D, H).  R < N in the staircase fails
+        it, with the first eigenvalue of the input-free block and its left
+        eigenvector mapped back.  R = N still has to pass the eigenvalue
+        probe sweep: a staircase step of a near-defective D can exceed the
+        cut by orders of magnitude where the exact system is uncontrollable."""
+        h, q, big_r, rest = self._staircase_of(None)
         if big_r < len(self.d):
             w, v = np.linalg.eig(rest.T)
             i = np.lexsort((w.imag, w.real))[0]
@@ -276,9 +308,9 @@ class _FloatSpan:
         return _probe_sweep(*self._sweep(h), self.tol)
 
     def holds(self, support=None):
-        """``rank_condition(support)[0]`` without the witness: a short
-        staircase needs no eigenvectors, and a probe that drops no null
-        vector."""
+        """``rank_condition()[0]`` of (D, H), or of (D, H_S) for a support S,
+        without the witness: a short staircase needs no eigenvectors, and a
+        probe that drops no null vector."""
         h, _, big_r, _ = self._staircase_of(support)
         return big_r == len(self.d) and _first_drop(*self._sweep(h), self.tol) is None
 
@@ -297,24 +329,8 @@ class _FloatSpan:
         }
 
     @staticmethod
-    def empty(block):
-        return np.zeros((block.shape[0], 0))
-
-    @staticmethod
-    def extend(basis, block, support):
-        """``basis`` and its size after Gram-Schmidt, run twice, on the
-        columns ``support`` of ``block``: a zero column is skipped, and one
-        whose residual is within 1e-13 of its length is dependent."""
-        for col in block[:, list(support)].T:
-            length = np.linalg.norm(col)
-            if length == 0.0:
-                continue
-            v = col - basis @ (basis.T @ col)
-            v = v - basis @ (basis.T @ v)
-            residual = np.linalg.norm(v)
-            if residual > 1e-13 * length:
-                basis = np.column_stack([basis, v / residual])
-        return basis, basis.shape[1]
+    def basis(rows):
+        return _FloatBasis(np.zeros((rows, 0)))
 
     def leaf_rank(self, dim, blocks, chosen):
         return rank(_unit(_scheduled(blocks, chosen, blocks[0].shape[0])), self.tol)

@@ -8,17 +8,17 @@ same ints.  ``_ExactSpan(sys)`` is the rational counterpart of
 ``ctrb._FloatSpan``: it holds the system, with D and H converted once when
 it is built, and the decisions and bounds are written once, in ``ctrb``,
 ``bounds`` and ``oracle``, against either span.  Its one elimination is
-``extend``, a span of pivot-reduced integer vectors grown column by column
-by fraction-free steps; ranks and the rank condition (in exact arithmetic
-the eigenvalue rank condition is equivalent to Kalman rank N, so no
-algebraic eigenvalues are needed) grow such a span, reducing each Krylov
-column at most once.  The Kalman rank (``holds``) multiplies D only into
-the columns that grew the span at the power before: a column that depends
-on those before it has every later power dependent too.  The walk's rank
-pre-check (``ranks``) extends a running span of all blocks but H by the
-new block only, recognising the walk's list by the identity of the blocks
-it has absorbed, and on a state list skips the channels closed in it by
-the same argument.  Products by D and A are formed in int64 where the
+``_Basis``, a span of pivot-reduced integer vectors grown column by column
+by fraction-free steps; ranks, the rank condition (in exact arithmetic the
+eigenvalue rank condition is equivalent to Kalman rank N, so no algebraic
+eigenvalues are needed), the matroid circuits and q's fallback grow such a
+span, reducing each Krylov column at most once.  The Kalman rank
+(``holds``) multiplies D only into the columns that grew the span at the
+power before: a column that depends on those before it has every later
+power dependent too.  The walk's rank pre-check (``ranks``) is a function
+that owns a running span of all blocks but H and extends it by each new
+block only, and on a state list it skips the channels closed in that span
+by the same argument.  Products by D and A are formed in int64 where the
 matrix's largest row-abs-sum times the largest entry of the other factor
 is below 2^62, which bounds every partial sum, and in Python ints
 otherwise; either way they come back as the same Python ints.  The
@@ -146,35 +146,46 @@ def _reduce(pivots, v):
     return _primitive(v) if pending else v
 
 
-def _grows(pivots, v):
-    """Whether ``v`` grows the span of ``pivots``: when it does, its reduced
-    form is appended to them with its first nonzero index as the pivot."""
-    v = _reduce(pivots, v)
-    idx = next((i for i, x in enumerate(v) if x != 0), None)
-    if idx is not None:
-        pivots.append((idx, v))
-    return idx is not None
+class _Basis:
+    """A span of pivot-reduced integer vectors, grown one column at a time
+    by ``_reduce``: each vector is kept with its first nonzero index as its
+    pivot, so ``dim`` is exact."""
 
+    def __init__(self, pivots=()):
+        self.pivots = list(pivots)
 
-def _columns(block):
-    return range(len(block[0]) if block else 0)
+    @property
+    def dim(self):
+        return len(self.pivots)
 
+    def copy(self):
+        return _Basis(self.pivots)
 
-def _spanned(pivots, blocks):
-    """``pivots`` extended by every column of ``blocks``, in order."""
-    for block in blocks:
-        pivots, _ = _ExactSpan.extend(pivots, block, _columns(block))
-    return pivots
+    def add(self, v):
+        """Whether ``v`` grows the span: when it does, its reduced form joins
+        the pivot vectors."""
+        v = _reduce(self.pivots, v)
+        idx = next((i for i, x in enumerate(v) if x != 0), None)
+        if idx is not None:
+            self.pivots.append((idx, v))
+        return idx is not None
 
+    def extend(self, block, support):
+        """``dim`` after adding the columns ``support`` of ``block`` in
+        order, stopping once the span is the whole space."""
+        pivots = self.pivots
+        for j in support:
+            if len(pivots) == len(block):  # the span is the whole space
+                break
+            self.add([row[j] for row in block])
+        return len(pivots)
 
-def _stalled_dim(blocks):
-    """Dimension of the span at the first of ``blocks`` that adds nothing."""
-    dim, pivots = None, ()
-    for block in blocks:
-        pivots, grown = _ExactSpan.extend(pivots, block, _columns(block))
-        if grown == dim:
-            return dim
-        dim = grown
+    def coords(self, v, tail):
+        """None when ``v`` is independent of the columns, each added with a
+        tail of ``tail`` coordinates (the i-th e_i), else those it uses."""
+        v = _reduce(self.pivots, [*v, *[0] * tail])
+        n = len(v) - tail
+        return None if any(v[:n]) else tuple(t for t in range(tail) if v[n + t])
 
 
 # Bound on every int64 magnitude the exact route forms, sums included.
@@ -296,11 +307,11 @@ def _min_poly_degree(d, wide=None):
     q = _certified_degree(d, wide)
     if q is not None:
         return q
-    n = len(d)
+    n, basis = len(d), _Basis()
     identity = tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
-    return _stalled_dim(
-        tuple((x,) for row in p for x in row) for p in _powers(d, identity, _matmul)
-    )
+    for p in _powers(d, identity, _matmul):
+        if not basis.add([x for row in p for x in row]):
+            return basis.dim
 
 
 class _ExactSpan:
@@ -312,17 +323,15 @@ class _ExactSpan:
     largest row-abs-sums (``_int64``), which ``matmul`` and the modular
     pass of q read.  Only ranks and dependences are asked of a span, so
     each of them, and each ``matmul``, holds its matrix up to a nonzero
-    scale.  The span that ``extend`` grows is a list of pivot-reduced
-    integer vectors, so its dimension is exact and a leaf of the schedule
-    search needs no re-check.  No Krylov column is reduced twice: ``holds``
-    drops each channel whose column closed, and ``ranks`` keeps the walk's
-    span between calls and, on a state list, drops closed channels too,
-    while ``rank`` eliminates from scratch and keeps nothing.
-    ``min_poly_degree`` is certified modulo a prime where it can be, and
-    eliminated otherwise (see ``_min_poly_degree``).  ``holds`` is the rank
-    condition, which ``rank_condition`` reports with no witness, and
-    ``capacity`` needs no elimination at s = 1, where a nonzero block has
-    rank at least 1.
+    scale.  Every rank grows a ``_Basis``, so it is exact and a leaf of the
+    schedule search needs no re-check.  No Krylov column is reduced twice:
+    ``holds`` drops each channel whose column closed, and the walk's
+    pre-check (``ranks``) keeps its running span between calls and drops
+    them too on a state list.  ``min_poly_degree`` is certified modulo a
+    prime where it can be, and eliminated otherwise (see
+    ``_min_poly_degree``).  ``holds`` is the rank condition, which
+    ``rank_condition`` reports with no witness, and ``capacity`` needs no
+    elimination at s = 1, where a nonzero block has rank at least 1.
     """
 
     what = "exact schedule search"
@@ -332,9 +341,6 @@ class _ExactSpan:
         self.sys, self.d, self.h = sys, _integers(sys.D), _integers(sys.H)
         # D (and A, once read) with its int64 copy and largest row-abs-sum
         self._wide = [(self.d, _int64(self.d))]
-        # ``ranks``'s running span: the blocks it absorbed, their pivots,
-        # the channels closed in it, and whether it holds a state list
-        self._running = (), (), frozenset(), False
 
     @functools.cached_property
     def a(self):
@@ -354,51 +360,42 @@ class _ExactSpan:
     @staticmethod
     def rank(blocks):
         """Rank of the blocks, eliminated from scratch."""
-        return len(_spanned((), blocks))
+        basis = _Basis()
+        for block in blocks:
+            basis.extend(block, range(len(block[0]) if block else 0))
+        return basis.dim
 
-    def ranks(self, blocks, state):
-        """Rank of all blocks but the last, and of all blocks.
+    def ranks(self, state):
+        """The walk's rank pre-check: a function of the walk's list
+        ``[D^(K-1) H, ..., H]`` (times A for output targets) that returns the
+        rank of all blocks but the last, and of all blocks.  A running span
+        absorbs the blocks but the last, lowest power first, at each call
+        only those new since the last one (the walk grows its list at the
+        front); all blocks are a copy of it extended by the last block.
 
-        The blocks but the last are eliminated from the last of them up
-        (the lowest power of the walk's list ``[D^(K-1) H, ..., H]``, times
-        A for output targets, first) into a running span; all blocks are
-        that span extended by the last block's columns.  The walk hands in
-        its list again grown at the front, so when the blocks absorbed last
-        time are, by identity, the lowest of this call's, only the new ones
-        are eliminated.  Blocks are immutable tuples, and the span keeps a
-        reference to each one it absorbed, so no new block can take over an
-        absorbed one's identity.  Any other list is eliminated from scratch
-        and becomes the running span.
+        On a state list (``state``) the running span absorbs D H, D^2 H, ...
+        in that order, and the argument of ``holds`` applies: once D^k h_j
+        depends on the columns absorbed before it, so does D^(k+1) h_j, so a
+        channel whose column closed is skipped at every later power, and the
+        pivots stay those of the full elimination.  An output list A D^k H
+        keeps every column, as A D^k h_j can depend on the columns before it
+        while A D^(k+1) h_j does not."""
+        running, closed, done, channels = _Basis(), set(), 0, range(self.sys.n_inputs)
 
-        ``state`` says that the list is a state list, so that the running
-        span absorbs D H, D^2 H, ... in that order.  The argument of
-        ``holds`` then applies: once D^k h_j depends on the columns absorbed
-        before it, D^(k+1) h_j depends on D times them, which were all
-        absorbed before it too.  So a channel whose column closed is skipped
-        at every later power, and the pivots stay those of the full
-        elimination.  An output list A D^k H keeps every column, as A D^k h_j
-        can depend on the columns before it while A D^(k+1) h_j does not; so
-        does a list without the flag.  A span built under the other flag is
-        not extended."""
-        below = blocks[-2::-1]
-        absorbed, pivots, closed, was_state = self._running
-        done = len(absorbed)
-        if (
-            state != was_state
-            or done > len(below)
-            or any(a is not b for a, b in zip(absorbed, below))
-        ):
-            done, pivots, closed = 0, (), frozenset()
-        pivots, closed = list(pivots), set(closed)
-        for block in below[done:]:
-            for j in _columns(block):
-                if len(pivots) == len(block):  # the span is the whole space
-                    break
-                if j not in closed and not _grows(pivots, [row[j] for row in block]):
-                    if state:
-                        closed.add(j)
-        self._running = below, tuple(pivots), frozenset(closed), state
-        return len(pivots), len(_spanned(pivots, blocks[-1:]))
+        def pre_check(blocks):
+            nonlocal done
+            below = blocks[-2::-1]
+            for block in below[done:]:
+                for j in channels:
+                    if running.dim == len(block):  # the span is the whole space
+                        break
+                    if j not in closed and not running.add([row[j] for row in block]):
+                        if state:
+                            closed.add(j)
+            done = len(below)
+            return running.dim, running.copy().extend(blocks[-1], channels)
+
+        return pre_check
 
     def holds(self, support=None):
         """Kalman rank N of (D, H), or of (D, H_S) for a support S.
@@ -416,16 +413,16 @@ class _ExactSpan:
         largest entry of those columns is below 2^62."""
         n = self.sys.n_states
         h = self.h if support is None else [[row[j] for j in support] for row in self.h]
-        pivots, columns = [], list(zip(*h))
+        basis, columns = _Basis(), list(zip(*h))
         while True:
-            grew = [v for v in columns if len(pivots) < n and _grows(pivots, v)]
-            if len(pivots) == n or not grew:
-                return len(pivots) == n
+            grew = [v for v in columns if basis.dim < n and basis.add(v)]
+            if basis.dim == n or not grew:
+                return basis.dim == n
             columns = list(zip(*self.matmul(self.d, tuple(zip(*grew)))))
 
-    def rank_condition(self, support=None):
+    def rank_condition(self):
         """``(holds, None, None)``: exact arithmetic needs no witness."""
-        return self.holds(support), None, None
+        return self.holds(), None, None
 
     def capacity(self, block, s):
         """``min(s, rank(block))``: at s = 1, 1 for a block with a nonzero
@@ -445,17 +442,8 @@ class _ExactSpan:
         return None
 
     @staticmethod
-    def empty(block):
-        return ()
-
-    @staticmethod
-    def extend(pivots, block, support):
-        pivots = list(pivots)
-        for j in support:
-            if len(pivots) == len(block):  # the span is the whole space
-                break
-            _grows(pivots, [row[j] for row in block])
-        return pivots, len(pivots)
+    def basis(rows):
+        return _Basis()
 
     @staticmethod
     def leaf_rank(dim, blocks, chosen):
@@ -465,22 +453,12 @@ class _ExactSpan:
     def circuits(blocks, inside, outside):
         """For each column ``(d, j)`` of ``outside``: None when it is
         independent of the columns of ``inside``, else the positions in
-        ``inside`` of the columns it is a combination of.  ``extend``'s
-        elimination on columns extended by their coordinates over ``inside``,
-        which the elimination carries along."""
-        n, r = len(blocks[0]), len(inside)
-        pivots = []
+        ``inside`` of the columns it is a combination of, read off a
+        ``_Basis`` of ``inside`` that carries their coordinates."""
+        basis, r = _Basis(), len(inside)
         for i, (d, j) in enumerate(inside):
-            coords = [int(i == t) for t in range(r)]
-            v = _reduce(pivots, [row[j] for row in blocks[d]] + coords)
-            pivots.append((next(t for t in range(n) if v[t] != 0), v))
-        found = []
-        for d, j in outside:
-            v = _reduce(pivots, [row[j] for row in blocks[d]] + [0] * r)
-            found.append(
-                None if any(v[:n]) else tuple(t for t in range(r) if v[n + t] != 0)
-            )
-        return found
+            basis.add([row[j] for row in blocks[d]] + [int(i == t) for t in range(r)])
+        return [basis.coords([row[j] for row in blocks[d]], r) for d, j in outside]
 
     @staticmethod
     def cut_rank(dim, blocks, chosen):

@@ -29,7 +29,7 @@ values above it (:func:`_rank_of`).  Each site names its scale and size:
 :func:`rank` serves ``_FloatSpan.rank``, ``leaf_rank``, ``_first_drop`` and
 ``decomp``.  The fixed scales of ``_nullities`` and ``_staircase`` keep the
 rounding noise of a decayed power or a late, small block below the cut.
-Two rules do not follow ``--tol``: ``_FloatSpan.extend``'s residual of 1e-13
+Two rules do not follow ``--tol``: ``ctrb._FloatBasis``'s residual of 1e-13
 of a column's length, and the spectrum's rung radii (:class:`_Spectrum`).
 All routines here are pure and safe to call concurrently.
 """
@@ -108,8 +108,9 @@ def _as_matrix(a, name="matrix", allow_complex=False):
 
 def _integer(value, message, least=1, most=float("inf")):
     """``int(value)`` of a Python or numpy integer from ``least`` to ``most``;
-    any other value raises ``ValueError(message)``."""
-    if not (isinstance(value, (int, np.integer)) and least <= value <= most):
+    any other value, a bool included, raises ``ValueError(message)``."""
+    integer = isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+    if not (integer and least <= value <= most):
         raise ValueError(message)
     return int(value)
 

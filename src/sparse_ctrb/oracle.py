@@ -79,7 +79,9 @@ class OracleBudget:
         if self.max_k is not None:
             _integer(self.max_k, message)
         _integer(self.max_enumerations, "max_enumerations must be a positive integer")
-        if self.deadline_s is not None and not 0 < self.deadline_s < math.inf:
+        deadline = self.deadline_s
+        boolean = isinstance(deadline, (bool, np.bool_))
+        if deadline is not None and (boolean or not 0 < deadline < math.inf):
             raise ValueError("deadline_s must be positive and finite or None")
 
 
@@ -177,7 +179,7 @@ def _descending_blocks(span, s, output, k_max):
 _SETTLED = ("rank", "inequality")
 
 
-def _ruled_out(blocks, caps, s, target, span, state):
+def _ruled_out(blocks, caps, s, target, span, ranks):
     """The pre-check that rules out a K before the kernel runs, or None.
 
     In order: ``"capacity"`` when the capacities, ``"rank"`` when the rank
@@ -185,9 +187,9 @@ def _ruled_out(blocks, caps, s, target, span, state):
     paper's rank inequality does.  Every column of the first K - 1 blocks
     lies in range(D) (in A range(D) for output targets), so a schedule
     reaches at most rank(U) + s with U those columns: the bound of
-    ``_blocked`` on this fixed U.  ``span.ranks`` reads rank(U) and the
-    rank of all blocks off one elimination; ``state`` tells it that
-    ``blocks`` is a state list, which the exact span's running span uses.
+    ``_blocked`` on this fixed U.  ``ranks``, the walk's pre-check of
+    ``span.ranks`` (made once per walk and fed its growing list), reads
+    rank(U) and the rank of all blocks off one elimination.
 
     The closure rule (``_SETTLED``): by Cayley-Hamilton the blocks span the
     whole Krylov space of (D, H) once K >= N (times A for output targets),
@@ -197,7 +199,7 @@ def _ruled_out(blocks, caps, s, target, span, state):
     ruled out by the same pre-check."""
     if sum(caps) < target:
         return "capacity"
-    below, rank = span.ranks(blocks, state)
+    below, rank = ranks(blocks)
     if rank < target:
         return "rank"
     u = [range(span.sys.n_inputs)] * (len(blocks) - 1) + [()]
@@ -228,18 +230,18 @@ def _common_independent(blocks, s, span, counter, inside=(), allowed=None):
     members, n, k = set(inside), len(blocks[0]), len(blocks)
     allowed = allowed or [range(span.sys.n_inputs)] * k
     used = collections.Counter(d for d, _ in members)
-    basis, dim = span.empty(blocks[0]), 0
+    basis = span.basis(n)
     for d, j in inside:
-        basis, dim = span.extend(basis, blocks[d], (j,))
+        basis.extend(blocks[d], (j,))
     for d in range(k - 1, -1, -1):
         for j in allowed[d]:
-            if dim < n and used[d] < s and (d, j) not in members:
-                basis, grown = span.extend(basis, blocks[d], (j,))
-                if grown > dim:
+            if basis.dim < n and used[d] < s and (d, j) not in members:
+                dim = basis.dim
+                if basis.extend(blocks[d], (j,)) > dim:
                     members.add((d, j))
-                    used[d], dim = used[d] + 1, grown
+                    used[d] += 1
     inside = sorted(members)
-    if dim == n:
+    if basis.dim == n:
         return inside, set()
     ground = [(d, j) for d in range(k) for j in allowed[d]]
     while True:
@@ -309,11 +311,12 @@ def _first_schedule(blocks, caps, s, target, span, counter, inside, referee):
     k, l = len(blocks), span.sys.n_inputs
     supports = list(itertools.combinations(range(l), s))
     for certify in (False, True):
-        chosen, basis, current = [], span.empty(blocks[0]), inside
+        chosen, basis, current = [], span.basis(len(blocks[0])), inside
         for d in range(k):
             for sup in supports:
                 counter.tick(k)
-                grown, dim = span.extend(basis, blocks[d], sup)
+                grown = basis.copy()
+                dim = grown.extend(blocks[d], sup)
                 if dim + sum(caps[d + 1:]) < target:
                     continue
                 if d == k - 1:
@@ -410,6 +413,7 @@ def _min_k(span, s, budget, output=False, first_k=1):
     max_k = budget.max_k or _partition_horizon(sys, s)
     counter = _Counter(budget, span.what)
     target = sys.n_outputs if output else sys.n_states
+    ranks = span.ranks(not output)
 
     @functools.cache
     def sparse_test_passes():
@@ -422,7 +426,7 @@ def _min_k(span, s, budget, output=False, first_k=1):
             )
 
     def skip(k, blocks, caps):
-        return k < first_k or _ruled_out(blocks, caps, s, target, span, not output)
+        return k < first_k or _ruled_out(blocks, caps, s, target, span, ranks)
 
     for k, blocks, caps, inside, cut in _walk(span, s, output, max_k, counter, skip):
         if len(inside) < target:

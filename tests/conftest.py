@@ -1,3 +1,4 @@
+import ast
 import json
 import pathlib
 
@@ -5,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, assume, settings, strategies as st
 
+import sparse_ctrb
 from sparse_ctrb import SystemModel
 
 settings.register_profile(
@@ -183,3 +185,23 @@ def jordan_systems(draw, max_n=12, max_block=6):
     return SystemModel(
         D=(p @ j_mat @ p_inv).astype(float), H=(p @ h_j).astype(float)
     )
+
+
+def _uses(name):
+    """``module.function`` of every read of the name or attribute ``name``
+    in ``src/sparse_ctrb``, None as the function at module level."""
+    found = []
+
+    def visit(node, module, where):
+        for child in ast.iter_child_nodes(node):
+            inner = where
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                inner = child.name if where is None else f"{where}.{child.name}"
+            read = isinstance(getattr(child, "ctx", None), ast.Load)
+            if read and name in (getattr(child, "attr", None), getattr(child, "id", None)):
+                found.append(f"{module}.{where}")
+            visit(child, module, inner)
+
+    for path in sorted(pathlib.Path(sparse_ctrb.__file__).parent.glob("*.py")):
+        visit(ast.parse(path.read_text(encoding="utf-8")), path.stem, None)
+    return found

@@ -10,10 +10,11 @@ pre-check.
 """
 
 
-def _within_reach(blocks, caps, target, span):
-    """The capacities and ``span.ranks`` of all blocks reach ``target``: the
-    cut-free pre-checks, which the reference search keeps."""
-    return sum(caps) >= target and span.ranks(blocks, False)[1] >= target
+def _within_reach(blocks, caps, target, ranks):
+    """The capacities and the rank of all blocks reach ``target``: the
+    cut-free pre-checks, which the reference search keeps.  ``ranks`` is a
+    walk's pre-check of ``span.ranks``, fed the walk's list."""
+    return sum(caps) >= target and ranks(blocks)[1] >= target
 
 
 def _best_schedule(blocks, caps, supports, target, span, counter, fragile=None):
@@ -35,7 +36,8 @@ def _best_schedule(blocks, caps, supports, target, span, counter, fragile=None):
     def dfs(depth, basis):
         for sup in supports:
             counter.tick(k)
-            nxt, dim = span.extend(basis, blocks[depth], sup)
+            nxt = basis.copy()
+            dim = nxt.extend(blocks[depth], sup)
             if dim + suffix_cap[depth + 1] < target:
                 continue
             chosen.append(sup)
@@ -51,4 +53,4 @@ def _best_schedule(blocks, caps, supports, target, span, counter, fragile=None):
             chosen.pop()
         return False
 
-    return tuple(chosen) if dfs(0, span.empty(blocks[0])) else None
+    return tuple(chosen) if dfs(0, span.basis(len(blocks[0]))) else None

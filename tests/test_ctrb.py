@@ -414,14 +414,17 @@ class TestWitnessFree:
     def test_holds_and_verdict_match_the_reports(self, sys, power, rank_rel):
         sys = SystemModel(D=sys.D * 2.0**power, H=sys.H)
         l = sys.n_inputs
-        supports = [  # the empty support too: it controls nothing
-            c for size in range(l + 1) for c in itertools.combinations(range(l), size)
+        supports = [
+            c for size in range(1, l + 1) for c in itertools.combinations(range(l), size)
         ]
-        for span in (ctrb._FloatSpan(sys, Tolerance(rank_rel=rank_rel)), _ExactSpan(sys)):
-            assert not span.holds(())
+        tol = Tolerance(rank_rel=rank_rel)
+        for span_of in (lambda sys: ctrb._FloatSpan(sys, tol), _ExactSpan):
+            span = span_of(sys)
+            assert not span.holds(())  # the empty support controls nothing
             assert span.holds() == span.rank_condition()[0]
             for support in supports:
-                assert span.holds(support) == span.rank_condition(support)[0]
+                restricted = span_of(ctrb.input_restriction(sys, support))
+                assert span.holds(support) == restricted.rank_condition()[0]
             for s in range(1, l + 1):
                 assert ctrb._sparse_verdict(span, s) == ctrb._sparse_test(span, s).verdict
 
@@ -450,7 +453,7 @@ class TestWitnessFree:
         sys = SystemModel(D=np.eye(len(block)), H=np.ones((len(block), 1)))
         span = ctrb._FloatSpan(sys, Tolerance(rank_rel=rank_rel))
         with np.errstate(over="ignore"):
-            assert span.capacity(block, s) == min(s, span.ranks([block], False)[1])
+            assert span.capacity(block, s) == min(s, span.ranks(False)([block])[1])
         exact = _ExactSpan(sys)  # on integers with the same zeros
         block = (np.sign(block) * np.ceil(np.clip(abs(block), 0, 3))).astype(int).tolist()
         assert exact.capacity(block, s) == min(s, exact.rank([block]))
@@ -472,41 +475,43 @@ class TestWitnessFree:
             assert span.capacity(block, 1) == 0
         assert len(caught) == (value == 1e200)
         with np.errstate(over="ignore"):
-            assert span.ranks([block], False)[1] == 0
+            assert span.ranks(False)([block])[1] == 0
 
 
 class TestFloatSpanExtend:
-    """The running span of the float witness loop: Gram-Schmidt, run twice,
-    whose dependence threshold leans to independence."""
+    """The running span of the float witness loop, ``ctrb._FloatBasis``:
+    Gram-Schmidt, run twice, whose dependence threshold leans to
+    independence."""
 
-    extend = staticmethod(ctrb._FloatSpan.extend)
-    empty = staticmethod(ctrb._FloatSpan.empty)
+    @staticmethod
+    def basis(block):
+        return ctrb._FloatSpan.basis(block.shape[0])
 
     def test_zero_column_is_skipped(self):
         block = np.array([[0.0, 2.0], [0.0, 0.0], [0.0, 0.0]])
-        basis, dim = self.extend(self.empty(block), block, (0, 1))
-        assert dim == 1
-        assert np.array_equal(basis, [[1.0], [0.0], [0.0]])
+        basis = self.basis(block)
+        assert basis.extend(block, (0, 1)) == 1
+        assert np.array_equal(basis.columns, [[1.0], [0.0], [0.0]])
 
     def test_dependence_threshold_is_1e_13_of_the_length(self):
         # Beside e1, a residual of 1e-14 of the column's length is dependent
         # and one of 1e-12 is not, though the SVD rank rule calls it dependent.
         block = np.array([[1.0, 1.0, 1.0], [0.0, 1e-14, 1e-12], [0.0, 0.0, 0.0]])
-        _, dim = self.extend(self.empty(block), block, (0, 1))
-        assert dim == 1
-        basis, dim = self.extend(self.empty(block), block, (0, 2))
-        assert dim == 2
+        assert self.basis(block).extend(block, (0, 1)) == 1
+        basis = self.basis(block)
+        assert basis.extend(block, (0, 2)) == 2
         assert rank(block[:, [0, 2]]) == 1
-        assert np.allclose(basis[:, 1], [0.0, 1.0, 0.0])
+        assert np.allclose(basis.columns[:, 1], [0.0, 1.0, 0.0])
 
     @given(int_matrix(4, 6, -2, 2))
     def test_accepted_columns_are_orthonormal_and_span_the_block(self, block):
-        basis, dim = self.empty(block), 0
+        basis = self.basis(block)
         for j in range(block.shape[1]):  # column by column, as the kernel grows it
-            basis, dim = self.extend(basis, block, (j,))
-        assert basis.shape == (4, dim)
-        assert np.allclose(basis.T @ basis, np.eye(dim), atol=1e-12)
-        assert np.allclose(basis @ (basis.T @ block), block, atol=1e-10)
+            dim = basis.extend(block, (j,))
+        columns = basis.columns
+        assert columns.shape == (4, dim) and basis.dim == dim
+        assert np.allclose(columns.T @ columns, np.eye(dim), atol=1e-12)
+        assert np.allclose(columns @ (columns.T @ block), block, atol=1e-10)
         assert dim == rank(block)
 
 

@@ -526,8 +526,8 @@ class TestCliExitCodes:
         assert (code, calls) == (0, [])
         assert json.loads(out)["result"]["k_star"] is None
 
-        def cut_free(blocks, caps, s, target, span, state):
-            return None if _within_reach(blocks, caps, target, span) else "rank"
+        def cut_free(blocks, caps, s, target, span, ranks):
+            return None if _within_reach(blocks, caps, target, ranks) else "rank"
 
         monkeypatch.setattr(oracle, "_ruled_out", cut_free)
         assert run_cli(capsys, *argv)[:2] == (code, out)
@@ -656,24 +656,29 @@ class TestCliExitCodes:
     def test_s1_walk_ranks_no_single_block(self, capsys, monkeypatch):
         # At s = 1 a nonzero block has capacity 1, which the float span reads
         # off its column lengths: no SVD of a block alone.  Every block of
-        # the walk is recorded, and no ``ranks`` call is on one of them alone.
+        # the walk is recorded, and no rank pre-check is of one of them alone.
         walked, descending = [], oracle._descending_blocks
+        calls, ranks = [], _FloatSpan.ranks
 
         def recording(*args):
             for blocks, caps in descending(*args):
                 walked.append(blocks[0])
                 yield blocks, caps
 
+        def recording_ranks(span, state):
+            pre_check = ranks(span, state)
+            return lambda blocks: calls.append(list(blocks)) or pre_check(blocks)
+
         monkeypatch.setattr(oracle, "_descending_blocks", recording)
-        calls = self._counting(monkeypatch, _FloatSpan, "ranks")
+        monkeypatch.setattr(_FloatSpan, "ranks", recording_ranks)
         argv = ["oracle", str(FIXTURES / "nilpotent-chain.json"), "-s", "1"]
         code, out, err = run_cli(capsys, *argv)
         assert code == 0, err
         assert json.loads(out)["result"]["k_star"] == 3
         assert len(walked) == 3 and calls
         singles = [
-            args for args in calls
-            if len(args[1]) == 1 and any(args[1][0] is block for block in walked)
+            blocks for blocks in calls
+            if len(blocks) == 1 and any(blocks[0] is block for block in walked)
         ]
         assert singles == []
 

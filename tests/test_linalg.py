@@ -1,11 +1,7 @@
-import ast
-from pathlib import Path
-
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-import sparse_ctrb
 from sparse_ctrb import (
     DEFAULT_TOLERANCE,
     Tolerance,
@@ -21,7 +17,7 @@ from sparse_ctrb.linalg import (
     extend_to_basis,
     max_geometric_multiplicity,
 )
-from tests.conftest import _dense_spectral, int_matrix
+from tests.conftest import _dense_spectral, _uses, int_matrix
 
 
 class TestRank:
@@ -311,26 +307,6 @@ def test_default_tolerance_values():
     assert DEFAULT_TOLERANCE.rank_rel == 1e-10
     assert DEFAULT_TOLERANCE.eig_cluster == 1e-8
     assert DEFAULT_TOLERANCE.residual_abs == 1e-8
-
-
-def _uses(name):
-    """``module.function`` of every read of the name or attribute ``name``
-    in ``src/sparse_ctrb``, None as the function at module level."""
-    found = []
-
-    def visit(node, module, where):
-        for child in ast.iter_child_nodes(node):
-            inner = where
-            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-                inner = child.name if where is None else f"{where}.{child.name}"
-            read = isinstance(getattr(child, "ctx", None), ast.Load)
-            if read and name in (getattr(child, "attr", None), getattr(child, "id", None)):
-                found.append(f"{module}.{where}")
-            visit(child, module, inner)
-
-    for path in sorted(Path(sparse_ctrb.__file__).parent.glob("*.py")):
-        visit(ast.parse(path.read_text(encoding="utf-8")), path.stem, None)
-    return found
 
 
 class TestOneCut:

@@ -15,6 +15,7 @@ from sparse_ctrb import (
     controllability_matrix,
     decision_horizon,
     exact_min_k,
+    greedy_support_schedule,
     kalman_test,
     kalman_type_rank_test,
     kstar_bounds_sparse,
@@ -225,7 +226,7 @@ class TestExactMinK:
             oracle._min_k(span, 1, budget, output=True)
         assert (exc.value.k_reached, exc.value.enumerations) == (4, 1)
 
-    @pytest.mark.parametrize("deadline", [math.inf, math.nan, 0.0, -1.0])
+    @pytest.mark.parametrize("deadline", [math.inf, math.nan, 0.0, -1.0, True, np.True_])
     def test_deadline_must_be_positive_and_finite(self, deadline):
         with pytest.raises(ValueError, match="deadline_s"):
             OracleBudget(deadline_s=deadline)
@@ -287,9 +288,10 @@ class TestCommonIndependent:
         supports = list(itertools.combinations(range(l), s))
         counter = _Counter(OracleBudget(), "test")
         span = span_of(sys)
+        ranks = span.ranks(True)  # fed the walk's list below
 
         def search(blocks, caps, target):
-            if not _within_reach(blocks, caps, target, span):
+            if not _within_reach(blocks, caps, target, ranks):
                 return None
             return _best_schedule(blocks, caps, supports, target, span, counter)
 
@@ -328,11 +330,11 @@ class TestCommonIndependent:
             if len(inside) == n:
                 continue
             supports = _supports_of(cut, k)
-            basis, rank_u = span.empty(blocks[0]), 0
+            basis = span.basis(n)
             for block, sup in zip(blocks, supports):
-                basis, rank_u = span.extend(basis, block, sup)
+                basis.extend(block, sup)
             spare = sum(min(s, l - len(sup)) for sup in supports)
-            assert rank_u + spare == len(inside)
+            assert basis.dim + spare == len(inside)
             dim = sum(1 for x in inside if x in cut)
             assert _blocked(blocks, s, len(inside) + 1, span, dim, supports)
 
@@ -359,8 +361,9 @@ class TestCommonIndependent:
         counter = _Counter(OracleBudget(), "test")
         span = span_of(sys)
         problems = _descending_blocks(span, s, output, sys.n_states * math.ceil(l / s))
+        ranks = span.ranks(not output)
         for blocks, caps in problems:
-            if _ruled_out(blocks, caps, s, target, span, not output) is not None:
+            if _ruled_out(blocks, caps, s, target, span, ranks) is not None:
                 assert _best_schedule(blocks, caps, supports, target, span, counter) is None
 
     @pytest.mark.parametrize("span_of", SPANS, ids=["float", "exact"])
@@ -386,9 +389,9 @@ class TestCommonIndependent:
         target = sys.n_outputs if output else n
         span = span_of(sys)
         problems = _descending_blocks(span, s, output, 2 * n * math.ceil(l / s))
-        closed = False
+        closed, ranks = False, span.ranks(not output)
         for k, (blocks, caps) in enumerate(problems, start=1):
-            ruling = _ruled_out(blocks, caps, s, target, span, not output)
+            ruling = _ruled_out(blocks, caps, s, target, span, ranks)
             assert not closed or ruling in _SETTLED, (k, ruling)
             closed = closed or (k > n and ruling in _SETTLED)
 
@@ -420,11 +423,12 @@ class TestCommonIndependent:
         span = _ExactSpan(kernel_blocked_output())
         counter = _Counter(OracleBudget(), "test")
         problems = _descending_blocks(span, 1, True, 10)
+        ranks = span.ranks(False)
         for k, (blocks, caps) in enumerate(problems, start=1):
             if k < 4:
                 continue
-            assert span.ranks(blocks, False) == (3, 4)
-            assert _ruled_out(blocks, caps, 1, 4, span, False) is None
+            assert ranks(blocks) == (3, 4)
+            assert _ruled_out(blocks, caps, 1, 4, span, ranks) is None
             inside, cut = _common_independent(blocks, 1, span, counter)
             assert sum(1 for d, _ in inside if d < k - 1) == 2
             dim = sum(1 for x in inside if x in cut)
@@ -588,3 +592,37 @@ def test_numpy_integer_sparsity_gives_int_results(
     for call, s in calls:
         want = [(type(x), x) for x in _flat(call(s))]
         assert [(type(x), x) for x in _flat(call(np.int64(s)))] == want
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda sys: sparse_pbh_test(sys, True),
+        lambda sys: OracleBudget(max_k=True),
+        lambda sys: OracleBudget(max_enumerations=True),
+        lambda sys: SupportSchedule(((0,),), s=True),
+        lambda sys: greedy_support_schedule(sys, 1, False),
+        lambda sys: partition_schedule(True, 1),
+        lambda sys: kalman_type_rank_test(sys, 1, True),
+        lambda sys: rstar_sequence(sys, 1, True),
+        lambda sys: min_k_exact(sys, 1, True),
+        lambda sys: controllability_matrix(sys.D, sys.H, True),
+    ],
+    ids=[
+        "sparsity",
+        "max_k",
+        "max_enumerations",
+        "schedule-s",
+        "steer-k",
+        "partition-l",
+        "rank-test-k",
+        "k_max",
+        "exact-max_k",
+        "blocks",
+    ],
+)
+def test_bools_are_not_integers(nilpotent_chain, call):
+    # bool is a subclass of int, but True is no sparsity, K or budget: the
+    # integer guard of every caller rejects it.
+    with pytest.raises(ValueError):
+        call(nilpotent_chain)
